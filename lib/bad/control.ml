@@ -1,12 +1,11 @@
-let shape ~sched ~est ~ii ~pipelined =
-  let g = sched.Chop_sched.Schedule.graph in
+let comparisons g =
+  List.length
+    (List.filter
+       (fun n -> n.Chop_dfg.Graph.op = Chop_dfg.Op.Compare)
+       (Chop_dfg.Graph.operations g))
+
+let controller ~comparisons ~sched ~est ~ii ~pipelined =
   let states = if pipelined then max 1 ii else max 1 sched.Chop_sched.Schedule.length in
-  let comparisons =
-    List.length
-      (List.filter
-         (fun n -> n.Chop_dfg.Graph.op = Chop_dfg.Op.Compare)
-         (Chop_dfg.Graph.operations g))
-  in
   (* start/done handshake with the distributed control network *)
   let status_inputs = 2 + comparisons in
   let total_fus =
@@ -16,6 +15,11 @@ let shape ~sched ~est ~ii ~pipelined =
   let reg_loads = est.Datapath.peak_values in
   let control_outputs = (2 * total_fus) + mux_selects + reg_loads in
   Chop_tech.Pla.controller_shape ~states ~status_inputs ~control_outputs
+
+let shape ~sched ~est ~ii ~pipelined =
+  controller
+    ~comparisons:(comparisons sched.Chop_sched.Schedule.graph)
+    ~sched ~est ~ii ~pipelined
 
 let area = Chop_tech.Pla.area
 let delay = Chop_tech.Pla.delay

@@ -6,6 +6,19 @@
     distributed-control handshake, and control outputs driving functional
     units, multiplexer select trees and register loads. *)
 
+val comparisons : Chop_dfg.Graph.t -> int
+(** The graph's [Compare] operations, each a status input. *)
+
+val controller :
+  comparisons:int ->
+  sched:Chop_sched.Schedule.t ->
+  est:Datapath.estimate ->
+  ii:int ->
+  pipelined:bool ->
+  Chop_tech.Pla.shape
+(** {!shape} with the schedule's graph's {!comparisons} given, so a caller
+    pricing many design points of one graph counts them once. *)
+
 val shape :
   sched:Chop_sched.Schedule.t ->
   est:Datapath.estimate ->

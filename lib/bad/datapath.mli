@@ -1,5 +1,11 @@
 (** Data-path resource prediction: register bits, multiplexer count, net
-    count and area roll-up for a scheduled partition. *)
+    count and area roll-up for a scheduled partition.
+
+    The estimate is built in three stages, so that BAD, which prices many
+    schedules of one graph and several initiation intervals of each
+    schedule, does each piece of work once: {!facts} per graph, {!units}
+    per module set and allocation, {!roll_up} per design point.
+    {!estimate} is their composition. *)
 
 type estimate = {
   register_bits : int;
@@ -12,6 +18,27 @@ type estimate = {
   mux_select_delay : Chop_util.Units.ns;
       (** worst mux-tree delay in front of a functional unit *)
 }
+
+type facts = {
+  profile : (string * int) list;  (** {!Chop_dfg.Graph.op_profile} *)
+  values : int;  (** operations plus primary inputs *)
+  edges : int;
+}
+
+val facts : Chop_dfg.Graph.t -> facts
+
+type units
+(** Functional-unit input steering, area and mux-tree delay under one
+    module set and allocation. *)
+
+val units :
+  facts ->
+  module_set:Chop_tech.Component.t list ->
+  alloc:Chop_sched.Schedule.alloc ->
+  units
+
+val roll_up : facts -> units -> Chop_sched.Lifetime.demand -> estimate
+(** Adds register-file input steering for the given register demand. *)
 
 val estimate :
   module_set:Chop_tech.Component.t list ->

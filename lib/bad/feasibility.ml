@@ -60,20 +60,14 @@ let check_power c power =
       if power <= budget then Feasible
       else Infeasible (Printf.sprintf "power: %.1f mW > %.1f mW" power budget)
 
-let partition_level c ~clocks ~chip_area p =
-  let first = function
-    | [] -> Feasible
-    | Infeasible r :: _ -> Infeasible r
-    | Feasible :: rest -> (
-        match List.filter (fun v -> not (is_feasible v)) rest with
-        | bad :: _ -> bad
-        | [] -> Feasible)
-  in
-  first
-    [
-      check_area c ~available:chip_area [ p.Prediction.area ];
-      check_perf c (Prediction.perf_ns clocks p);
-      check_delay c
-        (Chop_util.Triplet.exact (Prediction.delay_ns clocks p));
-      check_power c p.Prediction.power;
-    ]
+let partition_feasible c ~clocks ~chip_area p =
+  Chop_util.Prob.of_sum [ p.Prediction.area ] chip_area >= c.area_prob
+  && Prediction.perf_ns clocks p <= c.perf_constraint
+  && Chop_util.Prob.prob_le
+       (Chop_util.Triplet.exact (Prediction.delay_ns clocks p))
+       c.delay_constraint
+     >= c.delay_prob
+  &&
+  match c.power_budget with
+  | None -> true
+  | Some budget -> p.Prediction.power <= budget

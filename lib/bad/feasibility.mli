@@ -46,13 +46,15 @@ val check_delay : criteria -> Chop_util.Triplet.t -> verdict
 
 val check_power : criteria -> float -> verdict
 
-val partition_level :
+val partition_feasible :
   criteria ->
   clocks:Chop_tech.Clocking.t ->
   chip_area:Chop_util.Units.mil2 ->
   Prediction.t ->
-  verdict
+  bool
 (** First-level pruning test for a single partition prediction in
     isolation: its own area must fit the target chip and its own timing
     must not already violate the performance/delay constraints (system
-    integration can only add overhead). *)
+    integration can only add overhead).  The same tests as {!check_area},
+    {!check_perf}, {!check_delay} and {!check_power}, stopping at the first
+    that fails and building no verdict. *)

@@ -100,39 +100,83 @@ let op_latency cfg mset ~dp_cycle n =
                    (c.Chop_tech.Component.delay +. nominal_overhead)
                    dp_cycle)))
 
+(* What prediction needs to know about the graph, derived once per call
+   and read by every design point. *)
+type graph_facts = {
+  datapath : Datapath.facts;
+  values : Chop_sched.Lifetime.values;
+  comparisons : int;
+  blocks : string array;  (* memory blocks, sorted *)
+  block_of : int array;  (* node id -> index into [blocks]; -1 if none *)
+}
+
+let graph_facts g =
+  let blocks = Array.of_list (Chop_dfg.Graph.memory_blocks g) in
+  let block_of = Array.make (max 1 (Chop_dfg.Graph.size g)) (-1) in
+  if blocks <> [||] then
+    List.iter
+      (fun n ->
+        match Chop_dfg.Op.memory_block n.Chop_dfg.Graph.op with
+        | Some b ->
+            block_of.(n.Chop_dfg.Graph.id) <-
+              Option.get (Array.find_index (String.equal b) blocks)
+        | None -> ())
+      (Chop_dfg.Graph.nodes g);
+  {
+    datapath = Datapath.facts g;
+    values = Chop_sched.Lifetime.values g;
+    comparisons = Control.comparisons g;
+    blocks;
+    block_of;
+  }
+
 (* Slowest single-cycle resource: determines the stretched clock in the
    single-cycle style. *)
-let slowest_resource cfg mset g =
+let slowest_resource cfg mset gf =
   List.fold_left
     (fun acc (cls, _) ->
       if Chop_tech.Component.is_memport_class cls then
-        List.fold_left
+        Array.fold_left
           (fun acc b -> Float.max acc (memory_of cfg b).Chop_tech.Memory.access)
-          acc
-          (Chop_dfg.Graph.memory_blocks g)
+          acc gf.blocks
       else
         match module_for mset cls with
         | Some c -> Float.max acc c.Chop_tech.Component.delay
         | None -> acc)
-    0. (Chop_dfg.Graph.op_profile g)
+    0. gf.datapath.Datapath.profile
 
-let mem_bandwidth sched =
-  let g = sched.Chop_sched.Schedule.graph in
-  let blocks = Chop_dfg.Graph.memory_blocks g in
-  List.map
-    (fun block ->
-      let horizon = max 1 sched.Chop_sched.Schedule.length in
-      let per_step = Array.make horizon 0 in
-      List.iter
-        (fun (id, st) ->
-          let n = Chop_dfg.Graph.node g id in
-          match Chop_dfg.Op.memory_block n.Chop_dfg.Graph.op with
-          | Some b when b = block ->
-              if st < horizon then per_step.(st) <- per_step.(st) + 1
-          | Some _ | None -> ())
-        sched.Chop_sched.Schedule.starts;
-      (block, Array.fold_left max 0 per_step))
-    blocks
+(* Per memory block: peak word accesses started in any one step. *)
+let mem_bandwidth gf d =
+  let horizon = max 1 d.Chop_sched.Schedule.sched.Chop_sched.Schedule.length in
+  let per_step = Array.map (fun _ -> Array.make horizon 0) gf.blocks in
+  Array.iteri
+    (fun id b ->
+      let st = d.Chop_sched.Schedule.start_at.(id) in
+      if b >= 0 && st >= 0 && st < horizon then
+        per_step.(b).(st) <- per_step.(b).(st) + 1)
+    gf.block_of;
+  Array.to_list
+    (Array.mapi (fun b block -> (block, Array.fold_left max 0 per_step.(b))) gf.blocks)
+
+(* What every design point of one schedule shares: both styles and every
+   pipelined initiation interval. *)
+type scheduled = {
+  dense : Chop_sched.Schedule.dense;
+  live : Chop_sched.Lifetime.live;
+  units : Datapath.units;
+  mem_bandwidth : (string * int) list;
+}
+
+let scheduled gf ~mset sched =
+  let dense = Chop_sched.Schedule.dense sched in
+  {
+    dense;
+    live = Chop_sched.Lifetime.live gf.values dense;
+    units =
+      Datapath.units gf.datapath ~module_set:mset
+        ~alloc:sched.Chop_sched.Schedule.alloc;
+    mem_bandwidth = mem_bandwidth gf dense;
+  }
 
 let power_estimate mset alloc est shape =
   let fu =
@@ -148,13 +192,19 @@ let power_estimate mset alloc est shape =
   +. (0.005 *. float_of_int est.Datapath.mux_count)
   +. (0.02 *. float_of_int shape.Chop_tech.Pla.product_terms)
 
-(* Assemble one prediction from a schedule and an initiation interval. *)
-let assemble cfg ~label ~mset ~sched ~pipelined ~ii_dp =
-  let est =
-    if pipelined then Datapath.estimate ~module_set:mset ~ii:ii_dp sched
-    else Datapath.estimate ~module_set:mset sched
+(* Assemble one prediction from a schedule and an initiation interval: the
+   register demand at that interval and the area/delay roll-up. *)
+let assemble cfg ~label ~mset ~slowest gf sd ~pipelined ~ii_dp =
+  let sched = sd.dense.Chop_sched.Schedule.sched in
+  let demand =
+    if pipelined then Chop_sched.Lifetime.demand ~ii:ii_dp sd.live
+    else Chop_sched.Lifetime.demand sd.live
   in
-  let shape = Control.shape ~sched ~est ~ii:ii_dp ~pipelined in
+  let est = Datapath.roll_up gf.datapath sd.units demand in
+  let shape =
+    Control.controller ~comparisons:gf.comparisons ~sched ~est ~ii:ii_dp
+      ~pipelined
+  in
   let ctrl_area = Control.area shape and ctrl_delay = Control.delay shape in
   let active =
     est.Datapath.fu_area +. est.Datapath.register_area +. est.Datapath.mux_area
@@ -182,10 +232,7 @@ let assemble cfg ~label ~mset ~sched ~pipelined ~ii_dp =
     match cfg.style.Chop_tech.Style.op_timing with
     | Chop_tech.Style.Single_cycle ->
         (* the data-path cycle must cover the slowest module + overhead *)
-        let required =
-          slowest_resource cfg mset sched.Chop_sched.Schedule.graph +. overhead
-        in
-        Float.max t_main (required /. k_dp)
+        Float.max t_main ((slowest +. overhead) /. k_dp)
     | Chop_tech.Style.Multi_cycle ->
         (* multi-cycle operations absorb module delay; the per-cycle stretch
            is the steering/control overhead amortized over the ratio *)
@@ -223,7 +270,7 @@ let assemble cfg ~label ~mset ~sched ~pipelined ~ii_dp =
     register_bits = est.Datapath.register_bits;
     mux_count = est.Datapath.mux_count;
     controller_shape = shape;
-    mem_bandwidth = mem_bandwidth sched;
+    mem_bandwidth = sd.mem_bandwidth;
     power = power_estimate mset sched.Chop_sched.Schedule.alloc est shape;
   }
 
@@ -232,6 +279,10 @@ let latency_function cfg ~module_set n =
     ~dp_cycle:(Chop_tech.Clocking.datapath_cycle cfg.clocks)
     n
 
+(* Work runs at the level it depends on: [graph_facts] once per call, the
+   latencies, allocations and the list scheduler's [prepare] once per
+   module set, [scheduled] once per schedule, and [assemble] per design
+   point. *)
 let predict cfg ~label g =
   (* validate memory references up front *)
   List.iter (fun b -> ignore (memory_of cfg b)) (Chop_dfg.Graph.memory_blocks g);
@@ -239,10 +290,12 @@ let predict cfg ~label g =
   else if not (Chop_tech.Component.covers cfg.library g) then []
   else
     let dp_cycle = Chop_tech.Clocking.datapath_cycle cfg.clocks in
+    let gf = graph_facts g in
     let memport_units =
-      List.map
-        (fun b -> ("memport:" ^ b, (memory_of cfg b).Chop_tech.Memory.ports))
-        (Chop_dfg.Graph.memory_blocks g)
+      Array.to_list
+        (Array.map
+           (fun b -> ("memport:" ^ b, (memory_of cfg b).Chop_tech.Memory.ports))
+           gf.blocks)
     in
     let msets = Chop_tech.Component.module_sets cfg.library g in
     (* one schedule per serial-parallel design point: allocation-driven list
@@ -284,7 +337,10 @@ let predict cfg ~label g =
           let allocs =
             Alloc_enum.enumerate ~cap:cfg.alloc_cap ~latency ~memport_units g
           in
-          List.map (fun alloc -> Chop_sched.List_sched.run ~latency ~alloc g) allocs
+          let prepared = Chop_sched.List_sched.prepare ~latency g in
+          List.map
+            (fun alloc -> Chop_sched.List_sched.schedule prepared ~alloc)
+            allocs
       | Force_directed ->
           let cp = Chop_dfg.Analysis.critical_path ~latency g in
           let upper = max (cp + 1) (min (4 * cp) (cp + (3 * cfg.alloc_cap))) in
@@ -311,31 +367,32 @@ let predict cfg ~label g =
     List.concat_map
       (fun mset ->
         let latency = op_latency cfg mset ~dp_cycle in
+        let slowest = slowest_resource cfg mset gf in
         List.concat_map
           (fun sched ->
+            let sd = scheduled gf ~mset sched in
+            let length = sched.Chop_sched.Schedule.length in
             List.concat_map
               (fun pipelining ->
                 match pipelining with
                 | Chop_tech.Style.Non_pipelined ->
                     [
-                      assemble cfg ~label ~mset ~sched ~pipelined:false
-                        ~ii_dp:sched.Chop_sched.Schedule.length;
+                      assemble cfg ~label ~mset ~slowest gf sd ~pipelined:false
+                        ~ii_dp:length;
                     ]
                 | Chop_tech.Style.Pipelined ->
-                    let min_ii = Chop_sched.Pipeline.min_ii sched in
-                    if min_ii >= sched.Chop_sched.Schedule.length then
+                    let min_ii = Chop_sched.Pipeline.first_feasible sd.dense in
+                    if min_ii >= length then
                       (* pipelining cannot beat restarting the schedule *)
                       []
                     else
                       let last =
-                        min
-                          (sched.Chop_sched.Schedule.length - 1)
-                          (min_ii + cfg.max_pipelined_iis - 1)
+                        min (length - 1) (min_ii + cfg.max_pipelined_iis - 1)
                       in
                       List.map
                         (fun ii ->
-                          assemble cfg ~label ~mset ~sched ~pipelined:true
-                            ~ii_dp:ii)
+                          assemble cfg ~label ~mset ~slowest gf sd
+                            ~pipelined:true ~ii_dp:ii)
                         (Chop_util.Listx.range min_ii last))
               cfg.style.Chop_tech.Style.pipelinings)
           (schedules_for ~mset latency))
@@ -345,8 +402,7 @@ let prune cfg ~criteria ~chip_area preds =
   let feasible =
     List.filter
       (fun p ->
-        Feasibility.is_feasible
-          (Feasibility.partition_level criteria ~clocks:cfg.clocks ~chip_area p))
+        Feasibility.partition_feasible criteria ~clocks:cfg.clocks ~chip_area p)
       preds
   in
   (* prune per design style: a non-pipelined prediction dominated by a

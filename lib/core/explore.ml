@@ -301,10 +301,8 @@ module Session = struct
       let feasible_count =
         List.length
           (List.filter
-             (fun pr ->
-               Chop_bad.Feasibility.is_feasible
-                 (Chop_bad.Feasibility.partition_level criteria
-                    ~clocks:spec.Spec.clocks ~chip_area pr))
+             (Chop_bad.Feasibility.partition_feasible criteria
+                ~clocks:spec.Spec.clocks ~chip_area)
              raw)
       in
       let kept = Model.prune model cfg ~criteria ~capacity:chip_area raw in

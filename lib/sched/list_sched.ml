@@ -1,9 +1,11 @@
-(* The scheduler is the innermost loop of BAD prediction: one [run] per
-   candidate allocation per partition, thousands per exploration.  All
-   per-node state lives in dense arrays indexed by node id (builder ids
-   are dense 0..size-1), and the loop below allocates nothing: the ready
-   set and the in-flight set are counted array segments, and the urgency
-   ordering is an in-place stable insertion sort.
+(* The scheduler is the innermost loop of BAD prediction: one [schedule]
+   per candidate allocation per module set per partition, thousands per
+   exploration; what does not depend on the allocation is computed once
+   per module set by [prepare].  All per-node state lives in dense arrays
+   indexed by node id (builder ids are dense 0..size-1), and the loop in
+   [schedule] allocates nothing: the ready set and the in-flight set are
+   counted array segments, and the urgency ordering is an in-place stable
+   insertion sort.
 
    The issue order is observable through [Schedule.t.starts], so every
    ordering decision replicates the original list-based semantics exactly:
@@ -26,14 +28,29 @@ let () =
              ops bound)
     | _ -> None)
 
-let run ~latency ~alloc g =
-  Schedule.validate_alloc alloc;
+(* Everything that depends on the graph and the latencies but not on the
+   allocation: one [prepare] serves every allocation of a module set.
+   Nothing in it is mutated by [schedule]. *)
+type prepared = {
+  graph : Chop_dfg.Graph.t;
+  size : int;
+  op_count : int;
+  classes : string array; (* functional classes the graph uses *)
+  lat : int array;
+  cls_idx : int array; (* index into [classes]; -1 on boundary nodes *)
+  pending : int array;
+      (* computational predecessors per node; -1 on boundary nodes.
+         [schedule] counts down a copy. *)
+  urg : int array;
+  succs : Chop_dfg.Graph.node_id list array;
+  initial : int array; (* operations ready at step 0, in graph order *)
+  bound : int; (* stall guard *)
+}
+
+let prepare ~latency g =
   let ops = Chop_dfg.Graph.operations g in
   List.iter
     (fun n ->
-      let cls = Chop_dfg.Op.functional_class n.Chop_dfg.Graph.op in
-      if Schedule.alloc_get alloc cls < 1 then
-        invalid_arg (Printf.sprintf "List_sched.run: no units allocated for %s" cls);
       if latency n < 1 then
         invalid_arg
           (Printf.sprintf "List_sched.run: latency of %s must be >= 1"
@@ -41,15 +58,11 @@ let run ~latency ~alloc g =
     ops;
   let n = Chop_dfg.Graph.size g in
   let op_count = List.length ops in
-  let classes = Array.of_list (List.map fst alloc) in
-  let free = Array.of_list (List.map snd alloc) in
+  let classes =
+    Array.of_list (List.map fst (Chop_dfg.Graph.op_profile g))
+  in
   let class_index cls =
-    let rec go i =
-      if i >= Array.length classes then
-        invalid_arg ("List_sched.run: no units allocated for " ^ cls)
-      else if String.equal classes.(i) cls then i
-      else go (i + 1)
-    in
+    let rec go i = if String.equal classes.(i) cls then i else go (i + 1) in
     go 0
   in
   (* per-node state; [cls_idx]/[pending] stay -1 on boundary nodes *)
@@ -86,16 +99,58 @@ let run ~latency ~alloc g =
       in
       urg.(id) <- lat.(id) + downstream)
     (List.rev (Chop_dfg.Graph.nodes g));
+  let initial =
+    List.filter_map
+      (fun nd ->
+        let id = nd.Chop_dfg.Graph.id in
+        if pending.(id) = 0 then Some id else None)
+      ops
+    |> Array.of_list
+  in
+  (* Each iteration either issues an operation or fast-forwards [step] to
+     the next retirement, so a terminating run takes at most on the order
+     of the fully serialized schedule length (op_count x max latency)
+     iterations.  The guard is scaled to that bound — a fixed constant
+     both under-protects huge graphs and fires spuriously on them — and
+     raises a typed exception naming the (sub)graph, which carries the
+     partition label for induced partition subgraphs. *)
+  let max_lat = Array.fold_left max 1 lat in
+  {
+    graph = g;
+    size = n;
+    op_count;
+    classes;
+    lat;
+    cls_idx;
+    pending;
+    urg;
+    succs = Array.init (max 1 n) (Chop_dfg.Graph.succs g);
+    initial;
+    bound = 64 + (4 * op_count * max_lat);
+  }
+
+let schedule p ~alloc =
+  Schedule.validate_alloc alloc;
+  let free =
+    Array.map
+      (fun cls ->
+        match List.assoc_opt cls alloc with
+        | Some units -> units
+        | None ->
+            invalid_arg
+              (Printf.sprintf "List_sched.run: no units allocated for %s" cls))
+      p.classes
+  in
+  let { graph = g; size = n; op_count; lat; cls_idx; urg; succs; bound; _ } = p in
+  let pending = Array.copy p.pending in
   (* ready stack, stored reversed: logical head = ready.(ready_n - 1) *)
   let ready = Array.make (max 1 n) 0 in
-  let ready_n = ref 0 in
+  let ready_n = ref (Array.length p.initial) in
+  Array.blit p.initial 0 ready 0 !ready_n;
   let push_ready id =
     ready.(!ready_n) <- id;
     incr ready_n
   in
-  List.iter
-    (fun nd -> if pending.(nd.Chop_dfg.Graph.id) = 0 then push_ready nd.Chop_dfg.Graph.id)
-    ops;
   let order = Array.make (max 1 n) 0 in
   (* operations in flight: finish step + id, newest at the highest index *)
   let fin_step = Array.make (max 1 op_count) 0 in
@@ -106,15 +161,6 @@ let run ~latency ~alloc g =
   let start_n = ref 0 in
   let n_left = ref op_count in
   let step = ref 0 in
-  (* Each iteration either issues an operation or fast-forwards [step] to
-     the next retirement, so a terminating run takes at most on the order
-     of the fully serialized schedule length (op_count x max latency)
-     iterations.  The guard is scaled to that bound — a fixed constant
-     both under-protects huge graphs and fires spuriously on them — and
-     raises a typed exception naming the (sub)graph, which carries the
-     partition label for induced partition subgraphs. *)
-  let max_lat = Array.fold_left max 1 lat in
-  let bound = 64 + (4 * op_count * max_lat) in
   let guard = ref 0 in
   while !n_left > 0 do
     incr guard;
@@ -132,7 +178,7 @@ let run ~latency ~alloc g =
                 pending.(s) <- pending.(s) - 1;
                 if pending.(s) = 0 then push_ready s
               end)
-            (Chop_dfg.Graph.succs g id)
+            succs.(id)
         end
       done;
       (* compact the survivors in place, preserving their order *)
@@ -193,6 +239,8 @@ let run ~latency ~alloc g =
     List.fold_left (fun acc (id, st) -> max acc (st + lat.(id))) 0 starts
   in
   { Schedule.graph = g; alloc; starts; latencies; length }
+
+let run ~latency ~alloc g = schedule (prepare ~latency g) ~alloc
 
 let minimal_alloc g =
   Chop_dfg.Graph.op_profile g |> List.map (fun (cls, _) -> (cls, 1))

@@ -14,12 +14,30 @@ exception No_progress of { graph : string; ops : int; bound : int }
     (sub)graph name, which carries the partition label for partition
     subgraphs, so servers can report which partition stalled. *)
 
+type prepared
+(** A graph under one latency function — the per-node latencies,
+    functional classes, predecessor counts and urgencies — ready to be
+    scheduled under any number of allocations.  Immutable: {!schedule}
+    works on copies of its mutable state. *)
+
+val prepare :
+  latency:(Chop_dfg.Graph.node -> int) -> Chop_dfg.Graph.t -> prepared
+(** @raise Invalid_argument when [latency] returns < 1 for a computational
+    node. *)
+
+val schedule : prepared -> alloc:Schedule.alloc -> Schedule.t
+(** @raise Invalid_argument when the allocation misses a class the graph
+    needs, repeats a class or gives a non-positive count.
+    @raise No_progress when the internal stall guard trips (never on a
+    well-formed graph). *)
+
 val run :
   latency:(Chop_dfg.Graph.node -> int) ->
   alloc:Schedule.alloc ->
   Chop_dfg.Graph.t ->
   Schedule.t
-(** @raise Invalid_argument when the allocation misses a class the graph
+(** [schedule (prepare ~latency g) ~alloc].
+    @raise Invalid_argument when the allocation misses a class the graph
     needs, gives a non-positive count, or [latency] returns < 1 for a
     computational node.
     @raise No_progress when the internal stall guard trips (never on a

@@ -15,6 +15,11 @@ val min_ii : Schedule.t -> int
     (which is always feasible), at least the resource-bound
     [ceil (work_c / alloc_c)] over classes [c]. *)
 
+val first_feasible : Schedule.dense -> int
+(** [min_ii] of the dense form's schedule: [min_ii s] is
+    [first_feasible (Schedule.dense s)].  A caller that derives several
+    facts from one schedule builds its dense form once. *)
+
 val stage_count : Schedule.t -> ii:int -> int
 (** Number of pipeline stages when initiating every [ii] steps:
     [ceil (length / ii)]. *)

@@ -25,18 +25,54 @@ let start s id = List.assoc id s.starts
 let latency s id = List.assoc id s.latencies
 let finish s id = start s id + latency s id
 
+type dense = {
+  sched : t;
+  start_at : int array;
+  latency_of : int array;
+  busy : int array array;
+}
+
+(* Units of each of [classes] busy per step, in one pass over the
+   scheduled nodes; steps at or past the schedule length are dropped. *)
+let profiles s ~start_at ~latency_of classes =
+  let len = max 1 s.length in
+  let busy = Array.map (fun _ -> Array.make len 0) classes in
+  let rec index cls k =
+    if k = Array.length classes then -1
+    else if String.equal classes.(k) cls then k
+    else index cls (k + 1)
+  in
+  Array.iteri
+    (fun id st ->
+      if st >= 0 then
+        let k =
+          index
+            (Chop_dfg.Op.functional_class
+               (Chop_dfg.Graph.node s.graph id).Chop_dfg.Graph.op)
+            0
+        in
+        if k >= 0 then
+          for step = st to min (st + latency_of.(id)) len - 1 do
+            busy.(k).(step) <- busy.(k).(step) + 1
+          done)
+    start_at;
+  busy
+
+let indexed s =
+  let n = max 1 (Chop_dfg.Graph.size s.graph) in
+  let start_at = Array.make n (-1) and latency_of = Array.make n 0 in
+  List.iter (fun (id, st) -> start_at.(id) <- st) s.starts;
+  List.iter (fun (id, l) -> latency_of.(id) <- l) s.latencies;
+  (start_at, latency_of)
+
+let dense s =
+  let start_at, latency_of = indexed s in
+  let classes = Array.of_list (List.map fst s.alloc) in
+  { sched = s; start_at; latency_of; busy = profiles s ~start_at ~latency_of classes }
+
 let busy_profile s ~cls =
-  let profile = Array.make (max 1 s.length) 0 in
-  List.iter
-    (fun (id, st) ->
-      let n = Chop_dfg.Graph.node s.graph id in
-      if Chop_dfg.Op.functional_class n.Chop_dfg.Graph.op = cls then
-        for step = st to st + latency s id - 1 do
-          if step < Array.length profile then
-            profile.(step) <- profile.(step) + 1
-        done)
-    s.starts;
-  profile
+  let start_at, latency_of = indexed s in
+  (profiles s ~start_at ~latency_of [| cls |]).(0)
 
 let check s =
   let g = s.graph in
@@ -58,8 +94,9 @@ let check s =
           (Chop_dfg.Graph.preds g id))
       s.starts;
     (* resources *)
-    List.iter
-      (fun (cls, cap) ->
+    let d = dense s in
+    List.iteri
+      (fun k (cls, cap) ->
         Array.iteri
           (fun step busy ->
             if busy > cap then
@@ -67,7 +104,7 @@ let check s =
                 (Bad
                    (Printf.sprintf "class %s uses %d units at step %d (capacity %d)"
                       cls busy step cap)))
-          (busy_profile s ~cls))
+          d.busy.(k))
       s.alloc;
     (* length *)
     List.iter

@@ -29,6 +29,21 @@ val start : t -> Chop_dfg.Graph.node_id -> int
 
 val finish : t -> Chop_dfg.Graph.node_id -> int
 
+type dense = private {
+  sched : t;
+  start_at : int array;
+      (** start step by node id; -1 on nodes without a start *)
+  latency_of : int array;  (** steps by node id; 0 on nodes without a start *)
+  busy : int array array;
+      (** per allocation class, in [sched.alloc] order: the class's
+          {!busy_profile} *)
+}
+(** A schedule with its per-node facts in arrays, computed once and shared
+    by every analysis of the schedule (register lifetimes, initiation
+    intervals, memory bandwidth). *)
+
+val dense : t -> dense
+
 val check : t -> (unit, string) result
 (** Verifies precedence (every operation starts no earlier than each
     predecessor's finish) and per-step resource usage within the

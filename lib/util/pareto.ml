@@ -1,13 +1,14 @@
+(* Stops at the first objective where [a] is worse. *)
+let rec dominates_from (a : float array) (b : float array) i strictly =
+  if i = Array.length a then strictly
+  else
+    let ai = a.(i) and bi = b.(i) in
+    (not (ai > bi)) && dominates_from a b (i + 1) (strictly || ai < bi)
+
 let dominates a b =
   if Array.length a <> Array.length b then
     invalid_arg "Pareto.dominates: objective length mismatch";
-  let no_worse = ref true and strictly = ref false in
-  Array.iteri
-    (fun i ai ->
-      if ai > b.(i) then no_worse := false;
-      if ai < b.(i) then strictly := true)
-    a;
-  !no_worse && !strictly
+  dominates_from a b 0 false
 
 let frontier ~objectives xs =
   let vals = List.map (fun x -> (x, objectives x)) xs in

@@ -255,8 +255,7 @@ let test_prune_keeps_feasible_frontier () =
   List.iter
     (fun p ->
       Alcotest.(check bool) "survivor is feasible" true
-        (Feasibility.is_feasible
-           (Feasibility.partition_level criteria1 ~clocks:clocks1 ~chip_area p)))
+        (Feasibility.partition_feasible criteria1 ~clocks:clocks1 ~chip_area p))
     kept
 
 let test_testability_overhead_grows_area () =
@@ -419,6 +418,156 @@ let test_cache_keys_disjoint_across_models () =
   Alcotest.(check string) "sw key is structural" sw
     (id' (Chop.Model.Software (cpu ())))
 
+(* Every field of every prediction, floats in exact hexadecimal, so any
+   change to an integer or to the order of a float sum shows. *)
+let add_prediction buf p =
+  let add fmt = Printf.bprintf buf fmt in
+  let triplet t =
+    add "(%h,%h,%h)" t.Chop_util.Triplet.low t.Chop_util.Triplet.likely
+      t.Chop_util.Triplet.high
+  in
+  add "%s|%s|" p.Prediction.partition_label
+    (match p.Prediction.style with
+    | Chop_tech.Style.Pipelined -> "p"
+    | Chop_tech.Style.Non_pipelined -> "n");
+  List.iter
+    (fun c ->
+      add "%s:%s:%d:%h:%h:%h;" c.Chop_tech.Component.cname
+        c.Chop_tech.Component.cls c.Chop_tech.Component.width
+        c.Chop_tech.Component.area c.Chop_tech.Component.delay
+        c.Chop_tech.Component.power)
+    p.Prediction.module_set;
+  List.iter (fun (cls, n) -> add "%s=%d;" cls n) p.Prediction.alloc;
+  let t = p.Prediction.timing in
+  add "|%d:%d:%d:%h:%h|" t.Prediction.ii_dp t.Prediction.latency_dp
+    t.Prediction.stages t.Prediction.clock_main t.Prediction.overhead;
+  triplet p.Prediction.area;
+  let b = p.Prediction.breakdown in
+  add "|%h:%h:%h:%h:" b.Prediction.functional_units b.Prediction.registers
+    b.Prediction.multiplexers b.Prediction.controller;
+  triplet b.Prediction.wiring;
+  let s = p.Prediction.controller_shape in
+  add "|%d:%d|%d:%d:%d|" p.Prediction.register_bits p.Prediction.mux_count
+    s.Chop_tech.Pla.inputs s.Chop_tech.Pla.outputs
+    s.Chop_tech.Pla.product_terms;
+  List.iter (fun (blk, n) -> add "%s=%d;" blk n) p.Prediction.mem_bandwidth;
+  add "|%h\n" p.Prediction.power
+
+let digest_predictions preds =
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf "%d\n" (List.length preds);
+  List.iter (add_prediction buf) preds;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* a four-times larger chip under a power budget: most graphs keep
+   some predictions, and the power check rejects others *)
+let criteria_power =
+  Feasibility.criteria ~delay_prob:0.5 ~power_budget:60. ~perf:60000.
+    ~delay:120000. ()
+
+let pinned_graphs =
+  [
+    ("ar", ar);
+    ("ewf", fun () -> Chop_dfg.Benchmarks.elliptic_wave_filter ());
+    ("fir8", fun () -> Chop_dfg.Benchmarks.fir_filter ~taps:8 ());
+    ("fir16", fun () -> Chop_dfg.Benchmarks.fir_filter ~taps:16 ());
+    ("diffeq", fun () -> Chop_dfg.Benchmarks.diffeq ());
+    ("dct8", fun () -> Chop_dfg.Benchmarks.dct8 ());
+    ("rand60", fun () -> Chop_dfg.Benchmarks.random_dag ~ops:60 ~seed:3 ());
+  ]
+
+let pinned_memories =
+  [
+    Chop_tech.Memory.make ~name:"A" ~words:64 ~word_width:16 ~ports:2
+      ~access:120. ~placement:(Chop_tech.Memory.On_chip 4000.);
+    Chop_tech.Memory.make ~name:"B" ~words:256 ~word_width:16 ~ports:1
+      ~access:450. ~placement:(Chop_tech.Memory.Off_chip_package 40);
+  ]
+
+let pinned_configs ?(memories = []) () =
+  let lib = Chop_tech.Mosis.experiment_library in
+  let both = Chop_tech.Style.both in
+  [
+    ( "list-1c",
+      Predictor.config ~memories ~library:lib ~clocks:clocks1
+        ~style:(both Chop_tech.Style.Single_cycle) () );
+    ( "list-mc",
+      Predictor.config ~memories ~library:lib ~clocks:clocks2
+        ~style:(both Chop_tech.Style.Multi_cycle) () );
+    ( "chain-1c",
+      Predictor.config ~memories ~chaining:true ~library:lib ~clocks:clocks1
+        ~style:(both Chop_tech.Style.Single_cycle) () );
+  ]
+
+(* (graph, config) cases whose predictions are pinned below *)
+let pinned_cases () =
+  List.concat_map
+    (fun (gname, g) ->
+      List.map (fun (cname, cfg) -> (gname ^ "/" ^ cname, cfg, g)) (pinned_configs ()))
+    pinned_graphs
+  @ List.map
+      (fun (cname, cfg) ->
+        ( "mempipe/" ^ cname,
+          cfg,
+          fun () -> Chop_dfg.Benchmarks.memory_pipeline ~blocks:("A", "B") () ))
+      (pinned_configs ~memories:pinned_memories ())
+  @ List.map
+      (fun (gname, g) ->
+        ( gname ^ "/fd-1c",
+          Predictor.config ~scheduler:Predictor.Force_directed
+            ~library:Chop_tech.Mosis.experiment_library ~clocks:clocks1
+            ~style:(Chop_tech.Style.both Chop_tech.Style.Single_cycle) (),
+          g ))
+      (List.filter (fun (n, _) -> n = "fir8" || n = "diffeq") pinned_graphs)
+
+(* One line per case: the digest of [predict], then of [prune] under the
+   paper's criteria and under [criteria_power] on a four-times larger chip. *)
+let pinned_digest (name, cfg, g) =
+  let preds = Predictor.predict cfg ~label:"P" (g ()) in
+  let prune criteria chip_area =
+    digest_predictions (Predictor.prune cfg ~criteria ~chip_area preds)
+  in
+  Printf.sprintf "%s %s %s %s" name (digest_predictions preds)
+    (prune criteria1 chip_area)
+    (prune criteria_power (4. *. chip_area))
+
+(* Recorded from the predictor as it was before its per-graph,
+   per-module-set and per-schedule work was hoisted out of the
+   design-point loop: a mismatch means some prediction changed. *)
+let pinned_expected =
+  [
+    "ar/list-1c 4ebcb7d36ed879dc1d120d2b712e7d0a f7facf87d3e62c85eebc5b33eb6a5284 cca308cb73f39f32a03def6e952ff471";
+    "ar/list-mc da727b7bd42cabd13bf5ddfe9ec53b87 aa0becc360fbb555ef2c9d03f38030fe d5ddfff465f3ec8a24cd13efb6102297";
+    "ar/chain-1c 88c575459f011746ef558101fb58f76c 826dcd858e97bf2b2dfd3e737c56ddeb 67b859c05273d976da6d16b79986b6fd";
+    "ewf/list-1c 2d37fbe4393a17d95874e46cb04fc799 897316929176464ebc9ad085f31e7284 897316929176464ebc9ad085f31e7284";
+    "ewf/list-mc 0651ee8473fa33d03b04531461b361ee 897316929176464ebc9ad085f31e7284 af4afcf58083b48491f570123f8a17d3";
+    "ewf/chain-1c 3cc4a068c77d188725444c30fb491438 897316929176464ebc9ad085f31e7284 d4c9b41d5a8fa56e2a346810d2c2c9d1";
+    "fir8/list-1c 1bc236ae1e069730cc01da22d84f1cee 79bee298c42245cf481193828d327dd8 1276cf2e19543757079ca7f6239466f3";
+    "fir8/list-mc b7ae9788f546fff30e5a0145655f2e01 043b76d1d1283f0ad29cd8ad09c9516c 043b76d1d1283f0ad29cd8ad09c9516c";
+    "fir8/chain-1c 243771b09cefa43d8bd6361e38b012d6 97e5e081c9dd129041d12314a97aefc7 c58f88e4a0c25651103fa0016fd94d97";
+    "fir16/list-1c 23bb93fa3eca29bf3912ab310659feb0 e9284e5e8dd78cf10f03a3fff156689f 6755ad191874137392b5ea3118a94090";
+    "fir16/list-mc 1aec12ebd862d16fe6b1f4d0bcf84c22 e62a16fa06d1007ed13c5bb18a88e074 76dcb56911785a5a1b1d10dca10d85ce";
+    "fir16/chain-1c 2e7ecbac4fe93a41ba517024147d9071 ae03ed0937a735511642b83fccfc20b6 514167484a3dc1b276e20453d3b03784";
+    "diffeq/list-1c 5303756c9cade1c7d4c83d9348ea3c81 96a039899cdbd3dc04d7fa00e2829c6c 3c94125c491ee24d373cd00bf2b526dd";
+    "diffeq/list-mc 0946ed7796aae001741b201ea7b06d49 245fd84a1618ad16eb5ae4f86bbed249 5fc4638536c7f49c12e12be48373bc30";
+    "diffeq/chain-1c 1b0464504c65c8951c7a0a84cb9957ed 23e8a9ad9b292ed3b4d7f97fe4da37c0 23e8a9ad9b292ed3b4d7f97fe4da37c0";
+    "dct8/list-1c faf2ad296c0799359fe547da59b8b97a 289b0cb13e8b7497beaad2664a6f0c5b 63fd46823ba180418a15ec8c856f8b98";
+    "dct8/list-mc f4b6c660270fb7102748d613a4652f6e edea4add568aff8935c10339fe559bf0 8a11b014c085f4ba5adc67f3a49eb86e";
+    "dct8/chain-1c 78d9fc8b14b27b716f35bb2a4367da87 ebc5ba96bf241df94fd55f77cd6ac1c3 00c08b86206b5a25f85654c147bbc232";
+    "rand60/list-1c 9c6f1785a185ba1ee59b9feeb2374a86 897316929176464ebc9ad085f31e7284 6de1b82a6d6abc582ae55e5102437db5";
+    "rand60/list-mc 45efa4ddff01fbe6cafa2c034d5a75e7 897316929176464ebc9ad085f31e7284 beb77a9169914cdbb35f00a6c5942c4e";
+    "rand60/chain-1c 0167b68c37a3bfbdf7d7acd502c9aae5 897316929176464ebc9ad085f31e7284 7038232d9e6141dddfec6e7f2cc2bc4f";
+    "mempipe/list-1c bd0136c9cb89c5b85dd30c5a0471c49d 25aedc028e4e39fac213efd0932d024d 73096d21a18e304e2b660fe2a64ae5db";
+    "mempipe/list-mc 8e000ed42334dcceca79250369206c63 36460729eb09b70d2bed421dd95aea9a 36460729eb09b70d2bed421dd95aea9a";
+    "mempipe/chain-1c 541d6b7738cf74ba9827aba8359362bc 10b64381c247c5ad4f1e7e01f2e15e3b 10b64381c247c5ad4f1e7e01f2e15e3b";
+    "fir8/fd-1c 7a40376be3fd458d8dc323846b2373c3 3608f75db56e7add4939356f47d740a8 26b012c62e157b29665fb2b953a8aabf";
+    "diffeq/fd-1c 15ce0587c06162a632d4a2e47cc934ad df035ec5f1751a01c18f06feb3c4672a 5f008731ee7aeff4d774343a9e810d30";
+  ]
+
+let test_predictions_pinned () =
+  Alcotest.(check (list string)) "prediction digests" pinned_expected
+    (List.map pinned_digest (pinned_cases ()))
+
 let predictor_deterministic =
   QCheck.Test.make ~name:"predictor is deterministic" ~count:5
     QCheck.(0 -- 3)
@@ -428,7 +577,7 @@ let predictor_deterministic =
       in
       let a = Predictor.predict (cfg1 ()) ~label:"X" g in
       let b = Predictor.predict (cfg1 ()) ~label:"X" g in
-      List.length a = List.length b)
+      a = b)
 
 let () =
   let tc = Alcotest.test_case in
@@ -472,6 +621,7 @@ let () =
           tc "compare_speed" `Quick test_compare_speed_orders;
           tc "force-directed scheduler" `Quick test_force_directed_scheduler_option;
           tc "chaining improves single-cycle" `Quick test_chaining_improves_single_cycle;
+          tc "every prediction pinned" `Quick test_predictions_pinned;
           QCheck_alcotest.to_alcotest predictor_deterministic;
         ] );
       ( "software model",

@@ -95,6 +95,66 @@ let test_minimal_maximal_alloc () =
   (* one lattice section's 4 multiplications share an ASAP level *)
   Alcotest.(check int) "max mult parallelism" 4 (Schedule.alloc_get m "mult")
 
+let same_schedule msg (a : Schedule.t) (b : Schedule.t) =
+  Alcotest.(check (list (pair int int))) (msg ^ ": starts") a.Schedule.starts
+    b.Schedule.starts;
+  Alcotest.(check (list (pair int int))) (msg ^ ": latencies")
+    a.Schedule.latencies b.Schedule.latencies;
+  Alcotest.(check int) (msg ^ ": length") a.Schedule.length b.Schedule.length;
+  Alcotest.(check (list (pair string int))) (msg ^ ": alloc") a.Schedule.alloc
+    b.Schedule.alloc
+
+(* One prepared context serves every allocation, in any order: each
+   schedule equals a fresh [run], so no state leaks between schedules. *)
+let test_list_sched_prepared_reuse () =
+  let multi n = if n.Chop_dfg.Graph.op = Chop_dfg.Op.Mult then 3 else 1 in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun latency ->
+          let allocs =
+            Chop_bad.Alloc_enum.enumerate ~cap:4 ~latency ~memport_units:[] g
+          in
+          let prepared = List_sched.prepare ~latency g in
+          let same alloc =
+            same_schedule name
+              (List_sched.run ~latency ~alloc g)
+              (List_sched.schedule prepared ~alloc)
+          in
+          List.iter same allocs;
+          List.iter same (List.rev allocs))
+        [ unit_latency; multi ])
+    [
+      ("ar", ar ());
+      ("ewf", Chop_dfg.Benchmarks.elliptic_wave_filter ());
+      ("dct8", Chop_dfg.Benchmarks.dct8 ());
+      ("random", Chop_dfg.Benchmarks.random_dag ~ops:40 ~seed:11 ());
+    ]
+
+let test_list_sched_rejects_alloc () =
+  let g = ar () in
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (what ^ " accepted")
+  in
+  let prepared = List_sched.prepare ~latency:unit_latency g in
+  List.iter
+    (fun (what, alloc) ->
+      rejects what (fun () -> List_sched.run ~latency:unit_latency ~alloc g);
+      rejects ("prepared: " ^ what) (fun () ->
+          List_sched.schedule prepared ~alloc))
+    [
+      ("missing class", [ ("add", 2) ]);
+      ("duplicate class", [ ("add", 1); ("mult", 1); ("add", 2) ]);
+      ("zero units", [ ("add", 0); ("mult", 1) ]);
+    ];
+  (* a rejected allocation leaves the prepared context usable *)
+  let alloc = [ ("add", 2); ("mult", 2) ] in
+  same_schedule "after rejections"
+    (List_sched.run ~latency:unit_latency ~alloc g)
+    (List_sched.schedule prepared ~alloc)
+
 let list_sched_always_valid =
   QCheck.Test.make ~name:"list schedules satisfy precedence + resources"
     ~count:60
@@ -462,6 +522,8 @@ let () =
           tc "monotone in alloc" `Quick test_list_sched_monotone_in_alloc;
           tc "missing class" `Quick test_list_sched_missing_class;
           tc "bad latency" `Quick test_list_sched_bad_latency;
+          tc "rejects bad allocations" `Quick test_list_sched_rejects_alloc;
+          tc "prepared context reuse" `Quick test_list_sched_prepared_reuse;
           tc "multicycle" `Quick test_list_sched_multicycle;
           tc "min/max alloc" `Quick test_minimal_maximal_alloc;
           QCheck_alcotest.to_alcotest list_sched_always_valid;
