@@ -25,12 +25,12 @@ let explore ?(heuristic = Chop.Explore.Iterative) ?(keep_all = false)
   Chop.Explore.with_engine
     (Chop.Explore.Config.make ~heuristic ~keep_all ~pre_prune ~jobs
        ~cache:Chop.Explore.Config.Off ())
-    spec Chop.Explore.Engine.run
+    spec Chop.Explore.Session.run
 
 let bad_predictions spec =
   Chop.Explore.with_engine
     (Chop.Explore.Config.make ~cache:Chop.Explore.Config.Off ())
-    spec Chop.Explore.Engine.predictions
+    spec Chop.Explore.Session.predictions
 
 (* ------------------------------------------------------------------ *)
 (* Inputs: Tables 1 and 2 *)
@@ -1537,14 +1537,17 @@ let bench_session_json ?(smoke = false) () =
           let report = Chop.Explore.Session.run session in
           (Unix.gettimeofday () -. t0, report)
         in
+        let hits r = r.Chop.Explore.metrics.Chop.Explore.Metrics.cache_hits in
+        let misses r =
+          r.Chop.Explore.metrics.Chop.Explore.Metrics.cache_misses
+        in
         Printf.printf "  %s (%d partitions):\n" bench_name k;
         let cold_wall, cold = timed_run () in
         (* structurally identical partitions (ar's repeated lattice stages)
            share a cache key, so a cold run may legitimately hit on a
            twin's entry; every partition is still accounted for *)
         check "cold run predicts every partition"
-          (cold.Chop.Explore.cache_misses >= 1
-          && cold.Chop.Explore.cache_misses + cold.Chop.Explore.cache_hits = k);
+          (misses cold >= 1 && misses cold + hits cold = k);
         (* one merge: the single-dirty edit — only the absorbing partition
            re-predicts, every untouched partition hits the cache *)
         let p3 = List.nth parts 2 and p2 = List.nth parts 1 in
@@ -1563,9 +1566,9 @@ let bench_session_json ?(smoke = false) () =
         check "merge dirties exactly one partition"
           (List.length dirty.Chop.Spec.repredict = 1);
         check "misses after merge == dirty partitions"
-          (merged.Chop.Explore.cache_misses
+          (misses merged
            = List.length dirty.Chop.Spec.repredict
-          && merged.Chop.Explore.cache_hits = k - 2);
+          && hits merged = k - 2);
         (* a criteria change re-screens everything but re-predicts nothing:
            the raw enumeration layer of the cache serves every partition *)
         let criteria_edit =
@@ -1578,8 +1581,7 @@ let bench_session_json ?(smoke = false) () =
             failwith (Format.asprintf "%a" Chop.Spec.pp_update_error e));
         let warm_wall, warm = timed_run () in
         check "criteria re-run misses nothing"
-          (warm.Chop.Explore.cache_misses = 0
-          && warm.Chop.Explore.cache_hits = k - 1);
+          (misses warm = 0 && hits warm = k - 1);
         check "warm edit latency well under cold explore"
           (warm_wall < cold_wall /. 2.);
         (* reopen the edited spec the way another frontend would build it:
@@ -1615,7 +1617,7 @@ let bench_session_json ?(smoke = false) () =
                 .Chop.Explore.Metrics.cache_structural_hits
             in
             check "reopened spec is served by structural hits"
-              (structural > 0 && reopened.Chop.Explore.cache_misses = 0);
+              (structural > 0 && misses reopened = 0);
             structural
           end
         in

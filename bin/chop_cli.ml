@@ -167,7 +167,7 @@ let explore_cmd =
       Chop.Explore.Config.make ~heuristic ~keep_all:(csv || keep_all)
         ~pre_prune:(not no_prune) ~jobs:(resolve_jobs jobs) ()
     in
-    let report = Chop.Explore.with_engine config spec Chop.Explore.Engine.run in
+    let report = Chop.Explore.with_engine config spec Chop.Explore.Session.run in
     (* the deterministic block first (shared with the serve daemon, which
        is what makes its responses byte-identical to this output), then
        the wall-clock lines *)
@@ -224,7 +224,7 @@ let repl_cmd =
     let config =
       Chop.Explore.Config.make ~heuristic ~jobs:(resolve_jobs jobs) ()
     in
-    Chop.Explore.with_session config spec (fun session ->
+    Chop.Explore.with_engine config spec (fun session ->
         let help () =
           print_string
             ("commands:\n  " ^ Ops.edit_commands
@@ -258,9 +258,10 @@ let repl_cmd =
                         (Ops.render_explore
                            (Chop.Explore.Session.spec session)
                            ~keep_all:false ~csv:false ~verbose report);
+                      let m = report.Chop.Explore.metrics in
                       Printf.printf "predict: %d cache hit(s), %d miss(es)\n"
-                        report.Chop.Explore.cache_hits
-                        report.Chop.Explore.cache_misses
+                        m.Chop.Explore.Metrics.cache_hits
+                        m.Chop.Explore.Metrics.cache_misses
                   | "undo" | "redo" -> (
                       let step =
                         if cmd = "undo" then Chop.Explore.Session.undo
@@ -319,7 +320,7 @@ let predict_cmd =
     let per_partition, stats =
       Chop.Explore.with_engine
         (Chop.Explore.Config.make ~jobs:(resolve_jobs jobs) ())
-        spec Chop.Explore.Engine.predictions
+        spec Chop.Explore.Session.predictions
     in
     print_string (Ops.render_predict spec ~index ~top per_partition stats);
     0
@@ -527,8 +528,8 @@ let synth_cmd =
     in
     (* with_engine: the engine is closed even when synthesis raises *)
     Chop.Explore.with_engine Chop.Explore.Config.default spec @@ fun engine ->
-    let ctx = Chop.Explore.Engine.context engine in
-    let report = Chop.Explore.Engine.run engine in
+    let ctx = Chop.Explore.Session.context engine in
+    let report = Chop.Explore.Session.run engine in
     match report.Chop.Explore.outcome.Chop.Search.feasible with
     | [] ->
         print_endline "no feasible implementation to synthesize";
@@ -577,8 +578,10 @@ let serve_socket_arg =
     value
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Unix-domain socket path to listen on. Without it, requests \
-              are read from stdin and answered on stdout.")
+        ~doc:"Unix-domain socket path to listen on; a stale socket file \
+              there is replaced, any other file is left alone (exit 2). \
+              Without it, requests are read from stdin and answered on \
+              stdout.")
 
 let request_socket_arg =
   Arg.(
@@ -606,26 +609,34 @@ let state_dir_arg =
               with $(b,restore) reloads them.  Point every backend of a \
               gateway cluster at one directory to enable migration.")
 
+(* serve and gateway: create (which binds the socket), then serve; a
+   socket that cannot be bound — e.g. --socket naming a file that is not
+   a socket — is a one-line error and exit 2 *)
+let serve_or_exit name create serve cfg =
+  match create cfg with
+  | exception Unix.Unix_error (e, _, path) ->
+      Printf.eprintf "chop %s: %s: %s\n" name path (Unix.error_message e);
+      2
+  | t ->
+      serve t;
+      0
+
 let serve_cmd =
   let run socket concurrency queue jobs deadline_ms quiet session_ttl
       max_sessions state_dir =
-    let server =
-      Chop_server.Server.create
-        {
-          Chop_server.Server.socket_path = socket;
-          concurrency;
-          queue;
-          jobs = resolve_jobs jobs;
-          default_deadline_ms = deadline_ms;
-          log = (if quiet then None else Some stderr);
-          handle_signals = true;
-          session_ttl_s = session_ttl;
-          max_sessions;
-          state_dir;
-        }
-    in
-    Chop_server.Server.serve server;
-    0
+    serve_or_exit "serve" Chop_server.Server.create Chop_server.Server.serve
+      {
+        Chop_server.Server.socket_path = socket;
+        concurrency;
+        queue;
+        jobs = resolve_jobs jobs;
+        default_deadline_ms = deadline_ms;
+        log = (if quiet then None else Some stderr);
+        handle_signals = true;
+        session_ttl_s = session_ttl;
+        max_sessions;
+        state_dir;
+      }
   in
   let concurrency =
     Arg.(value & opt int 2
@@ -753,14 +764,13 @@ let request_cmd =
                   1))
   in
   let op =
+    let module P = Chop_server.Protocol in
     Arg.(value & opt string "explore"
          & info [ "op" ] ~docv:"OP"
-             ~doc:"Operation: explore, predict, advise, sensitivity, stats, \
-                   ping, session/open, session/edit, session/undo, \
-                   session/redo, session/run, session/optimize, \
-                   session/attach, session/detach, session/list, \
-                   session/save, session/close or (through a gateway) \
-                   gateway/migrate.")
+             ~doc:
+               (Printf.sprintf
+                  "Operation: %s.  Only a gateway answers gateway/migrate."
+                  (String.concat ", " (List.map P.op_to_string P.all_ops))))
   in
   let id =
     Arg.(value & opt string "cli"
@@ -941,23 +951,19 @@ let gateway_cmd =
       prerr_endline "chop gateway: at least one --backend is required";
       2
     end
-    else begin
-      let gw =
-        Chop_gateway.Gateway.create
-          {
-            Chop_gateway.Gateway.socket_path = socket;
-            backends;
-            vnodes;
-            fanout;
-            log = (if quiet then None else Some stderr);
-            handle_signals = true;
-            health_interval_s =
-              (if health_interval > 0. then Some health_interval else None);
-          }
-      in
-      Chop_gateway.Gateway.serve gw;
-      0
-    end
+    else
+      serve_or_exit "gateway" Chop_gateway.Gateway.create
+        Chop_gateway.Gateway.serve
+        {
+          Chop_gateway.Gateway.socket_path = socket;
+          backends;
+          vnodes;
+          fanout;
+          log = (if quiet then None else Some stderr);
+          handle_signals = true;
+          health_interval_s =
+            (if health_interval > 0. then Some health_interval else None);
+        }
   in
   let backends =
     Arg.(value & opt_all string []

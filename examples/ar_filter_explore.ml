@@ -9,9 +9,9 @@ open Chop_util
 let explore k heuristic =
   let spec = Chop.Rig.experiment1 ~partitions:k () in
   let engine =
-    Chop.Explore.Engine.create (Chop.Explore.Config.make ~heuristic ()) spec
+    Chop.Explore.Session.create (Chop.Explore.Config.make ~heuristic ()) spec
   in
-  (spec, Chop.Explore.Engine.run engine)
+  (spec, Chop.Explore.Session.run engine)
 
 let () =
   print_endline "AR lattice filter, single-cycle style, 30 000 ns constraints";

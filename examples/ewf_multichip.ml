@@ -36,8 +36,8 @@ let () =
         (fun (pname, package) ->
           let spec = spec_for ~k ~package in
           let report =
-            Chop.Explore.Engine.run
-              (Chop.Explore.Engine.create Chop.Explore.Config.default spec)
+            Chop.Explore.Session.run
+              (Chop.Explore.Session.create Chop.Explore.Config.default spec)
           in
           let feas = report.Chop.Explore.outcome.Chop.Search.feasible in
           let cells =

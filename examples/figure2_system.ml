@@ -124,8 +124,8 @@ let () =
   print_endline "\ninter-chip flows (note chip4 -> chip3 and chip3 -> chip4):";
   List.iter (fun (a, b) -> Printf.printf "  %s -> %s\n" a b) chip_edges;
   let report =
-    Chop.Explore.Engine.run
-      (Chop.Explore.Engine.create Chop.Explore.Config.default spec)
+    Chop.Explore.Session.run
+      (Chop.Explore.Session.create Chop.Explore.Config.default spec)
   in
   match report.Chop.Explore.outcome.Chop.Search.feasible with
   | [] -> print_endline "\nno feasible implementation under these constraints"

@@ -24,8 +24,8 @@ let judge pg =
         ()
     in
     let report =
-      Chop.Explore.Engine.run
-        (Chop.Explore.Engine.create Chop.Explore.Config.default spec)
+      Chop.Explore.Session.run
+        (Chop.Explore.Session.create Chop.Explore.Config.default spec)
     in
     Some report.Chop.Explore.outcome.Chop.Search.feasible
 

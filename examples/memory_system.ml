@@ -73,8 +73,8 @@ let () =
         (fun ports ->
           let spec = spec_with ~ports ~on_chip in
           let report =
-            Chop.Explore.Engine.run
-              (Chop.Explore.Engine.create
+            Chop.Explore.Session.run
+              (Chop.Explore.Session.create
                  (Chop.Explore.Config.make
                     ~heuristic:Chop.Explore.Enumeration ())
                  spec)

@@ -30,8 +30,8 @@ let () =
      implementations per partition; CHOP searches combinations and predicts
      system-integration overhead. *)
   let config = Chop.Explore.Config.make ~heuristic:Chop.Explore.Iterative () in
-  let engine = Chop.Explore.Engine.create config spec in
-  let report = Chop.Explore.Engine.run engine in
+  let engine = Chop.Explore.Session.create config spec in
+  let report = Chop.Explore.Session.run engine in
   List.iter
     (fun b ->
       Printf.printf "BAD %s: %d predictions, %d feasible, %d kept\n"

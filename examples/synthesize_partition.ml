@@ -9,8 +9,8 @@
 let () =
   let spec = Chop.Rig.experiment1 ~partitions:2 () in
   let report =
-    Chop.Explore.Engine.run
-      (Chop.Explore.Engine.create Chop.Explore.Config.default spec)
+    Chop.Explore.Session.run
+      (Chop.Explore.Session.create Chop.Explore.Config.default spec)
   in
   match report.Chop.Explore.outcome.Chop.Search.feasible with
   | [] -> print_endline "no feasible implementation to synthesize"

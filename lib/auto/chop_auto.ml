@@ -636,11 +636,10 @@ let refine ?(seed = 1) ?(constraints = no_constraints) ?(max_moves = 1024)
      rolled back at the end unless a later acceptance redeems them *)
   let undo = ref [] in
   let record_stats (r : Chop.Explore.report) =
-    hits := !hits + r.Chop.Explore.cache_hits;
-    misses := !misses + r.Chop.Explore.cache_misses;
-    structural :=
-      !structural
-      + r.Chop.Explore.metrics.Chop.Explore.Metrics.cache_structural_hits
+    let m = r.Chop.Explore.metrics in
+    hits := !hits + m.Chop.Explore.Metrics.cache_hits;
+    misses := !misses + m.Chop.Explore.Metrics.cache_misses;
+    structural := !structural + m.Chop.Explore.Metrics.cache_structural_hits
   in
   (* Memo of probe scores, keyed on a digest of the full partition
      assignment the move would produce.  Sound because only the
@@ -940,6 +939,6 @@ let refine ?(seed = 1) ?(constraints = no_constraints) ?(max_moves = 1024)
 
 let run ?seed ?constraints ?max_moves ?time_limit_s ?coarse_target ?interrupt
     ?pool ~config spec =
-  Chop.Explore.with_session ?pool config spec (fun session ->
+  Chop.Explore.with_engine ?pool config spec (fun session ->
       refine ?seed ?constraints ?max_moves ?time_limit_s ?coarse_target
         ?interrupt session)

@@ -58,7 +58,7 @@ let judge spec (report : Explore.report) =
 let what_if ?(config = Explore.Config.default) spec =
   (* with_engine, not a bare create: a probe configured with jobs > 1
      would otherwise leak its worker domains until the Gc backstop *)
-  judge spec (Explore.with_engine config spec Explore.Engine.run)
+  judge spec (Explore.with_engine config spec Explore.Session.run)
 
 let optimize_memory_hosts ?config spec =
   let on_chip_blocks =

@@ -36,7 +36,7 @@ type judgement = {
 
 val judge : Spec.t -> Explore.report -> judgement
 (** The judgement an exploration report supports — {!what_if} without the
-    exploration.  Callers holding a warm {!Explore.Engine} (the serving
+    exploration.  Callers holding a warm {!Explore.Session} (the serving
     layer) run the engine themselves and judge the report, keeping the
     advice text identical to {!what_if}'s by construction. *)
 

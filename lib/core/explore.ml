@@ -15,21 +15,20 @@ module Config = struct
   type t = {
     heuristic : heuristic;
     keep_all : bool;
-    prune : bool option;
     pre_prune : bool;
     jobs : int;
     cache : cache_scope;
   }
 
   let default =
-    { heuristic = Iterative; keep_all = false; prune = None; pre_prune = true;
-      jobs = 1; cache = Shared }
+    { heuristic = Iterative; keep_all = false; pre_prune = true; jobs = 1;
+      cache = Shared }
 
   let make ?(heuristic = default.heuristic) ?(keep_all = default.keep_all)
-      ?prune ?(pre_prune = default.pre_prune) ?(jobs = default.jobs)
+      ?(pre_prune = default.pre_prune) ?(jobs = default.jobs)
       ?(cache = default.cache) () =
     if jobs < 1 then invalid_arg "Explore.Config.make: jobs must be >= 1";
-    { heuristic; keep_all; prune; pre_prune; jobs; cache }
+    { heuristic; keep_all; pre_prune; jobs; cache }
 end
 
 module Metrics = struct
@@ -98,10 +97,6 @@ type report = {
   heuristic : heuristic;
   bad : bad_stats list;
   outcome : Search.outcome;
-  bad_busy_seconds : float;
-  bad_wall_seconds : float;
-  cache_hits : int;
-  cache_misses : int;
   jobs : int;
   metrics : Metrics.t;
 }
@@ -284,11 +279,10 @@ module Session = struct
 
   (* One partition's prediction work, run on a pool worker: derive the
      full entry (raw list, feasible count, pruned list) through the cache.
-     Returns the entry plus whether the cache served the raw predictions
-     and the worker-local busy time. *)
+     Returns the entry plus whether the cache served the raw
+     predictions. *)
   let predict_partition ~interrupt e part =
     if interrupt () then raise Cancelled;
-    let t0 = Unix.gettimeofday () in
     let spec = e.spec in
     let label = part.Chop_dfg.Partition.label in
     let sub = Chop_dfg.Partition.subgraph spec.Spec.partitioning part in
@@ -343,7 +337,7 @@ module Session = struct
         Pred_cache.raw = relabel entry.Pred_cache.raw;
         kept = relabel entry.Pred_cache.kept }
     in
-    (label, entry, hit, Unix.gettimeofday () -. t0)
+    (label, entry, hit)
 
   (* Everything the prediction phase yields beyond the lists themselves:
      per-partition stats, cache counters and the timing breakdown. *)
@@ -352,7 +346,6 @@ module Session = struct
     bad : bad_stats list;
     hits : int;
     misses : int;
-    busy_seconds : float;  (* summed per-partition busy time *)
     wall_seconds : float;
     pool_stats : Chop_util.Pool.run_stats;
   }
@@ -369,14 +362,14 @@ module Session = struct
     let results = Array.to_list results in
     let per_partition =
       List.map
-        (fun (label, entry, _, _) ->
+        (fun (label, entry, _) ->
           ( label,
             if prune then entry.Pred_cache.kept else entry.Pred_cache.raw ))
         results
     in
     let bad =
       List.map
-        (fun (label, entry, _, _) ->
+        (fun (label, entry, _) ->
           {
             label;
             total_predictions = List.length entry.Pred_cache.raw;
@@ -385,26 +378,21 @@ module Session = struct
           })
         results
     in
-    let hits = List.length (List.filter (fun (_, _, h, _) -> h) results) in
+    let hits = List.length (List.filter (fun (_, _, h) -> h) results) in
     {
       per_partition;
       bad;
       hits;
       misses = List.length results - hits;
-      busy_seconds =
-        List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0. results;
       wall_seconds = Unix.gettimeofday () -. wall0;
       pool_stats;
     }
 
   let predictions e =
     check_open e "predictions";
-    let prune =
-      match e.config.Config.prune with
-      | Some p -> p
-      | None -> e.spec.Spec.params.Spec.discard_inferior
+    let p =
+      predictions_timed e ~prune:e.spec.Spec.params.Spec.discard_inferior
     in
-    let p = predictions_timed e ~prune in
     (p.per_partition, p.bad)
 
   let cache_evictions e =
@@ -421,14 +409,9 @@ module Session = struct
     check_open e "run";
     if interrupt () then raise Cancelled;
     let keep_all = e.config.Config.keep_all in
-    let prune =
-      match e.config.Config.prune with
-      | Some p -> p
-      | None -> not keep_all
-    in
     let evictions0 = cache_evictions e in
     let structural0 = cache_structural_hits e in
-    let p = predictions_timed ~interrupt e ~prune in
+    let p = predictions_timed ~interrupt e ~prune:(not keep_all) in
     if interrupt () then raise Cancelled;
     (* second-level dominance pre-pruning: shrink each partition's list to
        picks that can still contribute to the Pareto front of full systems
@@ -492,8 +475,6 @@ module Session = struct
     in
     e.pending <- [];
     { heuristic = e.config.Config.heuristic; bad = p.bad; outcome;
-      bad_busy_seconds = p.busy_seconds; bad_wall_seconds = p.wall_seconds;
-      cache_hits = p.hits; cache_misses = p.misses;
       jobs = Chop_util.Pool.jobs e.pool; metrics }
 
   let run e = run_interruptible ~interrupt:(fun () -> false) e
@@ -520,10 +501,7 @@ module Session = struct
     if count < 1 || index < 0 || index >= count then
       invalid_arg "Explore.Session.run_slice: slice index out of range";
     let keep_all = e.config.Config.keep_all in
-    let prune =
-      match e.config.Config.prune with Some p -> p | None -> not keep_all
-    in
-    let p = predictions_timed e ~prune in
+    let p = predictions_timed e ~prune:(not keep_all) in
     let search_lists =
       match e.config.Config.heuristic with
       | Iterative ->
@@ -567,13 +545,9 @@ module Session = struct
     { slice_bad = p.bad; first_total; slice_indices; slices }
 end
 
-module Engine = Session
-
 let with_engine ?pool config spec f =
   let e = Session.create ?pool config spec in
   Fun.protect ~finally:(fun () -> Session.close e) (fun () -> f e)
-
-let with_session = with_engine
 
 let unique_designs systems =
   let key s =

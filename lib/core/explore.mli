@@ -12,8 +12,7 @@
       only those, serving clean partitions from the prediction cache
       (whose per-partition keys survive edits elsewhere in the graph).
 
-    {!Engine} is an alias of {!Session}: a one-shot exploration is simply
-    "open session, zero edits, run".
+    A one-shot exploration is a session with zero edits: {!with_engine}.
 
     The session's worker domains are spawned once at {!Session.create} and
     parked between runs; call {!Session.close} when done (or use
@@ -30,7 +29,7 @@ type heuristic =
           designs with no more integrations *)
 
 exception Cancelled
-(** Raised out of {!Engine.run_interruptible} when its interrupt callback
+(** Raised out of {!Session.run_interruptible} when its interrupt callback
     fires — the serving layer's deadline-cancellation signal. *)
 
 type bad_stats = {
@@ -52,11 +51,10 @@ module Config : sig
     heuristic : heuristic;
     keep_all : bool;
         (** record every integrated design — the mode behind the paper's
-            Figures 7 and 8 *)
-    prune : bool option;
-        (** first-level pruning of the prediction lists; [None] derives it:
-            [not keep_all] for searches, the spec's [discard_inferior] for
-            bare prediction queries — matching the legacy entry points *)
+            Figures 7 and 8.  A search prunes its prediction lists at the
+            first level exactly when [keep_all] is off; bare prediction
+            queries ({!Session.predictions}) follow the spec's
+            [discard_inferior] instead. *)
     pre_prune : bool;
         (** dominance pre-pruning of the search lists (default [true]):
             before an exhaustive search (enumeration or branch-and-bound),
@@ -71,13 +69,12 @@ module Config : sig
   }
 
   val default : t
-  (** Iterative heuristic, no keep-all, derived pruning, pre-pruning on,
-      [jobs = 1], shared cache. *)
+  (** Iterative heuristic, no keep-all, pre-pruning on, [jobs = 1],
+      shared cache. *)
 
   val make :
     ?heuristic:heuristic ->
     ?keep_all:bool ->
-    ?prune:bool ->
     ?pre_prune:bool ->
     ?jobs:int ->
     ?cache:cache_scope ->
@@ -89,7 +86,7 @@ end
 
 (** {1 Metrics}
 
-    The per-phase timing breakdown of one {!Engine.run}.  {e Wall} seconds
+    The per-phase timing breakdown of one {!Session.run}.  {e Wall} seconds
     are elapsed time on the calling domain; {e busy} seconds are summed
     across pool participants, so busy exceeding wall is the signature of
     parallelism actually paying off, while wall far exceeding busy points
@@ -110,8 +107,8 @@ module Metrics : sig
         (** per-participant busy seconds across both parallel phases;
             index 0 is the calling domain *)
     chunk_count : int;  (** pool work chunks handed out across phases *)
-    cache_hits : int;
-    cache_misses : int;
+    cache_hits : int;  (** partitions whose predictions the cache served *)
+    cache_misses : int;  (** partitions that ran the BAD enumeration *)
     cache_evictions : int;
         (** prediction-cache entries evicted by its capacity bound while
             this run's predict phase executed ({!Pred_cache.counters}
@@ -148,14 +145,6 @@ type report = {
   heuristic : heuristic;
   bad : bad_stats list;
   outcome : Search.outcome;
-  bad_busy_seconds : float;
-      (** prediction-phase busy time summed across pool workers (wall
-          clock inside each worker, {e not} scheduler-reported CPU time) —
-          under a parallel pool this can exceed {!field-bad_wall_seconds} *)
-  bad_wall_seconds : float;  (** prediction-phase wall-clock time *)
-  cache_hits : int;
-      (** partitions whose predictions were served by the cache *)
-  cache_misses : int;  (** partitions that ran the BAD enumeration *)
   jobs : int;  (** pool size the exploration ran with *)
   metrics : Metrics.t;  (** the full per-phase timing breakdown *)
 }
@@ -271,9 +260,9 @@ module Session : sig
   val predictions :
     t -> (string * Chop_bad.Prediction.t list) list * bad_stats list
   (** The per-partition prediction lists a search would consume, with
-      per-partition BAD statistics — without searching.  Pruning follows
-      the config ([prune = None] defers to the spec's [discard_inferior]);
-      statistics always report both raw and pruned counts. *)
+      per-partition BAD statistics — without searching.  First-level
+      pruning follows the spec's [discard_inferior]; statistics always
+      report both raw and pruned counts. *)
 
   (** {2 Durability}
 
@@ -328,20 +317,11 @@ module Session : sig
       heuristic raises [Invalid_argument]. *)
 end
 
-module Engine = Session
-(** One-shot exploration is a session with zero edits; existing callers
-    keep reading [Engine.run], new interactive callers use
-    [Session.edit]. *)
-
 val with_engine :
   ?pool:Chop_util.Pool.t -> Config.t -> Spec.t -> (Session.t -> 'a) -> 'a
 (** [with_engine config spec f] runs [f] over a fresh session and
     {!Session.close}s it afterwards, whether [f] returns or raises.
     [pool] is passed through to {!Session.create}. *)
-
-val with_session :
-  ?pool:Chop_util.Pool.t -> Config.t -> Spec.t -> (Session.t -> 'a) -> 'a
-(** Alias of {!with_engine}, matching interactive callers' vocabulary. *)
 
 (** {1 Helpers} *)
 

@@ -95,7 +95,7 @@ val create : ?capacity:int -> unit -> t
     both layers (default: unbounded); see {!set_capacity}. *)
 
 val shared : t
-(** The process-wide cache used by default by [Explore.Engine].  Bounded
+(** The process-wide cache used by default by [Explore.Session].  Bounded
     at {!default_shared_capacity} entries so long-running sessions
     (advisor loops, sweeps over many specs) cannot grow it without
     limit. *)
@@ -139,7 +139,7 @@ val counters : t -> counters
     {!clear}).  Counts {e lookups}, not partitions: the engine probes the
     full layer and then, on a miss, the raw layer, so one cold partition
     contributes two misses here but one miss to
-    [Explore.report.cache_misses].  The eviction and structural-hit
+    [Explore.Metrics.cache_misses].  The eviction and structural-hit
     counters are what the per-run [Explore.Metrics] deltas and the
     server's [stats] request are built from. *)
 

@@ -7,6 +7,7 @@ module Json = Chop_util.Json
 module P = Chop_server.Protocol
 module Ops = Chop_server.Ops
 module Client = Chop_server.Client
+module Listener = Chop_server.Listener
 
 type config = {
   socket_path : string option;
@@ -41,11 +42,7 @@ type t = {
   mutable seq : int;
   counters : counters;
   counters_mu : Mutex.t;
-  log_mu : Mutex.t;
-  stopping : bool Atomic.t;
-  listen_fd : Unix.file_descr option;
-  mutable conns : Unix.file_descr list;
-  conns_mu : Mutex.t;
+  listener : Listener.t;
   test_pc : pconn;  (* handle_line's cached backend connections *)
   test_mu : Mutex.t;
   (* backends whose last health ping failed; routing prefers live
@@ -58,16 +55,6 @@ type t = {
 
 let create cfg =
   let ring = Ring.create ~vnodes:cfg.vnodes cfg.backends in
-  let listen_fd =
-    match cfg.socket_path with
-    | None -> None
-    | Some path ->
-        if Sys.file_exists path then Unix.unlink path;
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        Unix.listen fd 16;
-        Some fd
-  in
   {
     cfg;
     ring;
@@ -79,11 +66,7 @@ let create cfg =
       { forwarded = 0; fanned_out = 0; migrations = 0; failovers = 0;
         errors = 0 };
     counters_mu = Mutex.create ();
-    log_mu = Mutex.create ();
-    stopping = Atomic.make false;
-    listen_fd;
-    conns = [];
-    conns_mu = Mutex.create ();
+    listener = Listener.create ~socket_path:cfg.socket_path ~log:cfg.log;
     test_pc = Hashtbl.create 4;
     test_mu = Mutex.create ();
     dead = Hashtbl.create 4;
@@ -91,34 +74,12 @@ let create cfg =
     health_pc = Hashtbl.create 4;
   }
 
-let stop t = Atomic.set t.stopping true
+let stop t = Listener.stop t.listener
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
 
-let timestamp now =
-  let tm = Unix.gmtime now in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%06.3fZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-    (float_of_int tm.Unix.tm_sec +. (now -. Float.of_int (int_of_float now)))
-
-let log_line t line =
-  match t.cfg.log with
-  | None -> ()
-  | Some oc ->
-      Mutex.lock t.log_mu;
-      (try
-         output_string oc line;
-         output_char oc '\n';
-         flush oc
-       with Sys_error _ -> ());
-      Mutex.unlock t.log_mu
-
-let logf t fmt =
-  Printf.ksprintf
-    (fun s ->
-      log_line t (Printf.sprintf "%s gateway: %s" (timestamp (Unix.gettimeofday ())) s))
-    fmt
+let logf t fmt = Listener.logf t.listener ("gateway: " ^^ fmt)
 
 let counted t f =
   Mutex.lock t.counters_mu;
@@ -226,13 +187,13 @@ let check_health t =
 let health_loop t interval =
   (* sleep in short slices so stop is honoured promptly *)
   let rec pause left =
-    if left > 0. && not (Atomic.get t.stopping) then begin
+    if left > 0. && not (Listener.stopping t.listener) then begin
       let s = Float.min 0.25 left in
       Thread.delay s;
       pause (left -. s)
     end
   in
-  while not (Atomic.get t.stopping) do
+  while not (Listener.stopping t.listener) do
     ignore (check_health t);
     pause interval
   done;
@@ -763,84 +724,9 @@ let handle_line t line =
     (fun () -> answer t t.test_pc line)
 
 (* ------------------------------------------------------------------ *)
-(* Transports (mirrors Server's: per-connection threads, select-based
-   accept so stop is honoured promptly)                                *)
-
-let register_conn t fd =
-  Mutex.lock t.conns_mu;
-  t.conns <- fd :: t.conns;
-  Mutex.unlock t.conns_mu
-
-let unregister_conn t fd =
-  Mutex.lock t.conns_mu;
-  t.conns <- List.filter (fun c -> c != fd) t.conns;
-  Mutex.unlock t.conns_mu
-
-let close_conns t =
-  Mutex.lock t.conns_mu;
-  let cs = t.conns in
-  t.conns <- [];
-  Mutex.unlock t.conns_mu;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) cs
-
-let conn_loop t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let pc : pconn = Hashtbl.create 4 in
-  (try
-     while true do
-       let line = input_line ic in
-       let resp = answer t pc line in
-       output_string oc resp;
-       output_char oc '\n';
-       flush oc
-     done
-   with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
-  close_pconn pc;
-  unregister_conn t fd;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t fd =
-  while not (Atomic.get t.stopping) do
-    match Unix.select [ fd ] [] [] 0.25 with
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.accept fd with
-        | cfd, _ ->
-            register_conn t cfd;
-            ignore (Thread.create (conn_loop t) cfd)
-        | exception
-            Unix.Unix_error
-              ( (Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK
-                | Unix.ECONNABORTED),
-                _,
-                _ ) ->
-            ())
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
-  done
-
-let stdio_loop t =
-  let pc : pconn = Hashtbl.create 4 in
-  (try
-     while not (Atomic.get t.stopping) do
-       let line = input_line stdin in
-       let resp = answer t pc line in
-       output_string stdout resp;
-       output_char stdout '\n';
-       flush stdout
-     done
-   with End_of_file | Sys_error _ -> ());
-  close_pconn pc
-
-let install_signals t =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let h = Sys.Signal_handle (fun _ -> stop t) in
-  (try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ());
-  try Sys.set_signal Sys.sigint h with Invalid_argument _ | Sys_error _ -> ()
+(* Serving                                                             *)
 
 let serve t =
-  if t.cfg.handle_signals then install_signals t;
   let prober =
     match t.cfg.health_interval_s with
     | Some s when s > 0. ->
@@ -857,17 +743,12 @@ let serve t =
       logf t "reading requests from stdin (%d backend(s)%s)"
         (List.length t.cfg.backends)
         (if t.cfg.fanout then ", fan-out" else ""));
-  (match t.listen_fd with
-  | Some fd -> accept_loop t fd
-  | None -> stdio_loop t);
-  close_conns t;
-  (match t.listen_fd with
-  | Some fd -> (
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      match t.cfg.socket_path with
-      | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-      | None -> ())
-  | None -> ());
+  (* each connection answers its lines in turn over its own backend
+     connections, closed with it *)
+  Listener.run ~signals:t.cfg.handle_signals t.listener (fun ~send ->
+      let pc : pconn = Hashtbl.create 4 in
+      ((fun line -> send (answer t pc line)), fun () -> close_pconn pc));
+  Listener.close t.listener;
   Option.iter Thread.join prober;
   Mutex.lock t.test_mu;
   close_pconn t.test_pc;

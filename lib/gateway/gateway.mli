@@ -54,14 +54,18 @@ type t
 val create : config -> t
 (** Validates the configuration and binds the listening socket; does not
     contact the backends ([connect]ions are opened lazily, per client
-    connection).
+    connection).  The socket path is handled as by
+    {!Chop_server.Server.create}.
     @raise Invalid_argument on an empty or duplicated backend list. *)
 
 val serve : t -> unit
-(** Accepts connections (or reads stdin) until {!stop}; then closes
-    every connection and returns. *)
+(** Accepts connections (or reads stdin) through a
+    {!Chop_server.Listener} until {!stop}; then closes every connection,
+    removes the socket, joins the health prober and returns. *)
 
 val stop : t -> unit
+(** Asks {!serve} to return; callable from a signal handler or another
+    thread. *)
 
 val handle_line : t -> string -> string
 (** One request line in, one response line out, synchronously — the test

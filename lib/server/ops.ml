@@ -213,13 +213,16 @@ let render_explore spec ~keep_all ~csv ~verbose (report : Chop.Explore.report) =
 
 let render_explore_timing (report : Chop.Explore.report) =
   let st = report.Chop.Explore.outcome.Chop.Search.stats in
+  let m = report.Chop.Explore.metrics in
+  let predict = m.Chop.Explore.Metrics.predict in
   Printf.sprintf
     "BAD: %.3f s wall (%.3f s busy across %d job(s)), cache %d hit(s) / %d \
      miss(es)\n\
      search: %.3f s CPU\n"
-    report.Chop.Explore.bad_wall_seconds report.Chop.Explore.bad_busy_seconds
-    report.Chop.Explore.jobs report.Chop.Explore.cache_hits
-    report.Chop.Explore.cache_misses st.Chop.Search.cpu_seconds
+    predict.Chop.Explore.Metrics.wall_seconds
+    predict.Chop.Explore.Metrics.busy_seconds report.Chop.Explore.jobs
+    m.Chop.Explore.Metrics.cache_hits m.Chop.Explore.Metrics.cache_misses
+    st.Chop.Search.cpu_seconds
 
 (* Partitions bound to a software model get a tag; hardware partitions
    render exactly as before, so all-hardware output stays byte-identical. *)

@@ -42,27 +42,18 @@ let op_to_string = function
   | Session_close -> "session/close"
   | Gateway_migrate -> "gateway/migrate"
 
-let op_of_string = function
-  | "explore" -> Ok Explore
-  | "explore/slice" -> Ok Explore_slice
-  | "predict" -> Ok Predict
-  | "advise" -> Ok Advise
-  | "sensitivity" -> Ok Sensitivity
-  | "stats" -> Ok Stats
-  | "ping" -> Ok Ping
-  | "session/open" -> Ok Session_open
-  | "session/edit" -> Ok Session_edit
-  | "session/undo" -> Ok Session_undo
-  | "session/redo" -> Ok Session_redo
-  | "session/run" -> Ok Session_run
-  | "session/optimize" -> Ok Session_optimize
-  | "session/attach" -> Ok Session_attach
-  | "session/detach" -> Ok Session_detach
-  | "session/list" -> Ok Session_list
-  | "session/save" -> Ok Session_save
-  | "session/close" -> Ok Session_close
-  | "gateway/migrate" -> Ok Gateway_migrate
-  | s -> Error (Printf.sprintf "unknown op %S" s)
+let all_ops =
+  [
+    Explore; Explore_slice; Predict; Advise; Sensitivity; Stats; Ping;
+    Session_open; Session_edit; Session_undo; Session_redo; Session_run;
+    Session_optimize; Session_attach; Session_detach; Session_list;
+    Session_save; Session_close; Gateway_migrate;
+  ]
+
+let op_of_string s =
+  match List.find_opt (fun op -> op_to_string op = s) all_ops with
+  | Some op -> Ok op
+  | None -> Error (Printf.sprintf "unknown op %S" s)
 
 type params = {
   benchmark : string;
@@ -342,27 +333,6 @@ type timing = {
   jobs : int;  (** effective pool parallelism behind the run *)
 }
 
-let timing_of_report ~queue_ms ~run_ms (report : Chop.Explore.report) =
-  let m = report.Chop.Explore.metrics in
-  {
-    queue_ms;
-    run_ms;
-    predict_ms = m.Chop.Explore.Metrics.predict.Chop.Explore.Metrics.wall_seconds *. 1000.;
-    search_ms = m.Chop.Explore.Metrics.search.Chop.Explore.Metrics.wall_seconds *. 1000.;
-    merge_ms = m.Chop.Explore.Metrics.merge_wall_seconds *. 1000.;
-    cache_hits = m.Chop.Explore.Metrics.cache_hits;
-    cache_misses = m.Chop.Explore.Metrics.cache_misses;
-    cache_evictions = m.Chop.Explore.Metrics.cache_evictions;
-    cache_structural_hits = m.Chop.Explore.Metrics.cache_structural_hits;
-    moves_tried = 0;
-    moves_accepted = 0;
-    speculative_runs = 0;
-    batch_rounds = 0;
-    spec_busy_ms = 0.;
-    spec_wall_ms = 0.;
-    jobs = report.Chop.Explore.jobs;
-  }
-
 let no_engine_timing ~queue_ms ~run_ms =
   {
     queue_ms;
@@ -383,19 +353,29 @@ let no_engine_timing ~queue_ms ~run_ms =
     jobs = 0;
   }
 
+let timing_of_report ~queue_ms ~run_ms (report : Chop.Explore.report) =
+  let m = report.Chop.Explore.metrics in
+  let module M = Chop.Explore.Metrics in
+  {
+    (no_engine_timing ~queue_ms ~run_ms) with
+    predict_ms = m.M.predict.M.wall_seconds *. 1000.;
+    search_ms = m.M.search.M.wall_seconds *. 1000.;
+    merge_ms = m.M.merge_wall_seconds *. 1000.;
+    cache_hits = m.M.cache_hits;
+    cache_misses = m.M.cache_misses;
+    cache_evictions = m.M.cache_evictions;
+    cache_structural_hits = m.M.cache_structural_hits;
+    jobs = report.Chop.Explore.jobs;
+  }
+
 (* session/optimize timing: cache counters are summed across every
    refinement run; the per-phase breakdown has no single-run meaning, so
    only the aggregate wall time is reported. *)
 let optimize_timing ~queue_ms ~run_ms (o : Chop_auto.outcome) =
   {
-    queue_ms;
-    run_ms;
-    predict_ms = 0.;
-    search_ms = 0.;
-    merge_ms = 0.;
+    (no_engine_timing ~queue_ms ~run_ms) with
     cache_hits = o.Chop_auto.cache_hits;
     cache_misses = o.Chop_auto.cache_misses;
-    cache_evictions = 0;
     cache_structural_hits = o.Chop_auto.cache_structural_hits;
     moves_tried = o.Chop_auto.moves_tried;
     moves_accepted = o.Chop_auto.moves_accepted;

@@ -66,8 +66,14 @@ type op =
       (** gateway-level: move a session to another backend through the
           snapshot format; backends answer it with [bad_request] *)
 
+val all_ops : op list
+(** Every op, in declaration order. *)
+
 val op_to_string : op -> string
+(** The op's wire name, e.g. ["session/open"]. *)
+
 val op_of_string : string -> (op, string) result
+(** The inverse of {!op_to_string} over {!all_ops}. *)
 
 (** Exploration parameters, mirroring the CLI flags of [chop explore] /
     [chop predict] / [chop advise].  [index]/[top] only matter to

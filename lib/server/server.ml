@@ -1,9 +1,10 @@
 (* The [chop serve] daemon.  See server.mli for the architecture; the
    short version: one shared domain pool, a cache of warm engines keyed
-   by request parameters, a bounded scheduler in front, connection
-   threads that only parse and write, and a drain-then-exit shutdown. *)
+   by request parameters, a bounded scheduler fed by the {!Listener}
+   transport, and a drain-then-exit shutdown. *)
 
 module Json = Chop_util.Json
+module Session = Chop.Explore.Session
 
 type config = {
   socket_path : string option;
@@ -46,7 +47,7 @@ type counters = {
 (* A warm engine and the mutex serialising runs on it: one engine serves
    one (spec, config) identity, and concurrent requests for the same
    identity queue on the mutex rather than duplicating the engine. *)
-type engine_slot = { engine : Chop.Explore.Engine.t; mu : Mutex.t }
+type engine_slot = { engine : Session.t; mu : Mutex.t }
 
 type t = {
   cfg : config;
@@ -55,13 +56,9 @@ type t = {
   engines : (string, engine_slot) Hashtbl.t;
   engines_mu : Mutex.t;
   sessions : Session_table.t;
-  log_mu : Mutex.t;
   counters_mu : Mutex.t;
   counters : counters;
-  stopping : bool Atomic.t;
-  listen_fd : Unix.file_descr option;
-  mutable conns : Unix.file_descr list;
-  conns_mu : Mutex.t;
+  listener : Listener.t;
   started : float;
 }
 
@@ -76,16 +73,7 @@ let create cfg =
   (match cfg.state_dir with
   | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
   | _ -> ());
-  let listen_fd =
-    match cfg.socket_path with
-    | None -> None
-    | Some path ->
-        if Sys.file_exists path then Unix.unlink path;
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        Unix.listen fd 16;
-        Some fd
-  in
+  let listener = Listener.create ~socket_path:cfg.socket_path ~log:cfg.log in
   {
     cfg;
     pool = Chop_util.Pool.create ~jobs:cfg.jobs ();
@@ -95,7 +83,6 @@ let create cfg =
     sessions =
       Session_table.create ~ttl_s:cfg.session_ttl_s
         ~max_sessions:cfg.max_sessions;
-    log_mu = Mutex.create ();
     counters_mu = Mutex.create ();
     counters =
       {
@@ -106,51 +93,30 @@ let create cfg =
         shutting_down = 0;
         internal = 0;
       };
-    stopping = Atomic.make false;
-    listen_fd;
-    conns = [];
-    conns_mu = Mutex.create ();
+    listener;
     started = Unix.gettimeofday ();
   }
 
-let stop t = Atomic.set t.stopping true
+let stop t = Listener.stop t.listener
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
 
-let timestamp now =
-  let tm = Unix.gmtime now in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%06.3fZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-    (float_of_int tm.Unix.tm_sec +. (now -. Float.of_int (int_of_float now)))
-
-let log_line t line =
-  match t.cfg.log with
-  | None -> ()
-  | Some oc ->
-      Mutex.lock t.log_mu;
-      (try
-         output_string oc line;
-         output_char oc '\n';
-         flush oc
-       with Sys_error _ -> ());
-      Mutex.unlock t.log_mu
+let logf t fmt = Listener.logf t.listener fmt
 
 let access_log ?(client = "") t ~id ~op ~status ~(timing : Protocol.timing)
     ~verdict =
-  log_line t
-    (Printf.sprintf
-       "%s id=%s op=%s status=%s queue_ms=%.1f run_ms=%.1f predict_ms=%.1f \
-        search_ms=%.1f merge_ms=%.1f cache=%dh/%dm/%de/%ds verdict=%s%s"
-       (timestamp (Unix.gettimeofday ()))
-       id op status timing.Protocol.queue_ms timing.Protocol.run_ms
-       timing.Protocol.predict_ms timing.Protocol.search_ms
-       timing.Protocol.merge_ms timing.Protocol.cache_hits
-       timing.Protocol.cache_misses timing.Protocol.cache_evictions
-       timing.Protocol.cache_structural_hits verdict
-       (* per-client attribution: who performed the op, e.g. which of a
-          session's clients made an edit *)
-       (if client = "" then "" else " client=" ^ client))
+  logf t
+    "id=%s op=%s status=%s queue_ms=%.1f run_ms=%.1f predict_ms=%.1f \
+     search_ms=%.1f merge_ms=%.1f cache=%dh/%dm/%de/%ds verdict=%s%s"
+    id op status timing.Protocol.queue_ms timing.Protocol.run_ms
+    timing.Protocol.predict_ms timing.Protocol.search_ms
+    timing.Protocol.merge_ms timing.Protocol.cache_hits
+    timing.Protocol.cache_misses timing.Protocol.cache_evictions
+    timing.Protocol.cache_structural_hits verdict
+    (* per-client attribution: who performed the op, e.g. which of a
+       session's clients made an edit *)
+    (if client = "" then "" else " client=" ^ client)
 
 let bump t (code : [ `Ok | `Err of Protocol.error_code ]) =
   Mutex.lock t.counters_mu;
@@ -167,7 +133,10 @@ let bump t (code : [ `Ok | `Err of Protocol.error_code ]) =
 (* ------------------------------------------------------------------ *)
 (* Engines                                                             *)
 
-let engine_slot t ~key spec config =
+(* Runs [f] on the warm engine for the request's identity, creating the
+   engine on first use. *)
+let with_engine t (req : Protocol.request) config spec f =
+  let key = Ops.engine_key ~op:req.Protocol.op req.Protocol.params in
   Mutex.lock t.engines_mu;
   let slot =
     match Hashtbl.find_opt t.engines key with
@@ -175,21 +144,20 @@ let engine_slot t ~key spec config =
     | None ->
         (* created under the table lock so a burst of identical requests
            builds the integration context once, not once per request *)
-        let engine = Chop.Explore.Engine.create ~pool:t.pool config spec in
+        let engine = Session.create ~pool:t.pool config spec in
         let s = { engine; mu = Mutex.create () } in
         Hashtbl.add t.engines key s;
         s
   in
   Mutex.unlock t.engines_mu;
-  slot
-
-let with_slot slot f =
   Mutex.lock slot.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock slot.mu) (fun () -> f slot.engine)
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock slot.mu)
+    (fun () -> f slot.engine)
 
 let close_engines t =
   Mutex.lock t.engines_mu;
-  Hashtbl.iter (fun _ s -> Chop.Explore.Engine.close s.engine) t.engines;
+  Hashtbl.iter (fun _ s -> Session.close s.engine) t.engines;
   Hashtbl.reset t.engines;
   Mutex.unlock t.engines_mu
 
@@ -199,32 +167,6 @@ let close_engines t =
    table with a state dir configured — eviction, session/save, shutdown —
    and session/open resurrects the snapshot, so a restart or a gateway
    migration loses no interactive state. *)
-
-let find_session t sid =
-  match Session_table.find t.sessions sid with
-  | Some slot -> Ok slot
-  | None ->
-      Error
-        ( Protocol.Bad_request,
-          Printf.sprintf "unknown session %S (closed or evicted?)" sid )
-
-let with_session_slot (slot : Session_table.slot) f =
-  Mutex.lock slot.Session_table.smu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock slot.Session_table.smu) f
-
-(* Only the client that opened (or restored) a session may mutate it;
-   attached observers and strangers read. *)
-let ensure_writer (slot : Session_table.slot) (p : Protocol.params) =
-  if slot.Session_table.writer = p.Protocol.client then Ok ()
-  else
-    Error
-      (Printf.sprintf
-         "client %S is not this session's writer (%s); read-only clients \
-          may session/run and session/attach"
-         p.Protocol.client
-         (match slot.Session_table.writer with
-         | "" -> "opened anonymously"
-         | w -> Printf.sprintf "writer %S" w))
 
 let snapshot_path t sid =
   Option.map
@@ -247,7 +189,7 @@ let save_session t sid (slot : Session_table.slot) =
   match snapshot_path t sid with
   | None -> Ok false
   | Some path -> (
-      let st = Chop.Explore.Session.state slot.Session_table.session in
+      let st = Session.state slot.Session_table.session in
       let snap =
         Chop.Snapshot.of_state
           ~meta:(snapshot_meta slot.Session_table.open_params)
@@ -269,18 +211,12 @@ let evict_session t ~reason sid (slot : Session_table.slot) =
     match save_session t sid slot with
     | Ok saved -> saved
     | Error m ->
-        log_line t
-          (Printf.sprintf "%s serve: session %s snapshot failed: %s"
-             (timestamp (Unix.gettimeofday ()))
-             sid m);
+        logf t "serve: session %s snapshot failed: %s" sid m;
         false
   in
-  Chop.Explore.Session.close slot.Session_table.session;
-  log_line t
-    (Printf.sprintf "%s serve: session %s evicted (%s%s)"
-       (timestamp (Unix.gettimeofday ()))
-       sid reason
-       (if saved then ", snapshotted" else ""))
+  Session.close slot.Session_table.session;
+  logf t "serve: session %s evicted (%s%s)" sid reason
+    (if saved then ", snapshotted" else "")
 
 let prune_sessions t ~now =
   Session_table.prune t.sessions ~now ~room_for:1
@@ -317,7 +253,7 @@ let restore_session t ~sid (p : Protocol.params) =
             in
             let* config = Ops.config_of_params ~jobs:t.cfg.jobs open_params in
             let session =
-              Chop.Explore.Session.restore ~pool:t.pool config
+              Session.restore ~pool:t.pool config
                 (Chop.Snapshot.to_state snap)
             in
             Ok (Some (session, open_params))
@@ -326,18 +262,10 @@ let restore_session t ~sid (p : Protocol.params) =
 let close_sessions t =
   Session_table.drain t.sessions (fun sid slot ->
       (match save_session t sid slot with
-      | Ok true ->
-          log_line t
-            (Printf.sprintf "%s serve: session %s snapshotted"
-               (timestamp (Unix.gettimeofday ()))
-               sid)
+      | Ok true -> logf t "serve: session %s snapshotted" sid
       | Ok false -> ()
-      | Error m ->
-          log_line t
-            (Printf.sprintf "%s serve: session %s snapshot failed: %s"
-               (timestamp (Unix.gettimeofday ()))
-               sid m));
-      Chop.Explore.Session.close slot.Session_table.session)
+      | Error m -> logf t "serve: session %s snapshot failed: %s" sid m);
+      Session.close slot.Session_table.session)
 
 (* ------------------------------------------------------------------ *)
 (* Request execution                                                   *)
@@ -429,6 +357,79 @@ type timing_source =
   | Of_report of Chop.Explore.report
   | Of_auto of Chop_auto.outcome
 
+let verdict feasible = if feasible then "feasible" else "infeasible"
+
+(* The four engine runs — explore, advise, session/run, session/optimize
+   — poll the request's deadline; a run it cancels answers [deadline]. *)
+let cancellable f =
+  match f () with
+  | v -> Ok v
+  | exception Chop.Explore.Cancelled ->
+      Error (Protocol.Deadline, "deadline exceeded during the run")
+
+(* The result of an explore or session/run: rendered exactly as the CLI
+   would, with the session id first for session/run. *)
+let explore_result ?session spec (p : Protocol.params) report =
+  let feasible = Ops.explore_feasible_count report in
+  ( (match session with
+    | Some sid -> [ ("session", Json.String sid) ]
+    | None -> [])
+    @ [
+        ("text",
+         Json.String
+           (Ops.render_explore spec ~keep_all:p.Protocol.keep_all
+              ~csv:p.Protocol.csv ~verbose:p.Protocol.verbose report));
+        ("feasible", Json.Bool (feasible > 0));
+        ("feasible_count", Json.Int feasible);
+        ("trials",
+         Json.Int
+           report.Chop.Explore.outcome.Chop.Search.stats
+             .Chop.Search.implementation_trials);
+      ],
+    Of_report report,
+    verdict (feasible > 0) )
+
+(* How a session op may touch its session.  Only the client that opened
+   (or restored) a session may write it — [Write], or [Edit] for a write
+   that changes the spec; attached observers and strangers [Read]. *)
+type access = Read | Write | Edit
+
+(* The frame of every op on an open session: find it, hold its mutex,
+   check the writer, run [f slot session], and on success mark the
+   session used (all but [Write]) and count the edit. *)
+let on_session t (p : Protocol.params) access f =
+  match Session_table.find t.sessions p.Protocol.session with
+  | None ->
+      Error
+        ( Protocol.Bad_request,
+          Printf.sprintf "unknown session %S (closed or evicted?)"
+            p.Protocol.session )
+  | Some slot ->
+      Mutex.lock slot.Session_table.smu;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock slot.Session_table.smu)
+        (fun () ->
+          let writer = slot.Session_table.writer in
+          let r =
+            if access <> Read && writer <> p.Protocol.client then
+              Error
+                ( Protocol.Bad_request,
+                  Printf.sprintf
+                    "client %S is not this session's writer (%s); read-only \
+                     clients may session/run and session/attach"
+                    p.Protocol.client
+                    (if writer = "" then "opened anonymously"
+                     else Printf.sprintf "writer %S" writer) )
+            else f slot slot.Session_table.session
+          in
+          if Result.is_ok r then begin
+            if access <> Write then
+              slot.Session_table.last_used <- Unix.gettimeofday ();
+            if access = Edit then
+              slot.Session_table.edits <- slot.Session_table.edits + 1
+          end;
+          r)
+
 (* One operation, already admitted: returns the result fields, the
    timing source (when an engine ran) and the verdict shown in the
    access log. *)
@@ -437,46 +438,26 @@ let exec_op t (req : Protocol.request) ~interrupt :
       Protocol.error_code * string )
     result =
   let p = req.Protocol.params in
+  let sid = p.Protocol.session in
   let ( let* ) r f =
     match r with Ok v -> f v | Error e -> Error (Protocol.Bad_request, e)
   in
   match req.Protocol.op with
   | Protocol.Ping -> Ok ([ ("pong", Json.Bool true) ], No_timing, "-")
   | Protocol.Stats -> Ok (stats_fields t, No_timing, "-")
-  | Protocol.Explore -> (
+  | Protocol.Explore ->
       let* spec = Ops.spec_of_params p in
       let* config = Ops.config_of_params ~jobs:t.cfg.jobs p in
-      let slot =
-        engine_slot t ~key:(Ops.engine_key ~op:req.Protocol.op p) spec config
-      in
-      match with_slot slot (Chop.Explore.Engine.run_interruptible ~interrupt) with
-      | exception Chop.Explore.Cancelled ->
-          Error (Protocol.Deadline, "deadline exceeded during the run")
-      | report ->
-          let text =
-            Ops.render_explore spec ~keep_all:p.Protocol.keep_all
-              ~csv:p.Protocol.csv ~verbose:p.Protocol.verbose report
-          in
-          let feasible = Ops.explore_feasible_count report in
-          Ok
-            ( [
-                ("text", Json.String text);
-                ("feasible", Json.Bool (feasible > 0));
-                ("feasible_count", Json.Int feasible);
-                ("trials",
-                 Json.Int
-                   report.Chop.Explore.outcome.Chop.Search.stats
-                     .Chop.Search.implementation_trials);
-              ],
-              Of_report report,
-              if feasible > 0 then "feasible" else "infeasible" ))
+      Result.map (explore_result spec p)
+        (cancellable (fun () ->
+             with_engine t req config spec
+               (Session.run_interruptible ~interrupt)))
   | Protocol.Predict ->
       let* spec = Ops.spec_of_params p in
       let config = Chop.Explore.Config.make ~jobs:t.cfg.jobs () in
-      let slot =
-        engine_slot t ~key:(Ops.engine_key ~op:req.Protocol.op p) spec config
+      let per_partition, stats =
+        with_engine t req config spec Session.predictions
       in
-      let per_partition, stats = with_slot slot Chop.Explore.Engine.predictions in
       let text =
         Ops.render_predict spec ~index:p.Protocol.index ~top:p.Protocol.top
           per_partition stats
@@ -485,13 +466,13 @@ let exec_op t (req : Protocol.request) ~interrupt :
   | Protocol.Advise -> (
       let* spec = Ops.spec_of_params p in
       let* config = Ops.config_of_params ~jobs:t.cfg.jobs p in
-      let slot =
-        engine_slot t ~key:(Ops.engine_key ~op:req.Protocol.op p) spec config
-      in
-      match with_slot slot (Chop.Explore.Engine.run_interruptible ~interrupt) with
-      | exception Chop.Explore.Cancelled ->
-          Error (Protocol.Deadline, "deadline exceeded during the run")
-      | report ->
+      match
+        cancellable (fun () ->
+            with_engine t req config spec
+              (Session.run_interruptible ~interrupt))
+      with
+      | Error _ as e -> e
+      | Ok report ->
           let j = Chop.Advisor.judge spec report in
           Ok
             ( [
@@ -499,393 +480,17 @@ let exec_op t (req : Protocol.request) ~interrupt :
                 ("feasible", Json.Bool j.Chop.Advisor.feasible);
               ],
               Of_report report,
-              if j.Chop.Advisor.feasible then "feasible" else "infeasible" ))
-  | Protocol.Session_open -> (
-      let now = Unix.gettimeofday () in
-      prune_sessions t ~now;
-      let requested = p.Protocol.session in
-      let* restored =
-        if requested = "" then
-          if p.Protocol.restore then
-            Error "session/open with restore requires a session id"
-          else Ok None
-        else restore_session t ~sid:requested p
-      in
-      let* session, open_params, restored_flag =
-        match restored with
-        | Some (session, open_params) -> Ok (session, open_params, true)
-        | None ->
-            Result.bind (Ops.spec_of_params p) (fun spec ->
-                Result.bind (Ops.config_of_params ~jobs:t.cfg.jobs p)
-                  (fun config ->
-                    Ok
-                      ( Chop.Explore.Session.create ~pool:t.pool config spec,
-                        p, false )))
-      in
-      let sid =
-        if requested = "" then Session_table.fresh_id t.sessions else requested
-      in
-      let slot =
-        {
-          Session_table.session;
-          smu = Mutex.create ();
-          last_used = now;
-          open_params;
-          writer = p.Protocol.client;
-          observers = [];
-          edits = 0;
-        }
-      in
-      match Session_table.add t.sessions sid slot with
-      | Error m ->
-          Chop.Explore.Session.close session;
-          Error (Protocol.Bad_request, m)
-      | Ok () ->
-          Ok
-            ( [
-                ("session", Json.String sid);
-                ("restored", Json.Bool restored_flag);
-                ("revision", Json.Int (Chop.Explore.Session.revision session));
-                ("text",
-                 Json.String
-                   (Ops.render_parts (Chop.Explore.Session.spec session)));
-              ],
-              No_timing,
-              if restored_flag then "restored" else "-" ))
-  | Protocol.Session_edit -> (
-      match find_session t p.Protocol.session with
-      | Error _ as e -> e
-      | Ok slot ->
-          with_session_slot slot (fun () ->
-              let* () = ensure_writer slot p in
-              let spec = Chop.Explore.Session.spec slot.Session_table.session in
-              let* edits = Ops.parse_edits spec p.Protocol.edits in
-              match
-                Chop.Explore.Session.edit slot.Session_table.session edits
-              with
-              | Error e ->
-                  Error
-                    ( Protocol.Bad_request,
-                      Format.asprintf "%a" Chop.Spec.pp_update_error e )
-              | Ok dirty ->
-                  slot.Session_table.last_used <- Unix.gettimeofday ();
-                  slot.Session_table.edits <- slot.Session_table.edits + 1;
-                  let labels ls = Json.Array (List.map (fun l -> Json.String l) ls) in
-                  Ok
-                    ( [
-                        ("session", Json.String p.Protocol.session);
-                        ("text", Json.String (Ops.render_dirty dirty));
-                        ("repredict", labels dirty.Chop.Spec.repredict);
-                        ("rederive", labels dirty.Chop.Spec.rederive);
-                        ("removed", labels dirty.Chop.Spec.removed);
-                        ("revision",
-                         Json.Int
-                           (Chop.Explore.Session.revision
-                              slot.Session_table.session));
-                      ],
-                      No_timing,
-                      "-" )))
-  | (Protocol.Session_undo | Protocol.Session_redo) as op -> (
-      match find_session t p.Protocol.session with
-      | Error _ as e -> e
-      | Ok slot ->
-          with_session_slot slot (fun () ->
-              let* () = ensure_writer slot p in
-              let step =
-                if op = Protocol.Session_undo then Chop.Explore.Session.undo
-                else Chop.Explore.Session.redo
-              in
-              let* dirty = step slot.Session_table.session in
-              slot.Session_table.last_used <- Unix.gettimeofday ();
-              slot.Session_table.edits <- slot.Session_table.edits + 1;
-              Ok
-                ( [
-                    ("session", Json.String p.Protocol.session);
-                    ("text", Json.String (Ops.render_dirty dirty));
-                    ("revision",
-                     Json.Int
-                       (Chop.Explore.Session.revision
-                          slot.Session_table.session));
-                    ("undo_depth",
-                     Json.Int
-                       (Chop.Explore.Session.undo_depth
-                          slot.Session_table.session));
-                    ("redo_depth",
-                     Json.Int
-                       (Chop.Explore.Session.redo_depth
-                          slot.Session_table.session));
-                  ],
-                  No_timing,
-                  "-" )))
-  | Protocol.Session_attach -> (
-      match find_session t p.Protocol.session with
-      | Error _ as e -> e
-      | Ok slot ->
-          with_session_slot slot (fun () ->
-              if p.Protocol.client = "" then
-                Error
-                  ( Protocol.Bad_request,
-                    "session/attach requires a client identity" )
-              else if p.Protocol.client = slot.Session_table.writer then
-                Error
-                  ( Protocol.Bad_request,
-                    Printf.sprintf "client %S is already the writer"
-                      p.Protocol.client )
-              else if List.mem p.Protocol.client slot.Session_table.observers
-              then
-                Error
-                  ( Protocol.Bad_request,
-                    Printf.sprintf "client %S is already attached"
-                      p.Protocol.client )
-              else begin
-                slot.Session_table.observers <-
-                  p.Protocol.client :: slot.Session_table.observers;
-                slot.Session_table.last_used <- Unix.gettimeofday ();
-                Ok
-                  ( [
-                      ("session", Json.String p.Protocol.session);
-                      ("observers",
-                       Json.Int (List.length slot.Session_table.observers));
-                      ("text",
-                       Json.String
-                         (Printf.sprintf
-                            "attached to session %s as observer (writer %s)\n"
-                            p.Protocol.session
-                            (match slot.Session_table.writer with
-                            | "" -> "-"
-                            | w -> w)));
-                    ],
-                    No_timing,
-                    "-" )
-              end))
-  | Protocol.Session_detach -> (
-      match find_session t p.Protocol.session with
-      | Error _ as e -> e
-      | Ok slot ->
-          with_session_slot slot (fun () ->
-              if not (List.mem p.Protocol.client slot.Session_table.observers)
-              then
-                Error
-                  ( Protocol.Bad_request,
-                    Printf.sprintf "client %S is not attached to session %s"
-                      p.Protocol.client p.Protocol.session )
-              else begin
-                slot.Session_table.observers <-
-                  List.filter
-                    (fun c -> c <> p.Protocol.client)
-                    slot.Session_table.observers;
-                Ok
-                  ( [
-                      ("session", Json.String p.Protocol.session);
-                      ("observers",
-                       Json.Int (List.length slot.Session_table.observers));
-                      ("text",
-                       Json.String
-                         (Printf.sprintf "detached from session %s\n"
-                            p.Protocol.session));
-                    ],
-                    No_timing,
-                    "-" )
-              end))
-  | Protocol.Session_list ->
-      let now = Unix.gettimeofday () in
-      let lines =
-        List.map
-          (fun (sid, (slot : Session_table.slot)) ->
-            {
-              Ops.ses_id = sid;
-              ses_revision =
-                Chop.Explore.Session.revision slot.Session_table.session;
-              ses_age_s = Float.max 0. (now -. slot.Session_table.last_used);
-              ses_writer = slot.Session_table.writer;
-              ses_observers = List.length slot.Session_table.observers;
-            })
-          (Session_table.entries t.sessions)
-      in
-      Ok
-        ( [
-            ("sessions", Json.Array (List.map Ops.session_line_to_json lines));
-            ("text", Json.String (Ops.render_sessions lines));
-          ],
-          No_timing,
-          "-" )
-  | Protocol.Session_save -> (
-      match find_session t p.Protocol.session with
-      | Error _ as e -> e
-      | Ok slot ->
-          with_session_slot slot (fun () ->
-              let* () = ensure_writer slot p in
-              if t.cfg.state_dir = None then
-                Error
-                  ( Protocol.Bad_request,
-                    "session/save requires the server to run with --state-dir"
-                  )
-              else
-                match save_session t p.Protocol.session slot with
-                | Error m -> Error (Protocol.Internal, m)
-                | Ok _ ->
-                    let closing = p.Protocol.close in
-                    if closing then begin
-                      (* the migration handoff: persist, then free the
-                         slot so the target backend owns the session *)
-                      ignore (Session_table.remove t.sessions p.Protocol.session);
-                      Chop.Explore.Session.close slot.Session_table.session
-                    end;
-                    Ok
-                      ( [
-                          ("session", Json.String p.Protocol.session);
-                          ("saved", Json.Bool true);
-                          ("closed", Json.Bool closing);
-                          ("text",
-                           Json.String
-                             (Printf.sprintf "session %s saved\n"
-                                p.Protocol.session
-                             ^
-                             if closing then
-                               Ops.render_session_closed p.Protocol.session
-                             else ""));
-                        ],
-                        No_timing,
-                        "-" )))
-  | Protocol.Session_run -> (
-      match find_session t p.Protocol.session with
-      | Error _ as e -> e
-      | Ok slot ->
-          with_session_slot slot (fun () ->
-              match
-                Chop.Explore.Session.run_interruptible ~interrupt
-                  slot.Session_table.session
-              with
-              | exception Chop.Explore.Cancelled ->
-                  Error (Protocol.Deadline, "deadline exceeded during the run")
-              | report ->
-                  slot.Session_table.last_used <- Unix.gettimeofday ();
-                  let sp = slot.Session_table.open_params in
-                  let text =
-                    Ops.render_explore
-                      (Chop.Explore.Session.spec slot.Session_table.session)
-                      ~keep_all:sp.Protocol.keep_all ~csv:sp.Protocol.csv
-                      ~verbose:sp.Protocol.verbose report
-                  in
-                  let feasible = Ops.explore_feasible_count report in
-                  Ok
-                    ( [
-                        ("session", Json.String p.Protocol.session);
-                        ("text", Json.String text);
-                        ("feasible", Json.Bool (feasible > 0));
-                        ("feasible_count", Json.Int feasible);
-                        ("trials",
-                         Json.Int
-                           report.Chop.Explore.outcome.Chop.Search.stats
-                             .Chop.Search.implementation_trials);
-                      ],
-                      Of_report report,
-                      if feasible > 0 then "feasible" else "infeasible" )))
-  | Protocol.Session_optimize -> (
-      match find_session t p.Protocol.session with
-      | Error _ as e -> e
-      | Ok slot ->
-          with_session_slot slot (fun () ->
-              let* () = ensure_writer slot p in
-              let* constraints =
-                Ops.constraints_of_params
-                  (Chop.Explore.Session.spec slot.Session_table.session)
-                  p
-              in
-              let time_limit_s =
-                if p.Protocol.time_limit_ms > 0. then
-                  Some (p.Protocol.time_limit_ms /. 1000.)
-                else None
-              in
-              match
-                Chop_auto.refine ~seed:p.Protocol.seed ~constraints
-                  ~max_moves:p.Protocol.max_moves ?time_limit_s
-                  ?coarse_target:
-                    (if p.Protocol.coarse > 0 then Some p.Protocol.coarse
-                     else None)
-                  ~interrupt slot.Session_table.session
-              with
-              | exception Chop.Explore.Cancelled ->
-                  Error (Protocol.Deadline, "deadline exceeded during the run")
-              | exception Chop_auto.Invalid_constraints m ->
-                  Error (Protocol.Bad_request, m)
-              | o ->
-                  slot.Session_table.last_used <- Unix.gettimeofday ();
-                  slot.Session_table.edits <- slot.Session_table.edits + 1;
-                  let text =
-                    Ops.render_auto
-                      (Chop.Explore.Session.spec slot.Session_table.session)
-                      o
-                  in
-                  let feasible = Ops.explore_feasible_count o.Chop_auto.report in
-                  Ok
-                    ( [
-                        ("session", Json.String p.Protocol.session);
-                        ("text", Json.String text);
-                        ("feasible", Json.Bool (feasible > 0));
-                        ("feasible_count", Json.Int feasible);
-                        ("levels", Json.Int o.Chop_auto.levels);
-                        ("moves_tried", Json.Int o.Chop_auto.moves_tried);
-                        ("moves_accepted", Json.Int o.Chop_auto.moves_accepted);
-                        ("impl_flips", Json.Int o.Chop_auto.impl_flips);
-                        ("interrupted", Json.Bool o.Chop_auto.interrupted);
-                      ],
-                      Of_auto o,
-                      if feasible > 0 then "feasible" else "infeasible" )))
-  | Protocol.Session_close -> (
-      match find_session t p.Protocol.session with
-      | Error _ as e -> e
-      | Ok probe -> (
-          match
-            with_session_slot probe (fun () ->
-                match ensure_writer probe p with
-                | Error m -> Error (Protocol.Bad_request, m)
-                | Ok () -> (
-                    (* re-check under the session mutex: a concurrent close
-                       or migration may have emptied the slot already *)
-                    match Session_table.remove t.sessions p.Protocol.session with
-                    | None ->
-                        Error
-                          ( Protocol.Bad_request,
-                            Printf.sprintf
-                              "unknown session %S (closed or evicted?)"
-                              p.Protocol.session )
-                    | Some _ ->
-                        Chop.Explore.Session.close probe.Session_table.session;
-                        (* an explicit close discards durable state too —
-                           only eviction, shutdown and session/save keep
-                           snapshots *)
-                        drop_snapshot t p.Protocol.session;
-                        Ok ()))
-          with
-          | Error _ as e -> e
-          | Ok () ->
-              Ok
-                ( [
-                    ("closed", Json.Bool true);
-                    ("text",
-                     Json.String
-                       (Ops.render_session_closed p.Protocol.session));
-                  ],
-                  No_timing,
-                  "-" )))
+              verdict j.Chop.Advisor.feasible ))
   | Protocol.Explore_slice -> (
       let* spec = Ops.spec_of_params p in
       let* config = Ops.config_of_params ~jobs:t.cfg.jobs p in
-      let slot =
-        engine_slot t ~key:(Ops.engine_key ~op:req.Protocol.op p) spec config
-      in
       match
-        with_slot slot
-          (Chop.Explore.Engine.run_slice ~index:p.Protocol.slice_index
+        with_engine t req config spec
+          (Session.run_slice ~index:p.Protocol.slice_index
              ~count:p.Protocol.slice_count)
       with
       | exception Invalid_argument m -> Error (Protocol.Bad_request, m)
       | sr -> Ok (Ops.slice_payload_fields sr, No_timing, "-"))
-  | Protocol.Gateway_migrate ->
-      Error
-        ( Protocol.Bad_request,
-          "gateway/migrate is a gateway operation; this is a backend" )
   | Protocol.Sensitivity ->
       let* spec = Ops.spec_of_params p in
       (* per-point what-if probes build their own single-job engines; the
@@ -904,6 +509,276 @@ let exec_op t (req : Protocol.request) ~interrupt :
           ],
           No_timing,
           "-" )
+  | Protocol.Gateway_migrate ->
+      Error
+        ( Protocol.Bad_request,
+          "gateway/migrate is a gateway operation; this is a backend" )
+  | Protocol.Session_open -> (
+      let now = Unix.gettimeofday () in
+      prune_sessions t ~now;
+      let* restored =
+        if sid = "" then
+          if p.Protocol.restore then
+            Error "session/open with restore requires a session id"
+          else Ok None
+        else restore_session t ~sid p
+      in
+      let* session, open_params, restored_flag =
+        match restored with
+        | Some (session, open_params) -> Ok (session, open_params, true)
+        | None ->
+            Result.bind (Ops.spec_of_params p) (fun spec ->
+                Result.bind (Ops.config_of_params ~jobs:t.cfg.jobs p)
+                  (fun config ->
+                    Ok
+                      ( Session.create ~pool:t.pool config spec,
+                        p, false )))
+      in
+      let sid = if sid = "" then Session_table.fresh_id t.sessions else sid in
+      let slot =
+        {
+          Session_table.session;
+          smu = Mutex.create ();
+          last_used = now;
+          open_params;
+          writer = p.Protocol.client;
+          observers = [];
+          edits = 0;
+        }
+      in
+      match Session_table.add t.sessions sid slot with
+      | Error m ->
+          Session.close session;
+          Error (Protocol.Bad_request, m)
+      | Ok () ->
+          Ok
+            ( [
+                ("session", Json.String sid);
+                ("restored", Json.Bool restored_flag);
+                ("revision", Json.Int (Session.revision session));
+                ("text",
+                 Json.String
+                   (Ops.render_parts (Session.spec session)));
+              ],
+              No_timing,
+              if restored_flag then "restored" else "-" ))
+  | Protocol.Session_list ->
+      let now = Unix.gettimeofday () in
+      let lines =
+        List.map
+          (fun (sid, (slot : Session_table.slot)) ->
+            {
+              Ops.ses_id = sid;
+              ses_revision = Session.revision slot.Session_table.session;
+              ses_age_s = Float.max 0. (now -. slot.Session_table.last_used);
+              ses_writer = slot.Session_table.writer;
+              ses_observers = List.length slot.Session_table.observers;
+            })
+          (Session_table.entries t.sessions)
+      in
+      Ok
+        ( [
+            ("sessions", Json.Array (List.map Ops.session_line_to_json lines));
+            ("text", Json.String (Ops.render_sessions lines));
+          ],
+          No_timing,
+          "-" )
+  | Protocol.Session_edit ->
+      on_session t p Edit (fun _ session ->
+          let* edits =
+            Ops.parse_edits (Session.spec session) p.Protocol.edits
+          in
+          match Session.edit session edits with
+          | Error e ->
+              Error
+                ( Protocol.Bad_request,
+                  Format.asprintf "%a" Chop.Spec.pp_update_error e )
+          | Ok dirty ->
+              let labels ls =
+                Json.Array (List.map (fun l -> Json.String l) ls)
+              in
+              Ok
+                ( [
+                    ("session", Json.String sid);
+                    ("text", Json.String (Ops.render_dirty dirty));
+                    ("repredict", labels dirty.Chop.Spec.repredict);
+                    ("rederive", labels dirty.Chop.Spec.rederive);
+                    ("removed", labels dirty.Chop.Spec.removed);
+                    ("revision", Json.Int (Session.revision session));
+                  ],
+                  No_timing,
+                  "-" ))
+  | (Protocol.Session_undo | Protocol.Session_redo) as op ->
+      on_session t p Edit (fun _ session ->
+          let step =
+            if op = Protocol.Session_undo then Session.undo else Session.redo
+          in
+          let* dirty = step session in
+          Ok
+            ( [
+                ("session", Json.String sid);
+                ("text", Json.String (Ops.render_dirty dirty));
+                ("revision", Json.Int (Session.revision session));
+                ("undo_depth", Json.Int (Session.undo_depth session));
+                ("redo_depth", Json.Int (Session.redo_depth session));
+              ],
+              No_timing,
+              "-" ))
+  | Protocol.Session_attach ->
+      on_session t p Read (fun slot _ ->
+          let client = p.Protocol.client in
+          if client = "" then
+            Error
+              ( Protocol.Bad_request,
+                "session/attach requires a client identity" )
+          else if client = slot.Session_table.writer then
+            Error
+              ( Protocol.Bad_request,
+                Printf.sprintf "client %S is already the writer" client )
+          else if List.mem client slot.Session_table.observers then
+            Error
+              ( Protocol.Bad_request,
+                Printf.sprintf "client %S is already attached" client )
+          else begin
+            slot.Session_table.observers <-
+              client :: slot.Session_table.observers;
+            Ok
+              ( [
+                  ("session", Json.String sid);
+                  ("observers",
+                   Json.Int (List.length slot.Session_table.observers));
+                  ("text",
+                   Json.String
+                     (Printf.sprintf
+                        "attached to session %s as observer (writer %s)\n" sid
+                        (match slot.Session_table.writer with
+                        | "" -> "-"
+                        | w -> w)));
+                ],
+                No_timing,
+                "-" )
+          end)
+  | Protocol.Session_detach ->
+      on_session t p Read (fun slot _ ->
+          let client = p.Protocol.client in
+          if not (List.mem client slot.Session_table.observers) then
+            Error
+              ( Protocol.Bad_request,
+                Printf.sprintf "client %S is not attached to session %s" client
+                  sid )
+          else begin
+            slot.Session_table.observers <-
+              List.filter (fun c -> c <> client) slot.Session_table.observers;
+            Ok
+              ( [
+                  ("session", Json.String sid);
+                  ("observers",
+                   Json.Int (List.length slot.Session_table.observers));
+                  ("text",
+                   Json.String
+                     (Printf.sprintf "detached from session %s\n" sid));
+                ],
+                No_timing,
+                "-" )
+          end)
+  | Protocol.Session_run ->
+      on_session t p Read (fun slot session ->
+          Result.map
+            (explore_result ~session:sid (Session.spec session)
+               slot.Session_table.open_params)
+            (cancellable (fun () ->
+                 Session.run_interruptible ~interrupt session)))
+  | Protocol.Session_optimize ->
+      on_session t p Edit (fun _ session ->
+          let* constraints =
+            Ops.constraints_of_params (Session.spec session) p
+          in
+          let time_limit_s =
+            if p.Protocol.time_limit_ms > 0. then
+              Some (p.Protocol.time_limit_ms /. 1000.)
+            else None
+          in
+          match
+            cancellable (fun () ->
+                Chop_auto.refine ~seed:p.Protocol.seed ~constraints
+                  ~max_moves:p.Protocol.max_moves ?time_limit_s
+                  ?coarse_target:
+                    (if p.Protocol.coarse > 0 then Some p.Protocol.coarse
+                     else None)
+                  ~interrupt session)
+          with
+          | exception Chop_auto.Invalid_constraints m ->
+              Error (Protocol.Bad_request, m)
+          | Error _ as e -> e
+          | Ok o ->
+              let feasible = Ops.explore_feasible_count o.Chop_auto.report in
+              Ok
+                ( [
+                    ("session", Json.String sid);
+                    ("text",
+                     Json.String (Ops.render_auto (Session.spec session) o));
+                    ("feasible", Json.Bool (feasible > 0));
+                    ("feasible_count", Json.Int feasible);
+                    ("levels", Json.Int o.Chop_auto.levels);
+                    ("moves_tried", Json.Int o.Chop_auto.moves_tried);
+                    ("moves_accepted", Json.Int o.Chop_auto.moves_accepted);
+                    ("impl_flips", Json.Int o.Chop_auto.impl_flips);
+                    ("interrupted", Json.Bool o.Chop_auto.interrupted);
+                  ],
+                  Of_auto o,
+                  verdict (feasible > 0) ))
+  | Protocol.Session_save ->
+      on_session t p Write (fun slot session ->
+          if t.cfg.state_dir = None then
+            Error
+              ( Protocol.Bad_request,
+                "session/save requires the server to run with --state-dir" )
+          else
+            match save_session t sid slot with
+            | Error m -> Error (Protocol.Internal, m)
+            | Ok _ ->
+                let closing = p.Protocol.close in
+                if closing then begin
+                  (* the migration handoff: persist, then free the slot so
+                     the target backend owns the session *)
+                  ignore (Session_table.remove t.sessions sid);
+                  Session.close session
+                end;
+                Ok
+                  ( [
+                      ("session", Json.String sid);
+                      ("saved", Json.Bool true);
+                      ("closed", Json.Bool closing);
+                      ("text",
+                       Json.String
+                         (Printf.sprintf "session %s saved\n" sid
+                         ^
+                         if closing then Ops.render_session_closed sid
+                         else ""));
+                    ],
+                    No_timing,
+                    "-" ))
+  | Protocol.Session_close ->
+      on_session t p Write (fun _ session ->
+          (* re-check under the session mutex: a concurrent close or
+             migration may have emptied the slot already *)
+          match Session_table.remove t.sessions sid with
+          | None ->
+              Error
+                ( Protocol.Bad_request,
+                  Printf.sprintf "unknown session %S (closed or evicted?)" sid )
+          | Some _ ->
+              Session.close session;
+              (* an explicit close discards durable state too — only
+                 eviction, shutdown and session/save keep snapshots *)
+              drop_snapshot t sid;
+              Ok
+                ( [
+                    ("closed", Json.Bool true);
+                    ("text", Json.String (Ops.render_session_closed sid));
+                  ],
+                  No_timing,
+                  "-" ))
 
 (* The full pipeline for one admitted request: execute, time, count,
    log, render the response object. *)
@@ -1029,128 +904,32 @@ let handle_line t line =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Transports                                                          *)
-
-let register_conn t fd =
-  Mutex.lock t.conns_mu;
-  t.conns <- fd :: t.conns;
-  Mutex.unlock t.conns_mu
-
-let unregister_conn t fd =
-  Mutex.lock t.conns_mu;
-  t.conns <- List.filter (fun c -> c != fd) t.conns;
-  Mutex.unlock t.conns_mu
-
-let close_conns t =
-  Mutex.lock t.conns_mu;
-  let cs = t.conns in
-  t.conns <- [];
-  Mutex.unlock t.conns_mu;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) cs
-
-let conn_loop t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let write_mu = Mutex.create () in
-  let send line =
-    Mutex.lock write_mu;
-    (try
-       output_string oc line;
-       output_char oc '\n';
-       flush oc
-     with Sys_error _ | Unix.Unix_error _ -> ());
-    Mutex.unlock write_mu
-  in
-  (try
-     while true do
-       dispatch_line t ~send (input_line ic)
-     done
-   with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
-  unregister_conn t fd;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t fd =
-  while not (Atomic.get t.stopping) do
-    match Unix.select [ fd ] [] [] 0.25 with
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.accept fd with
-        | cfd, _ ->
-            register_conn t cfd;
-            ignore (Thread.create (conn_loop t) cfd)
-        | exception
-            Unix.Unix_error
-              ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _)
-          ->
-            ())
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
-  done
-
-let stdio_loop t =
-  let write_mu = Mutex.create () in
-  let send line =
-    Mutex.lock write_mu;
-    (try
-       output_string stdout line;
-       output_char stdout '\n';
-       flush stdout
-     with Sys_error _ -> ());
-    Mutex.unlock write_mu
-  in
-  try
-    while not (Atomic.get t.stopping) do
-      dispatch_line t ~send (input_line stdin)
-    done
-  with End_of_file | Sys_error _ -> ()
-
-let install_signals t =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let h = Sys.Signal_handle (fun _ -> stop t) in
-  (try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ());
-  try Sys.set_signal Sys.sigint h with Invalid_argument _ | Sys_error _ -> ()
+(* Serving                                                             *)
 
 let serve t =
-  if t.cfg.handle_signals then install_signals t;
   (match t.cfg.socket_path with
   | Some path ->
-      log_line t
-        (Printf.sprintf "%s serve: listening on %s (concurrency %d, queue %d, \
-                         jobs %d)"
-           (timestamp (Unix.gettimeofday ()))
-           path t.cfg.concurrency t.cfg.queue t.cfg.jobs)
+      logf t "serve: listening on %s (concurrency %d, queue %d, jobs %d)" path
+        t.cfg.concurrency t.cfg.queue t.cfg.jobs
   | None ->
-      log_line t
-        (Printf.sprintf "%s serve: reading requests from stdin (concurrency \
-                         %d, queue %d, jobs %d)"
-           (timestamp (Unix.gettimeofday ()))
-           t.cfg.concurrency t.cfg.queue t.cfg.jobs));
-  (match t.listen_fd with
-  | Some fd -> accept_loop t fd
-  | None -> stdio_loop t);
+      logf t
+        "serve: reading requests from stdin (concurrency %d, queue %d, jobs %d)"
+        t.cfg.concurrency t.cfg.queue t.cfg.jobs);
+  (* each line goes to the scheduler; its response is sent later, from a
+     worker thread *)
+  Listener.run ~signals:t.cfg.handle_signals t.listener (fun ~send ->
+      (dispatch_line t ~send, ignore));
   (* drain-then-exit: finish and answer everything admitted, then close *)
-  log_line t
-    (Printf.sprintf "%s serve: shutdown requested, draining %d queued + %d \
-                     in-flight request(s)"
-       (timestamp (Unix.gettimeofday ()))
-       (Scheduler.queued t.sched)
-       (Scheduler.in_flight t.sched));
+  logf t
+    "serve: shutdown requested, draining %d queued + %d in-flight request(s)"
+    (Scheduler.queued t.sched)
+    (Scheduler.in_flight t.sched);
   Scheduler.drain t.sched;
-  close_conns t;
-  (match t.listen_fd with
-  | Some fd -> (
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      match t.cfg.socket_path with
-      | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-      | None -> ())
-  | None -> ());
+  Listener.close t.listener;
   close_sessions t;
   close_engines t;
   Chop_util.Pool.shutdown t.pool;
   let s = Scheduler.stats t.sched in
-  log_line t
-    (Printf.sprintf
-       "%s serve: drained; %d completed, %d expired, %d rejected, %d failed"
-       (timestamp (Unix.gettimeofday ()))
-       s.Scheduler.completed s.Scheduler.expired s.Scheduler.rejected
-       s.Scheduler.failed)
+  logf t "serve: drained; %d completed, %d expired, %d rejected, %d failed"
+    s.Scheduler.completed s.Scheduler.expired s.Scheduler.rejected
+    s.Scheduler.failed

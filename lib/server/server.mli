@@ -3,7 +3,7 @@
     engines.
 
     One {!t} owns one shared domain pool; every request engine borrows it
-    ({!Chop.Explore.Engine.create}[ ?pool]) and all engines share the
+    ({!Chop.Explore.Session.create}[ ?pool]) and all engines share the
     process-wide prediction cache, so a request repeating an earlier
     request's parameters reuses both the engine (integration context,
     staged caches) and the cached BAD predictions — the warm path the
@@ -23,9 +23,9 @@
     session busy in a run is never evicted mid-run.
 
     Shutdown is drain-then-exit: on SIGINT/SIGTERM (or {!stop}) the
-    listener stops accepting, in-flight and queued requests finish and
-    their responses are written, then sockets close and the engines and
-    pool are torn down. *)
+    {!Listener} stops accepting, in-flight and queued requests finish and
+    their responses are written, then connections and the socket close
+    and the sessions, engines and pool are torn down. *)
 
 type config = {
   socket_path : string option;
@@ -63,9 +63,10 @@ val default_config : config
 type t
 
 val create : config -> t
-(** Binds the listener (when [socket_path] is set; an existing socket
-    file is replaced) and starts the scheduler workers.  Fails with
-    [Unix.Unix_error] when the socket cannot be bound. *)
+(** Binds the listener (when [socket_path] is set) and starts the
+    scheduler workers.  A stale socket file at the path is replaced; any
+    other file is left alone.  Fails with [Unix.Unix_error] when the
+    socket cannot be bound — [EEXIST] for a file that is not a socket. *)
 
 val stop : t -> unit
 (** Requests shutdown: the serve loop stops accepting and begins its

@@ -7,7 +7,7 @@ open Chop_baseline
 let explore_run heuristic spec =
   Chop.Explore.with_engine
     (Chop.Explore.Config.make ~heuristic ())
-    spec Chop.Explore.Engine.run
+    spec Chop.Explore.Session.run
 
 
 let ar () = Chop_dfg.Benchmarks.ar_lattice_filter ()

@@ -9,12 +9,10 @@ open Chop
 let explore_run ?keep_all heuristic spec =
   Explore.with_engine
     (Explore.Config.make ~heuristic ?keep_all ())
-    spec Explore.Engine.run
+    spec Explore.Session.run
 
-let explore_predictions ?prune spec =
-  Explore.with_engine
-    (Explore.Config.make ?prune ())
-    spec Explore.Engine.predictions
+let explore_predictions spec =
+  Explore.with_engine Explore.Config.default spec Explore.Session.predictions
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -354,7 +352,12 @@ let test_integration_failure_kinds () =
            | Integration.Delay_exceeded -> "Delay_exceeded"
            | Integration.Structural r -> "Structural: " ^ r)));
   (* Area_violation: pick the biggest raw predictions (mul1-heavy) *)
-  let raw, _ = explore_predictions ~prune:false spec in
+  let raw, _ =
+    explore_predictions
+      (Rig.experiment1 ~partitions:2
+         ~params:{ Spec.default_params with discard_inferior = false }
+         ())
+  in
   let biggest =
     List.map
       (fun (l, ps) ->
@@ -524,7 +527,7 @@ let test_keep_all_explodes_space () =
     Explore.with_engine
       (Explore.Config.make ~heuristic:Explore.Enumeration ~keep_all ~pre_prune
          ())
-      spec Explore.Engine.run
+      spec Explore.Session.run
   in
   let pruned = run_e ~pre_prune:true (exp1 2) in
   (* the full Figure 7/8 dump needs the pre-pruner off *)

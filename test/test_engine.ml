@@ -1,4 +1,4 @@
-(* Tests for the exploration engine: Config/Engine API, parallel
+(* Tests for the exploration engine: Config/Session API, parallel
    determinism (jobs=1 vs jobs=4 must produce identical outcomes), the
    engine lifecycle, the timing metrics and the memoized prediction
    cache. *)
@@ -7,6 +7,10 @@ open Chop
 
 (* The paper's experiment-1 AR lattice filter, two partitions. *)
 let ar_spec () = Rig.experiment1 ~partitions:2 ()
+
+(* a run's prediction-cache counters *)
+let hits r = r.Explore.metrics.Explore.Metrics.cache_hits
+let misses r = r.Explore.metrics.Explore.Metrics.cache_misses
 
 (* The elliptic wave filter under experiment-2-style conditions (the
    bench's secondary workload), two partitions. *)
@@ -25,7 +29,7 @@ let run_with ?(cache = Explore.Config.Off) ?(keep_all = false) ~heuristic
     ~jobs spec =
   Explore.with_engine
     (Explore.Config.make ~heuristic ~keep_all ~jobs ~cache ())
-    spec Explore.Engine.run
+    spec Explore.Session.run
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: any jobs value must yield the identical outcome *)
@@ -54,7 +58,7 @@ let check_matches_legacy ~heuristic spec_of () =
   let legacy =
     Explore.with_engine
       (Explore.Config.make ~heuristic ())
-      (spec_of ()) Explore.Engine.run
+      (spec_of ()) Explore.Session.run
   in
   let engine = run_with ~heuristic ~jobs:4 (spec_of ()) in
   Alcotest.(check string) "feasible csv"
@@ -74,12 +78,12 @@ let check_feasible_trials_hand_count ~jobs () =
      the engine on the same full product ([pre_prune:false]; quick_check
      rejections are still fine — they are infeasible by construction) *)
   let config =
-    Explore.Config.make ~heuristic:Explore.Enumeration ~prune:true
-      ~pre_prune:false ~jobs ~cache:Explore.Config.Off ()
+    Explore.Config.make ~heuristic:Explore.Enumeration ~pre_prune:false ~jobs
+      ~cache:Explore.Config.Off ()
   in
   Explore.with_engine config spec @@ fun engine ->
-  let per_partition, _ = Explore.Engine.predictions engine in
-  let ctx = Explore.Engine.context engine in
+  let per_partition, _ = Explore.Session.predictions engine in
+  let ctx = Explore.Session.context engine in
   let labels = List.map fst per_partition in
   let hand_count = ref 0 in
   (match List.map snd per_partition with
@@ -91,7 +95,7 @@ let check_feasible_trials_hand_count ~jobs () =
           if Integration.feasible system then incr hand_count)
         () lists);
   Alcotest.(check bool) "spec produces feasible systems" true (!hand_count > 0);
-  let r = Explore.Engine.run engine in
+  let r = Explore.Session.run engine in
   Alcotest.(check int) "feasible_trials equals hand count" !hand_count
     r.Explore.outcome.Search.stats.Search.feasible_trials;
   (* and it differs from the deduplicated Pareto front, the quantity the
@@ -103,20 +107,20 @@ let check_feasible_trials_hand_count ~jobs () =
 (* Engine lifecycle *)
 
 let test_close_idempotent () =
-  let engine = Explore.Engine.create Explore.Config.default (ar_spec ()) in
-  Explore.Engine.close engine;
-  Explore.Engine.close engine
+  let engine = Explore.Session.create Explore.Config.default (ar_spec ()) in
+  Explore.Session.close engine;
+  Explore.Session.close engine
 
 let test_run_after_close_raises () =
   let engine =
-    Explore.Engine.create (Explore.Config.make ~jobs:2 ()) (ar_spec ())
+    Explore.Session.create (Explore.Config.make ~jobs:2 ()) (ar_spec ())
   in
-  let _ = Explore.Engine.run engine in
-  Explore.Engine.close engine;
-  (match Explore.Engine.run engine with
+  let _ = Explore.Session.run engine in
+  Explore.Session.close engine;
+  (match Explore.Session.run engine with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "run on a closed engine succeeded");
-  match Explore.Engine.predictions engine with
+  match Explore.Session.predictions engine with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "predictions on a closed engine succeeded"
 
@@ -132,7 +136,7 @@ let test_with_engine_closes_on_raise () =
   match !saved with
   | None -> Alcotest.fail "with_engine never called its body"
   | Some e -> (
-      match Explore.Engine.run e with
+      match Explore.Session.run e with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "engine left open after with_engine raised")
 
@@ -140,9 +144,9 @@ let test_engine_reuse_after_runs () =
   (* a persistent pool must survive many runs on the same engine *)
   let config = Explore.Config.make ~jobs:3 () in
   Explore.with_engine config (ar_spec ()) @@ fun engine ->
-  let first = Explore.Engine.run engine in
+  let first = Explore.Session.run engine in
   for _ = 1 to 3 do
-    let again = Explore.Engine.run engine in
+    let again = Explore.Session.run engine in
     Alcotest.(check string) "stable across reruns"
       (Search.to_csv first.Explore.outcome.Search.feasible)
       (Search.to_csv again.Explore.outcome.Search.feasible)
@@ -156,14 +160,14 @@ let test_cache_second_run_hits () =
   let cache = Pred_cache.create () in
   let config = Explore.Config.make ~cache:(Explore.Config.Custom cache) () in
   Explore.with_engine config spec @@ fun engine ->
-  let r1 = Explore.Engine.run engine in
+  let r1 = Explore.Session.run engine in
   Alcotest.(check int) "first run misses every partition" 2
-    r1.Explore.cache_misses;
-  Alcotest.(check int) "first run has no hits" 0 r1.Explore.cache_hits;
-  let r2 = Explore.Engine.run engine in
+    (misses r1);
+  Alcotest.(check int) "first run has no hits" 0 (hits r1);
+  let r2 = Explore.Session.run engine in
   Alcotest.(check int) "second run hits every partition" 2
-    r2.Explore.cache_hits;
-  Alcotest.(check int) "second run misses nothing" 0 r2.Explore.cache_misses;
+    (hits r2);
+  Alcotest.(check int) "second run misses nothing" 0 (misses r2);
   Alcotest.(check string) "cached outcome identical"
     (Search.to_csv r1.Explore.outcome.Search.feasible)
     (Search.to_csv r2.Explore.outcome.Search.feasible)
@@ -180,8 +184,8 @@ let test_cache_matches_uncached () =
     (Search.to_csv uncached.Explore.outcome.Search.feasible)
     (Search.to_csv cached.Explore.outcome.Search.feasible);
   Alcotest.(check int) "uncached engine counts misses" 2
-    uncached.Explore.cache_misses;
-  Alcotest.(check int) "uncached engine never hits" 0 uncached.Explore.cache_hits
+    (misses uncached);
+  Alcotest.(check int) "uncached engine never hits" 0 (hits uncached)
 
 let test_cache_raw_layer_survives_criteria_change () =
   (* moving a feasibility constraint must reuse the raw BAD enumeration:
@@ -189,16 +193,16 @@ let test_cache_raw_layer_survives_criteria_change () =
   let spec = ar_spec () in
   let cache = Pred_cache.create () in
   let config = Explore.Config.make ~cache:(Explore.Config.Custom cache) () in
-  let r1 = Explore.with_engine config spec Explore.Engine.run in
-  Alcotest.(check int) "cold run misses" 2 r1.Explore.cache_misses;
+  let r1 = Explore.with_engine config spec Explore.Session.run in
+  Alcotest.(check int) "cold run misses" 2 (misses r1);
   let relaxed =
     Advisor.set_constraints spec
       ~criteria:(Chop_bad.Feasibility.criteria ~perf:60000. ~delay:60000. ())
   in
-  let r2 = Explore.with_engine config relaxed Explore.Engine.run in
+  let r2 = Explore.with_engine config relaxed Explore.Session.run in
   Alcotest.(check int) "constraint change still hits raw layer" 2
-    r2.Explore.cache_hits;
-  Alcotest.(check int) "no re-prediction" 0 r2.Explore.cache_misses
+    (hits r2);
+  Alcotest.(check int) "no re-prediction" 0 (misses r2)
 
 let test_cache_relabels_predictions () =
   (* two structurally identical partitions on identical chips share cache
@@ -218,8 +222,8 @@ let test_cache_relabels_predictions () =
   let cache = Pred_cache.create () in
   let config = Explore.Config.make ~cache:(Explore.Config.Custom cache) () in
   Explore.with_engine config (spec graph) @@ fun engine ->
-  let _ = Explore.Engine.run engine in
-  let per_partition, _ = Explore.Engine.predictions engine in
+  let _ = Explore.Session.run engine in
+  let per_partition, _ = Explore.Session.predictions engine in
   List.iter
     (fun (label, preds) ->
       List.iter
@@ -365,14 +369,14 @@ let test_cache_hits_across_constructions () =
     run_with ~cache ~heuristic:Explore.Iterative ~jobs:1 (spec_of g)
   in
   Alcotest.(check int) "cold run misses every partition" 2
-    cold.Explore.cache_misses;
+    (misses cold);
   let warm =
     run_with ~cache ~heuristic:Explore.Iterative ~jobs:1
       (spec_of (Chop_dfg.Transform.renumber g))
   in
   Alcotest.(check int) "renumbered spec misses nothing" 0
-    warm.Explore.cache_misses;
-  Alcotest.(check int) "every partition hits" 2 warm.Explore.cache_hits;
+    (misses warm);
+  Alcotest.(check int) "every partition hits" 2 (hits warm);
   Alcotest.(check bool) "hits are classified structural" true
     (warm.Explore.metrics.Explore.Metrics.cache_structural_hits >= 2);
   (* and the two runs agree on the outcome *)
@@ -390,10 +394,11 @@ let test_config_validation () =
 
 let test_report_timing_fields () =
   let r = run_with ~heuristic:Explore.Iterative ~jobs:2 (ar_spec ()) in
+  let predict = r.Explore.metrics.Explore.Metrics.predict in
   Alcotest.(check bool) "busy time positive" true
-    (r.Explore.bad_busy_seconds > 0.);
+    (predict.Explore.Metrics.busy_seconds > 0.);
   Alcotest.(check bool) "wall time positive" true
-    (r.Explore.bad_wall_seconds > 0.);
+    (predict.Explore.Metrics.wall_seconds > 0.);
   Alcotest.(check int) "jobs recorded" 2 r.Explore.jobs
 
 let test_metrics_breakdown () =
@@ -411,8 +416,6 @@ let test_metrics_breakdown () =
     (Array.length m.Explore.Metrics.worker_busy_seconds >= 1);
   Alcotest.(check bool) "chunks handed out" true
     (m.Explore.Metrics.chunk_count >= 1);
-  Alcotest.(check int) "cache counters mirrored" r.Explore.cache_misses
-    m.Explore.Metrics.cache_misses;
   Alcotest.(check bool) "summary renders" true
     (String.length (Explore.Metrics.summary m) > 0)
 
@@ -447,15 +450,15 @@ let test_run_interruptible_cancels () =
   let spec = ar_spec () in
   Explore.with_engine Explore.Config.default spec @@ fun engine ->
   Alcotest.check_raises "immediate interrupt" Explore.Cancelled (fun () ->
-      ignore (Explore.Engine.run_interruptible ~interrupt:(fun () -> true)
+      ignore (Explore.Session.run_interruptible ~interrupt:(fun () -> true)
                 engine));
   (* a cancelled engine is not poisoned: the next run completes *)
-  let r = Explore.Engine.run engine in
+  let r = Explore.Session.run engine in
   Alcotest.(check bool) "engine survives cancellation" true
     (r.Explore.outcome.Search.stats.Search.implementation_trials > 0);
   (* and a never-firing interrupt changes nothing *)
   let r2 =
-    Explore.Engine.run_interruptible ~interrupt:(fun () -> false) engine
+    Explore.Session.run_interruptible ~interrupt:(fun () -> false) engine
   in
   Alcotest.(check string) "uninterrupted run matches"
     (Search.to_csv r.Explore.outcome.Search.feasible)
@@ -464,12 +467,12 @@ let test_run_interruptible_cancels () =
 let test_engine_predictions_match_legacy () =
   let spec = ar_spec () in
   Explore.with_engine Explore.Config.default spec @@ fun engine ->
-  let per_new, stats_new = Explore.Engine.predictions engine in
+  let per_new, stats_new = Explore.Session.predictions engine in
   let per_old, stats_old =
     (* an uncached parallel engine must agree with the default one *)
     Explore.with_engine
       (Explore.Config.make ~jobs:4 ~cache:Explore.Config.Off ())
-      spec Explore.Engine.predictions
+      spec Explore.Session.predictions
   in
   Alcotest.(check (list string)) "labels"
     (List.map fst per_old) (List.map fst per_new);
@@ -519,7 +522,7 @@ let test_fork_isolates_parent () =
   let spec = ar_spec () in
   let cache = Pred_cache.create () in
   let config = Explore.Config.make ~cache:(Explore.Config.Custom cache) () in
-  Explore.with_session config spec @@ fun s ->
+  Explore.with_engine config spec @@ fun s ->
   ignore (Explore.Session.run s);
   let rev = Explore.Session.revision s in
   let op, to_ = legal_move spec in
@@ -557,7 +560,7 @@ let test_speculate_exception_drains () =
   let spec = ar_spec () in
   let pool = Chop_util.Pool.create ~oversubscribe:true ~jobs:4 () in
   Fun.protect ~finally:(fun () -> Chop_util.Pool.shutdown pool) @@ fun () ->
-  Explore.with_session ~pool Explore.Config.default spec @@ fun s ->
+  Explore.with_engine ~pool Explore.Config.default spec @@ fun s ->
   let baseline = feasible_csv (Explore.Session.run s) in
   let rev = Explore.Session.revision s in
   (match
@@ -590,7 +593,7 @@ let test_pred_cache_concurrent_counters () =
   let config = Explore.Config.make ~cache:(Explore.Config.Custom cache) () in
   let pool = Chop_util.Pool.create ~oversubscribe:true ~jobs:4 () in
   Fun.protect ~finally:(fun () -> Chop_util.Pool.shutdown pool) @@ fun () ->
-  Explore.with_session ~pool config (ar_spec ()) @@ fun s ->
+  Explore.with_engine ~pool config (ar_spec ()) @@ fun s ->
   ignore (Explore.Session.run s);
   let c0 = Pred_cache.counters cache in
   let n = 16 in
@@ -598,7 +601,7 @@ let test_pred_cache_concurrent_counters () =
     Explore.Session.speculate s
       (Array.init n (fun _ f ->
            let r = Explore.Session.run f in
-           (r.Explore.cache_hits, r.Explore.cache_misses)))
+           (hits r, misses r)))
   in
   let c1 = Pred_cache.counters cache in
   let sum_hits = Array.fold_left (fun a (h, _) -> a + h) 0 results in

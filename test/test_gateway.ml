@@ -684,6 +684,77 @@ let test_gateway_health_marks_dead_and_fails_over () =
           Alcotest.(check (list string)) "revived backend marked live" []
             (Gateway.check_health gw)))
 
+(* The gateway's own socket transport: concurrent clients, each with a
+   mix of stateless and session requests, must read exactly what one
+   serve process answers; stopping the gateway removes its socket. *)
+let test_gateway_socket_clients () =
+  with_cluster 2 (fun ~gw:_ ~socks ~servers:_ ~threads:_ ->
+      let path = Filename.concat (Filename.dirname (List.hd socks)) "gw.sock" in
+      let gw =
+        Gateway.create
+          {
+            Gateway.socket_path = Some path;
+            backends = socks;
+            vnodes = 64;
+            fanout = false;
+            log = None;
+            handle_signals = false;
+            health_interval_s = None;
+          }
+      in
+      let serving = Thread.create Gateway.serve gw in
+      let requests i =
+        let k = 2 + i and sid = Printf.sprintf "g%d" i in
+        [
+          Printf.sprintf
+            {|{"id":"e%d","op":"explore","benchmark":"ar","partitions":%d}|} i k;
+          Printf.sprintf
+            {|{"id":"p%d","op":"predict","benchmark":"ar","partitions":%d,"top":2}|}
+            i k;
+          Printf.sprintf
+            {|{"id":"o%d","op":"session/open","session":"%s","benchmark":"ar","partitions":%d,"client":"c%d"}|}
+            i sid k i;
+          Printf.sprintf
+            {|{"id":"d%d","op":"session/edit","session":"%s","client":"c%d","edits":["merge P2 P1"]}|}
+            i sid i;
+          Printf.sprintf {|{"id":"r%d","op":"session/run","session":"%s"}|} i
+            sid;
+          Printf.sprintf
+            {|{"id":"x%d","op":"session/close","session":"%s","client":"c%d"}|}
+            i sid i;
+        ]
+      in
+      let clients = 3 in
+      let answers = Array.make clients [] in
+      let client i () =
+        let conn = Client.connect path in
+        answers.(i) <-
+          List.map
+            (fun line ->
+              Client.send_line conn line;
+              Option.value ~default:"<closed>" (Client.recv_line conn))
+            (requests i);
+        Client.close conn
+      in
+      List.iter Thread.join
+        (List.init clients (fun i -> Thread.create (client i) ()));
+      let reference = make_reference () in
+      for i = 0 to clients - 1 do
+        List.iter2
+          (fun line got ->
+            let want = Server.handle_line reference line in
+            let id = Protocol.response_id (parse_response want) in
+            Alcotest.(check (option string)) (line ^ ": id")
+              id (Protocol.response_id (parse_response got));
+            Alcotest.(check string) (line ^ ": text") (text_of want)
+              (text_of got))
+          (requests i) answers.(i)
+      done;
+      Gateway.stop gw;
+      Thread.join serving;
+      Alcotest.(check bool) "socket removed on stop" false
+        (Sys.file_exists path))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -729,5 +800,7 @@ let () =
             test_gateway_sessions_migrate_failover;
           tc "health: dead-marking and preemptive failover" `Quick
             test_gateway_health_marks_dead_and_fails_over;
+          tc "socket: concurrent clients match one serve" `Quick
+            test_gateway_socket_clients;
         ] );
     ]

@@ -57,18 +57,22 @@ let test_reduce_counts =
 let engine_run ~heuristic ~pre_prune spec =
   Explore.with_engine
     (Explore.Config.make ~heuristic ~pre_prune ~cache:Explore.Config.Off ())
-    spec Explore.Engine.run
+    spec Explore.Session.run
 
-let engine_predictions ?prune spec =
+let engine_predictions spec =
   Explore.with_engine
-    (Explore.Config.make ?prune ~cache:Explore.Config.Off ())
-    spec Explore.Engine.predictions
+    (Explore.Config.make ~cache:Explore.Config.Off ())
+    spec Explore.Session.predictions
 
 let test_prune_bookkeeping () =
-  let spec = Rig.experiment1 ~partitions:2 () in
+  let spec =
+    Rig.experiment1 ~partitions:2
+      ~params:{ Spec.default_params with discard_inferior = false }
+      ()
+  in
   (* first-level pruning off: dominance pruning should then have work to
      do on AR (the keep-all search path feeds it exactly these lists) *)
-  let per_partition, _ = engine_predictions ~prune:false spec in
+  let per_partition, _ = engine_predictions spec in
   let kept, dropped =
     Prune.per_partition ~clocks:spec.Spec.clocks per_partition
   in

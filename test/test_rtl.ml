@@ -7,11 +7,11 @@ let ar () = Chop_dfg.Benchmarks.ar_lattice_filter ()
 let explore_run heuristic spec =
   Chop.Explore.with_engine
     (Chop.Explore.Config.make ~heuristic ())
-    spec Chop.Explore.Engine.run
+    spec Chop.Explore.Session.run
 
 let explore_predictions spec =
   Chop.Explore.with_engine Chop.Explore.Config.default spec
-    Chop.Explore.Engine.predictions
+    Chop.Explore.Session.predictions
 
 
 let sched ?(g = ar ()) alloc =

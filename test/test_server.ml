@@ -9,6 +9,7 @@ module Scheduler = Chop_server.Scheduler
 module Server = Chop_server.Server
 module Client = Chop_server.Client
 module Ops = Chop_server.Ops
+module Listener = Chop_server.Listener
 
 let parse_response line =
   match Json.parse line with
@@ -62,6 +63,17 @@ let test_protocol_roundtrip () =
   | Error msg -> Alcotest.failf "round-trip failed: %s" msg
   | Ok req' ->
       Alcotest.(check bool) "request round-trips" true (req = req')
+
+let test_protocol_op_names () =
+  Alcotest.(check int) "every op listed" 19 (List.length Protocol.all_ops);
+  List.iter
+    (fun op ->
+      let name = Protocol.op_to_string op in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (Protocol.op_of_string name = Ok op))
+    Protocol.all_ops;
+  Alcotest.(check bool) "unknown name rejected" true
+    (Result.is_error (Protocol.op_of_string "session/frobnicate"))
 
 let test_protocol_errors () =
   let fails s =
@@ -254,7 +266,7 @@ let expected_explore_text () =
   in
   let spec = Result.get_ok (Ops.spec_of_params params) in
   let config = Result.get_ok (Ops.config_of_params ~jobs:1 params) in
-  let report = Chop.Explore.with_engine config spec Chop.Explore.Engine.run in
+  let report = Chop.Explore.with_engine config spec Chop.Explore.Session.run in
   Ops.render_explore spec ~keep_all:true ~csv:false ~verbose:false report
 
 let test_handle_line_matches_direct_render () =
@@ -354,7 +366,7 @@ let test_session_ops_pipeline () =
       | Error e -> Alcotest.failf "%a" Chop.Spec.pp_update_error e
     in
     let config = Result.get_ok (Ops.config_of_params ~jobs:1 params) in
-    let report = Chop.Explore.with_engine config spec Chop.Explore.Engine.run in
+    let report = Chop.Explore.with_engine config spec Chop.Explore.Session.run in
     Ops.render_explore spec ~keep_all:false ~csv:false ~verbose:false report
   in
   Alcotest.(check (option string)) "run text byte-identical" (Some expected)
@@ -531,6 +543,75 @@ let test_socket_concurrent_clients () =
     (Sys.file_exists socket_path)
 
 (* ------------------------------------------------------------------ *)
+(* Listener *)
+
+let temp_path name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "chop-%s-%d" name (Unix.getpid ()))
+
+(* A response finishing after its client hung up must be dropped: the
+   next client is handed the same descriptor number and would otherwise
+   read it. *)
+let test_listener_late_send_dropped () =
+  (* as chop serve does: a write to a closed peer is an error, not a
+     fatal signal *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path = temp_path "late.sock" in
+  let listener = Listener.create ~socket_path:(Some path) ~log:None in
+  let kept = Atomic.make None and closed = Atomic.make 0 in
+  let handler ~send =
+    ignore (Atomic.compare_and_set kept None (Some send));
+    ((fun line -> send ("echo " ^ line)), fun () -> Atomic.incr closed)
+  in
+  let th = Thread.create (fun () -> Listener.run ~signals:false listener handler) () in
+  let exchange conn line =
+    Client.send_line conn line;
+    Alcotest.(check (option string)) ("reply to " ^ line)
+      (Some ("echo " ^ line)) (Client.recv_line conn)
+  in
+  let c1 = Client.connect path in
+  exchange c1 "one";
+  Client.close c1;
+  Alcotest.(check bool) "connection 1's close hook ran" true
+    (until (fun () -> Atomic.get closed = 1));
+  let c2 = Client.connect path in
+  exchange c2 "two";
+  (match Atomic.get kept with
+  | Some send -> send "late reply for connection 1"
+  | None -> Alcotest.fail "connection 1's send was never kept");
+  exchange c2 "three";
+  Client.close c2;
+  Listener.stop listener;
+  Thread.join th;
+  Listener.close listener;
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
+
+let test_listener_socket_path () =
+  let path = temp_path "notes.txt" in
+  Out_channel.with_open_text path (fun oc -> output_string oc "keep me\n");
+  (match Server.create { Server.default_config with socket_path = Some path } with
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  | _ -> Alcotest.fail "serve bound over a regular file");
+  Alcotest.(check string) "the file survives" "keep me\n"
+    (In_channel.with_open_text path In_channel.input_all);
+  Sys.remove path;
+  (* a socket left behind by a process that died without unlinking it *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.close fd;
+  let listener = Listener.create ~socket_path:(Some path) ~log:None in
+  Listener.close listener;
+  Alcotest.(check bool) "stale socket replaced, then removed" false
+    (Sys.file_exists path)
+
+let test_listener_timestamp () =
+  Alcotest.(check string) "whole milliseconds, truncated"
+    "2023-11-14T22:13:59.999Z"
+    (Listener.timestamp 1700000039.9996);
+  Alcotest.(check string) "zero-padded" "2023-11-14T22:13:20.005Z"
+    (Listener.timestamp 1700000000.005)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "chop_server"
@@ -539,6 +620,8 @@ let () =
         [
           Alcotest.test_case "defaults" `Quick test_protocol_defaults;
           Alcotest.test_case "round-trip" `Quick test_protocol_roundtrip;
+          Alcotest.test_case "every op name round-trips" `Quick
+            test_protocol_op_names;
           Alcotest.test_case "errors" `Quick test_protocol_errors;
         ] );
       ( "scheduler",
@@ -579,5 +662,13 @@ let () =
         [
           Alcotest.test_case "concurrent clients byte-identical" `Quick
             test_socket_concurrent_clients;
+        ] );
+      ( "listener",
+        [
+          Alcotest.test_case "late send never reaches the next client" `Quick
+            test_listener_late_send_dropped;
+          Alcotest.test_case "only a stale socket is replaced" `Quick
+            test_listener_socket_path;
+          Alcotest.test_case "log timestamp" `Quick test_listener_timestamp;
         ] );
     ]

@@ -10,6 +10,10 @@ module Ops = Chop_server.Ops
 
 let ar_spec ?(k = 3) () = Rig.experiment1 ~partitions:k ()
 
+(* a run's prediction-cache counters *)
+let hits r = r.Explore.metrics.Explore.Metrics.cache_hits
+let misses r = r.Explore.metrics.Explore.Metrics.cache_misses
+
 let ewf_spec ?(k = 3) () =
   let graph = Chop_dfg.Benchmarks.elliptic_wave_filter () in
   Rig.custom ~graph
@@ -233,7 +237,7 @@ let render spec report =
 let cold_run ~heuristic spec =
   Explore.with_engine
     (Explore.Config.make ~heuristic ~cache:Explore.Config.Off ())
-    spec Explore.Engine.run
+    spec Explore.Session.run
 
 let session_matches_cold ~heuristic spec edits () =
   let config =
@@ -241,7 +245,7 @@ let session_matches_cold ~heuristic spec edits () =
       ~cache:(Explore.Config.Custom (Pred_cache.create ()))
       ()
   in
-  Explore.with_session config spec (fun session ->
+  Explore.with_engine config spec (fun session ->
       let _cold_report = Explore.Session.run session in
       (match Explore.Session.edit session edits with
       | Ok _ -> ()
@@ -278,7 +282,7 @@ let random_session_matches_cold =
           ~cache:(Explore.Config.Custom (Pred_cache.create ()))
           ()
       in
-      Explore.with_session config spec0 (fun session ->
+      Explore.with_engine config spec0 (fun session ->
           ignore (Explore.Session.run session);
           for _ = 1 to len do
             let edit = gen_edit r (Explore.Session.spec session) in
@@ -299,10 +303,10 @@ let test_misses_equal_dirty () =
       ~cache:(Explore.Config.Custom (Pred_cache.create ()))
       ()
   in
-  Explore.with_session config spec (fun session ->
+  Explore.with_engine config spec (fun session ->
       let cold = Explore.Session.run session in
       Alcotest.(check int) "cold accounts for every partition" 3
-        (cold.Explore.cache_hits + cold.Explore.cache_misses);
+        (hits cold + misses cold);
       let dirty =
         match
           Explore.Session.edit session
@@ -316,16 +320,16 @@ let test_misses_equal_dirty () =
       let warm = Explore.Session.run session in
       Alcotest.(check int) "misses == dirty partitions"
         (List.length dirty.Spec.repredict)
-        warm.Explore.cache_misses;
-      Alcotest.(check int) "clean partitions hit" 1 warm.Explore.cache_hits;
+        (misses warm);
+      Alcotest.(check int) "clean partitions hit" 1 (hits warm);
       (* a third run with no edits is all hits *)
       let idle = Explore.Session.run session in
       Alcotest.(check int) "idle re-run misses nothing" 0
-        idle.Explore.cache_misses)
+        (misses idle))
 
 let test_session_revision_and_pending () =
   let spec = ewf_spec () in
-  Explore.with_session Explore.Config.default spec (fun session ->
+  Explore.with_engine Explore.Config.default spec (fun session ->
       Alcotest.(check int) "fresh revision" 0 (Explore.Session.revision session);
       Alcotest.(check (list string)) "everything pending initially"
         [ "P1"; "P2"; "P3" ]
@@ -415,7 +419,7 @@ let undo_redo_inverse_laws =
           ~cache:(Explore.Config.Custom (Pred_cache.create ()))
           ()
       in
-      Explore.with_session config spec0 (fun session ->
+      Explore.with_engine config spec0 (fun session ->
           let run () =
             let spec = Explore.Session.spec session in
             render spec (Explore.Session.run session)
@@ -509,7 +513,7 @@ let snapshot_roundtrip_preserves_session =
              the content-addressed store must serve every partition
              anyway, as structural hits: no prediction is recomputed *)
           Alcotest.(check int) "restored run misses nothing" 0
-            report.Explore.cache_misses;
+            (misses report);
           Alcotest.(check string)
             "restored run byte-identical to the live session's" reference
             (render (Explore.Session.spec restored) report);
@@ -574,7 +578,7 @@ let test_model_flip_keeps_models_cache_disjoint () =
     (fun () ->
       let cold = Explore.Session.run session in
       Alcotest.(check int) "cold run misses every partition" 3
-        cold.Explore.cache_misses;
+        (misses cold);
       (match
          Explore.Session.edit session
            [ Spec.Set_impl { partition = "P2"; impl = "cpu" } ]
@@ -584,9 +588,9 @@ let test_model_flip_keeps_models_cache_disjoint () =
       let sw = Explore.Session.run session in
       Alcotest.(check int)
         "flip repredicts only the flipped partition (hw entries cannot \
-         serve software)" 1 sw.Explore.cache_misses;
+         serve software)" 1 (misses sw);
       Alcotest.(check int) "hardware partitions still hit" 2
-        sw.Explore.cache_hits;
+        (hits sw);
       (match
          Explore.Session.edit session
            [ Spec.Set_impl { partition = "P2"; impl = "hw" } ]
@@ -596,8 +600,8 @@ let test_model_flip_keeps_models_cache_disjoint () =
       let back = Explore.Session.run session in
       Alcotest.(check int)
         "flipping back misses nothing: both models' entries coexist" 0
-        back.Explore.cache_misses;
-      Alcotest.(check int) "every partition hits" 3 back.Explore.cache_hits)
+        (misses back);
+      Alcotest.(check int) "every partition hits" 3 (hits back))
 
 let test_structural_hits_within_each_model () =
   let cache = Pred_cache.create () in
@@ -618,18 +622,18 @@ let test_structural_hits_within_each_model () =
      partition misses — zero cross-model collisions *)
   let sw_cold = run (hwsw_spec ~impls:all_cpu g) in
   Alcotest.(check int) "software never hits hardware entries" 0
-    sw_cold.Explore.cache_hits;
+    (hits sw_cold);
   Alcotest.(check int) "software cold run misses every partition" 3
-    sw_cold.Explore.cache_misses;
+    (misses sw_cold);
   (* renumbered constructions: content addressing serves both models *)
   let hw_renum = run (hwsw_spec g') in
   Alcotest.(check int) "hw re-run misses nothing" 0
-    hw_renum.Explore.cache_misses;
+    (misses hw_renum);
   Alcotest.(check bool) "hw hits are structural" true
     (hw_renum.Explore.metrics.Explore.Metrics.cache_structural_hits > 0);
   let sw_renum = run (hwsw_spec ~impls:all_cpu g') in
   Alcotest.(check int) "sw re-run misses nothing" 0
-    sw_renum.Explore.cache_misses;
+    (misses sw_renum);
   Alcotest.(check bool) "sw hits are structural" true
     (sw_renum.Explore.metrics.Explore.Metrics.cache_structural_hits > 0)
 
