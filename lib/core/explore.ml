@@ -114,6 +114,8 @@ let predictor_config spec ~label =
    processor's memory budget (software) *)
 let partition_chip_area spec ~label = Model.capacity Model.Hardware spec ~label
 
+module SMap = Map.Make (String)
+
 module Session = struct
   type t = {
     config : Config.t;
@@ -129,6 +131,10 @@ module Session = struct
     mutable pending : string list;
         (* labels whose predictions an edit invalidated since the last run
            (plus, before the first run, every partition) *)
+    mutable entries : Pred_cache.entry SMap.t;
+        (* each label's entry from the last completed prediction pass,
+           valid exactly while the label is not pending: a pass serves it
+           with no subgraph, key or cache lookup *)
     history : int;
     mutable undo_stack : Spec.t list;
         (* previous specs, most recent first, bounded by [history] *)
@@ -156,8 +162,8 @@ module Session = struct
       | None -> (Chop_util.Pool.create ~jobs:config.Config.jobs (), true)
     in
     { config; spec; pool; owns_pool; cache; ctx = Integration.context spec;
-      revision = 0; pending = part_labels spec; history; undo_stack = [];
-      redo_stack = []; closed = false }
+      revision = 0; pending = part_labels spec; entries = SMap.empty; history;
+      undo_stack = []; redo_stack = []; closed = false }
 
   let close e =
     e.closed <- true;
@@ -178,10 +184,11 @@ module Session = struct
 
   (* A speculative copy: same config, same (shared) prediction cache, same
      pool — borrowed, so closing the fork never shuts it down — and a
-     snapshot of the parent's mutable state.  Edits and runs on the fork
-     leave the parent untouched; predictions the fork computes land in the
-     shared cache, so whichever speculative state the caller later commits
-     on the parent re-serves them as hits. *)
+     snapshot of the parent's mutable state, carried entries included, so
+     a fork predicts only what its own edits dirty.  Edits and runs on the
+     fork leave the parent untouched; predictions the fork computes land
+     in the shared cache, so whichever speculative state the caller later
+     commits on the parent re-serves them as hits. *)
   let fork e =
     check_open e "fork";
     { e with owns_pool = false }
@@ -199,21 +206,20 @@ module Session = struct
     let tasks = Array.map (fun f -> let s = fork e in fun () -> f s) fs in
     Chop_util.Pool.run_timed e.pool tasks
 
-  (* Apply edits to the session's spec.  The integration context is rebuilt
-     (its statics are per-spec); predictive work is *not* redone here — the
-     next run re-predicts dirty partitions and serves clean ones from the
-     cache, whose per-partition raw/full keys survive edits elsewhere in
-     the graph. *)
   (* Shared tail of every spec mutation: install the new spec, rebuild the
-     integration context, bump the revision and fold the dirty labels into
-     the pending set. *)
+     integration context (its statics are per-spec), bump the revision and
+     fold the dirty labels into the pending set.  Predictive work is not
+     redone here; the next pass re-derives exactly the pending labels.  A
+     [rederive] label is pending too: its carried entry was screened
+     against the old chip or criteria. *)
   let install e spec' (d : Spec.dirty) =
     e.spec <- spec';
     e.ctx <- Integration.context spec';
     e.revision <- e.revision + 1;
     let live = part_labels spec' in
     e.pending <-
-      List.sort_uniq String.compare (e.pending @ d.Spec.repredict)
+      List.sort_uniq String.compare
+        (e.pending @ d.Spec.repredict @ d.Spec.rederive)
       |> List.filter (fun l -> List.mem l live)
 
   let edit e edits =
@@ -277,12 +283,10 @@ module Session = struct
     e.redo_stack <- st.st_redo;
     e
 
-  (* One partition's prediction work, run on a pool worker: derive the
-     full entry (raw list, feasible count, pruned list) through the cache.
-     Returns the entry plus whether the cache served the raw
-     predictions. *)
-  let predict_partition ~interrupt e part =
-    if interrupt () then raise Cancelled;
+  (* Derive one partition's full entry (raw list, feasible count, pruned
+     list) through the cache.  Returns the entry plus whether the cache
+     served the raw predictions. *)
+  let lookup_partition e part =
     let spec = e.spec in
     let label = part.Chop_dfg.Partition.label in
     let sub = Chop_dfg.Partition.subgraph spec.Spec.partitioning part in
@@ -324,20 +328,38 @@ module Session = struct
               (entry, hit))
     in
     (* cached predictions may have been computed under another partition's
-       label: restamp, so downstream reports name this partition *)
+       label: restamp, so downstream reports name this partition.  A list
+       that already carries the label is shared with the cache, not
+       copied. *)
     let relabel ps =
-      List.map
-        (fun (p : Chop_bad.Prediction.t) ->
-          if p.Chop_bad.Prediction.partition_label = label then p
-          else { p with Chop_bad.Prediction.partition_label = label })
-        ps
+      if
+        List.for_all
+          (fun (p : Chop_bad.Prediction.t) ->
+            p.Chop_bad.Prediction.partition_label = label)
+          ps
+      then ps
+      else
+        List.map
+          (fun (p : Chop_bad.Prediction.t) ->
+            { p with Chop_bad.Prediction.partition_label = label })
+          ps
     in
-    let entry =
-      { entry with
+    ( { entry with
         Pred_cache.raw = relabel entry.Pred_cache.raw;
-        kept = relabel entry.Pred_cache.kept }
-    in
-    (label, entry, hit)
+        kept = relabel entry.Pred_cache.kept },
+      hit )
+
+  (* One partition's prediction work, run on a pool worker: the carried
+     entry of a label no edit dirtied, else a cache lookup.  Returns the
+     entry plus whether it was served without running BAD. *)
+  let predict_partition ~interrupt e part =
+    if interrupt () then raise Cancelled;
+    let label = part.Chop_dfg.Partition.label in
+    match SMap.find_opt label e.entries with
+    | Some entry when not (List.mem label e.pending) -> (label, entry, true)
+    | Some _ | None ->
+        let entry, hit = lookup_partition e part in
+        (label, entry, hit)
 
   (* Everything the prediction phase yields beyond the lists themselves:
      per-partition stats, cache counters and the timing breakdown. *)
@@ -360,6 +382,10 @@ module Session = struct
     in
     let results, pool_stats = Chop_util.Pool.run_timed e.pool tasks in
     let results = Array.to_list results in
+    e.entries <-
+      List.fold_left
+        (fun m (label, entry, _) -> SMap.add label entry m)
+        SMap.empty results;
     let per_partition =
       List.map
         (fun (label, entry, _) ->

@@ -8,9 +8,10 @@
     - {!Session.t} binds a configuration to a spec that evolves by edits:
       it owns the domain pool, the prediction-cache handle and the
       integration context.  {!Session.edit} applies a {!Spec.edit} list and
-      records the dirty partitions; the next {!Session.run} re-predicts
-      only those, serving clean partitions from the prediction cache
-      (whose per-partition keys survive edits elsewhere in the graph).
+      records the dirty partitions; the next {!Session.run} derives only
+      those, through the prediction cache, and serves every other
+      partition from the entry the session kept from its last prediction
+      pass.
 
     A one-shot exploration is a session with zero edits: {!with_engine}.
 
@@ -107,7 +108,9 @@ module Metrics : sig
         (** per-participant busy seconds across both parallel phases;
             index 0 is the calling domain *)
     chunk_count : int;  (** pool work chunks handed out across phases *)
-    cache_hits : int;  (** partitions whose predictions the cache served *)
+    cache_hits : int;
+        (** partitions served without running BAD: the session's carried
+            entries (see {!Session.pending_dirty}) and cache hits *)
     cache_misses : int;  (** partitions that ran the BAD enumeration *)
     cache_evictions : int;
         (** prediction-cache entries evicted by its capacity bound while
@@ -188,8 +191,14 @@ module Session : sig
   val pending_dirty : t -> string list
   (** Labels of partitions whose predictions must be recomputed by the next
       {!run}: every partition before the first run, then the accumulated
-      [repredict] sets of edits applied since the last run.  Sorted;
-      cleared by a completed run. *)
+      [repredict] and [rederive] sets of edits applied since the last run.
+      Sorted; cleared by a completed run.  The session keeps each
+      partition's entry (raw list, feasible count, kept list) from its
+      last completed prediction pass, and a pass serves every label not
+      pending from that entry — with no subgraph, key or cache lookup.
+      A label without an entry (a new or restored session, a label a
+      split just created) is looked up in the cache.  An interrupted pass
+      stores nothing. *)
 
   val jobs : t -> int
   (** Effective parallelism of the session's pool (participants, including
@@ -200,7 +209,8 @@ module Session : sig
   (** A cheap speculative copy of the session: it shares the parent's
       configuration, prediction cache and pool (borrowed — {!close} on a
       fork never shuts the pool down) and snapshots the parent's current
-      spec, context and dirty set.  Edits and runs on the fork leave the
+      spec, context, dirty set and carried entries, so a fork's run
+      derives only what its own edits dirtied.  Edits and runs on the fork leave the
       parent untouched, while predictions the fork computes land in the
       shared cache — so committing the same edit on the parent afterwards
       re-serves them as cache hits.  Forks hold no resources of their own;
@@ -219,9 +229,9 @@ module Session : sig
   val edit : t -> Spec.edit list -> (Spec.dirty, Spec.update_error) result
   (** Apply edits to the session's spec ({!Spec.update} semantics: all or
       nothing, never raises).  On [Ok] the session's spec and integration
-      context are replaced and the dirty partitions recorded; clean
-      partitions keep their prediction-cache keys, so the next {!run}
-      re-predicts only the dirty ones (with caching enabled).  On [Error]
+      context are replaced and the dirty partitions recorded, so the next
+      {!run} derives only those and serves the others from their carried
+      entries.  On [Error]
       the session is unchanged.  A successful edit also pushes the
       pre-edit spec onto the bounded undo stack and clears the redo
       stack. *)
@@ -243,8 +253,9 @@ module Session : sig
   val redo_depth : t -> int
 
   val run : t -> report
-  (** Predict every partition (in parallel, through the cache) and search
-      the combinations.  For a given spec and configuration the outcome is
+  (** Predict every partition (in parallel: pending ones through the
+      cache, the others from their carried entries) and search the
+      combinations.  For a given spec and configuration the outcome is
       deterministic: any [jobs] value produces the same report apart from
       the timing and cache-counter fields. *)
 
@@ -285,10 +296,11 @@ module Session : sig
   val restore : ?pool:Chop_util.Pool.t -> ?history:int -> Config.t -> state -> t
   (** {!create} on the state's spec, then revision, pending and the
       undo/redo chains reinstated (the undo chain truncated to [history]).
-      The pool, cache handle and integration context are rebuilt fresh; in
-      a new process the first {!run} re-predicts through the cache, where
-      the content-addressed keys turn the re-predictions of a re-parsed
-      (node-renumbered) spec into structural hits. *)
+      The pool, cache handle and integration context are rebuilt fresh and
+      no entries are carried, so the first {!run} looks every partition up
+      in the cache, where the content-addressed keys turn the
+      re-predictions of a spec re-parsed in a new process (node-renumbered)
+      into structural hits. *)
 
   (** {2 Distributed slices}
 

@@ -139,9 +139,12 @@ val counters : t -> counters
     {!clear}).  Counts {e lookups}, not partitions: the engine probes the
     full layer and then, on a miss, the raw layer, so one cold partition
     contributes two misses here but one miss to
-    [Explore.Metrics.cache_misses].  The eviction and structural-hit
-    counters are what the per-run [Explore.Metrics] deltas and the
-    server's [stats] request are built from. *)
+    [Explore.Metrics.cache_misses].  A partition an [Explore.Session]
+    serves from the entry it carried over from its last run makes no
+    lookup at all, so a warm engine re-running its spec adds nothing
+    here.  The eviction and structural-hit counters are what the per-run
+    [Explore.Metrics] deltas and the server's [stats] request are built
+    from. *)
 
 (** {1 Lookup and insertion} *)
 

@@ -447,19 +447,24 @@ let memory t name =
 
 let memory_host t name = List.assoc_opt name t.memory_hosts
 
+(* A partition's subgraph holds its members plus boundary nodes, and only
+   members can be memory operations: read the blocks off the members. *)
+let blocks_of t p =
+  List.filter_map
+    (fun id ->
+      Chop_dfg.Op.memory_block (Chop_dfg.Graph.node t.graph id).Chop_dfg.Graph.op)
+    p.Chop_dfg.Partition.members
+  |> List.sort_uniq String.compare
+
 let partitions_accessing t block =
   List.filter_map
     (fun p ->
-      let sub = Chop_dfg.Partition.subgraph t.partitioning p in
-      if List.mem block (Chop_dfg.Graph.memory_blocks sub) then
-        Some p.Chop_dfg.Partition.label
+      if List.mem block (blocks_of t p) then Some p.Chop_dfg.Partition.label
       else None)
     t.partitioning.Chop_dfg.Partition.parts
 
 let memories_of_partition t label =
-  let p = Chop_dfg.Partition.find t.partitioning label in
-  let sub = Chop_dfg.Partition.subgraph t.partitioning p in
-  List.map (memory t) (Chop_dfg.Graph.memory_blocks sub)
+  List.map (memory t) (blocks_of t (Chop_dfg.Partition.find t.partitioning label))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>spec: %s on %d chip(s)@,%a@]"

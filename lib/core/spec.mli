@@ -174,6 +174,6 @@ val partitions_accessing : t -> string -> string list
 (** Labels of partitions whose operations touch the memory block. *)
 
 val memories_of_partition : t -> string -> Chop_tech.Memory.t list
-(** Memory blocks the partition's subgraph references. *)
+(** Memory blocks the partition's operations reference, sorted by name. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,93 +1,8 @@
-module IntMap = Map.Make (Int)
-module SMap = Map.Make (String)
-
 type t = { label : string; members : Graph.node_id list }
 
 let make ~label members =
   if members = [] then invalid_arg "Partition.make: empty partition";
   { label; members = List.sort_uniq Int.compare members }
-
-type partitioning = { graph : Graph.t; parts : t list }
-
-exception Invalid_partitioning of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Invalid_partitioning s)) fmt
-
-let owner_map g parts =
-  let owners =
-    List.fold_left
-      (fun acc p ->
-        List.fold_left
-          (fun acc id ->
-            if not (Graph.mem g id) then fail "partition %s: unknown node %d" p.label id;
-            let n = Graph.node g id in
-            if not (Op.is_computational n.Graph.op) then
-              fail "partition %s: node %s is not computational" p.label n.Graph.name;
-            if IntMap.mem id acc then
-              fail "node %s assigned to both %s and %s" n.Graph.name
-                (IntMap.find id acc).label p.label;
-            IntMap.add id p acc)
-          acc p.members)
-      IntMap.empty parts
-  in
-  List.iter
-    (fun n ->
-      if Op.is_computational n.Graph.op && not (IntMap.mem n.Graph.id owners) then
-        fail "operation %s is not assigned to any partition" n.Graph.name)
-    (Graph.nodes g);
-  owners
-
-let quotient_edges_raw g owners =
-  List.fold_left
-    (fun acc (src, dst) ->
-      match (IntMap.find_opt src owners, IntMap.find_opt dst owners) with
-      | Some p1, Some p2 when p1.label <> p2.label -> (p1.label, p2.label) :: acc
-      | _ -> acc)
-    [] (Graph.edges g)
-  |> List.sort_uniq Stdlib.compare
-
-let check_acyclic labels edges =
-  (* Kahn over the quotient graph. *)
-  let indeg = Hashtbl.create 8 in
-  List.iter (fun l -> Hashtbl.replace indeg l 0) labels;
-  List.iter (fun (_, d) -> Hashtbl.replace indeg d (1 + Hashtbl.find indeg d)) edges;
-  let queue = Queue.create () in
-  Hashtbl.iter (fun l d -> if d = 0 then Queue.add l queue) indeg;
-  let visited = ref 0 in
-  while not (Queue.is_empty queue) do
-    let l = Queue.pop queue in
-    incr visited;
-    List.iter
-      (fun (s, d) ->
-        if s = l then begin
-          let deg = Hashtbl.find indeg d - 1 in
-          Hashtbl.replace indeg d deg;
-          if deg = 0 then Queue.add d queue
-        end)
-      edges
-  done;
-  if !visited <> List.length labels then
-    fail
-      "mutual data dependency between partitions: the quotient graph is cyclic \
-       (paper section 2.3 requires independently implementable partitions)"
-
-let partitioning g parts =
-  if parts = [] then fail "empty partitioning";
-  let labels = List.map (fun p -> p.label) parts in
-  if List.length (List.sort_uniq String.compare labels) <> List.length labels then
-    fail "duplicate partition label";
-  let owners = owner_map g parts in
-  check_acyclic labels (quotient_edges_raw g owners);
-  { graph = g; parts }
-
-let find pg label = List.find (fun p -> p.label = label) pg.parts
-
-let part_of pg id =
-  List.find (fun p -> List.mem id p.members) pg.parts
-
-let subgraph pg p =
-  let sub, _, _ = Graph.induced pg.graph ~name:p.label p.members in
-  sub
 
 type flow = {
   producer : string;
@@ -96,28 +11,118 @@ type flow = {
   values : Graph.node_id list;
 }
 
-let flows pg =
-  let g = pg.graph in
-  let owners = owner_map g pg.parts in
-  (* (producer label, consumer label) -> set of producing node ids *)
-  let tbl = Hashtbl.create 16 in
+(* Everything derived from the owner relation, computed once by the
+   validator: node ids are dense (0 .. size - 1, see [Graph.builder]), so
+   [owner] maps each id to the position of its partition in [by_pos], or
+   -1 for boundary nodes. *)
+type index = {
+  owner : int array;
+  by_pos : t array;
+  flows : flow list;
+  topo : t list;
+}
+
+type partitioning = { graph : Graph.t; parts : t list; index : index }
+
+exception Invalid_partitioning of string
+
+let fail fmt = Printf.ksprintf (fun s -> raise (Invalid_partitioning s)) fmt
+
+let owner_index g by_pos =
+  let owner = Array.make (Graph.size g) (-1) in
+  Array.iteri
+    (fun i p ->
+      List.iter
+        (fun id ->
+          if not (Graph.mem g id) then fail "partition %s: unknown node %d" p.label id;
+          let n = Graph.node g id in
+          if not (Op.is_computational n.Graph.op) then
+            fail "partition %s: node %s is not computational" p.label n.Graph.name;
+          if owner.(id) >= 0 then
+            fail "node %s assigned to both %s and %s" n.Graph.name
+              by_pos.(owner.(id)).label p.label;
+          owner.(id) <- i)
+        p.members)
+    by_pos;
   List.iter
-    (fun (src, dst) ->
-      match (IntMap.find_opt src owners, IntMap.find_opt dst owners) with
-      | Some p1, Some p2 when p1.label <> p2.label ->
-          let key = (p1.label, p2.label) in
-          let cur = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-          if not (List.mem src cur) then Hashtbl.replace tbl key (src :: cur)
-      | _ -> ())
-    (Graph.edges g);
-  Hashtbl.fold
-    (fun (producer, consumer) values acc ->
-      let bits =
-        Chop_util.Listx.sum_by (fun id -> (Graph.node g id).Graph.width) values
+    (fun n ->
+      if Op.is_computational n.Graph.op && owner.(n.Graph.id) < 0 then
+        fail "operation %s is not assigned to any partition" n.Graph.name)
+    (Graph.nodes g);
+  owner
+
+(* Every value crossing the cut, once per (producer, consumer) pair of
+   partition positions, sorted by the pair's labels and then by value. *)
+let crossing g owner by_pos =
+  let key (o1, o2, v) = (by_pos.(o1).label, by_pos.(o2).label, v) in
+  List.fold_left
+    (fun acc (src, dst) ->
+      let o1 = owner.(src) and o2 = owner.(dst) in
+      if o1 >= 0 && o2 >= 0 && o1 <> o2 then (o1, o2, src) :: acc else acc)
+    [] (Graph.edges g)
+  |> List.sort_uniq (fun a b -> Stdlib.compare (key a) (key b))
+
+let flows_of g by_pos crossing =
+  let rec group = function
+    | [] -> []
+    | (o1, o2, v) :: rest ->
+        let rec take acc = function
+          | (o1', o2', v') :: rest when o1' = o1 && o2' = o2 -> take (v' :: acc) rest
+          | rest -> (List.rev acc, rest)
+        in
+        let values, rest = take [ v ] rest in
+        { producer = by_pos.(o1).label; consumer = by_pos.(o2).label; values;
+          bits = Chop_util.Listx.sum_by (fun id -> (Graph.node g id).Graph.width) values }
+        :: group rest
+  in
+  group crossing
+
+(* Layered topological order of the quotient graph: each round places
+   every partition whose producers are all placed, in list order.  Fails
+   when a round places nothing — the quotient is cyclic. *)
+let topo_order by_pos crossing =
+  let preds = Array.make (Array.length by_pos) [] in
+  List.iter (fun (o1, o2, _) -> preds.(o2) <- o1 :: preds.(o2)) crossing;
+  let placed = Array.make (Array.length by_pos) false in
+  let rec rounds acc remaining =
+    if remaining = [] then List.concat (List.rev acc)
+    else
+      let ready, rest =
+        List.partition (fun i -> List.for_all (fun s -> placed.(s)) preds.(i)) remaining
       in
-      { producer; consumer; bits; values = List.sort Int.compare values } :: acc)
-    tbl []
-  |> List.sort (fun a b -> Stdlib.compare (a.producer, a.consumer) (b.producer, b.consumer))
+      if ready = [] then
+        fail
+          "mutual data dependency between partitions: the quotient graph is cyclic \
+           (paper section 2.3 requires independently implementable partitions)";
+      List.iter (fun i -> placed.(i) <- true) ready;
+      rounds (List.map (fun i -> by_pos.(i)) ready :: acc) rest
+  in
+  rounds [] (List.init (Array.length by_pos) Fun.id)
+
+let partitioning g parts =
+  if parts = [] then fail "empty partitioning";
+  let labels = List.map (fun p -> p.label) parts in
+  if List.length (List.sort_uniq String.compare labels) <> List.length labels then
+    fail "duplicate partition label";
+  let by_pos = Array.of_list parts in
+  let owner = owner_index g by_pos in
+  let crossing = crossing g owner by_pos in
+  let topo = topo_order by_pos crossing in
+  { graph = g; parts;
+    index = { owner; by_pos; flows = flows_of g by_pos crossing; topo } }
+
+let find pg label = List.find (fun p -> p.label = label) pg.parts
+
+let part_of pg id =
+  let owner = pg.index.owner in
+  if id < 0 || id >= Array.length owner || owner.(id) < 0 then raise Not_found
+  else pg.index.by_pos.(owner.(id))
+
+let subgraph pg p =
+  let sub, _, _ = Graph.induced pg.graph ~name:p.label p.members in
+  sub
+
+let flows pg = pg.index.flows
 
 let external_input_bits pg p =
   let g = pg.graph in
@@ -147,29 +152,9 @@ let external_output_bits pg p =
     0 p.members
 
 let cut_bits_total pg = Chop_util.Listx.sum_by (fun f -> f.bits) (flows pg)
-
 let quotient_edges pg =
-  let owners = owner_map pg.graph pg.parts in
-  quotient_edges_raw pg.graph owners
-
-let topological_parts pg =
-  let edges = quotient_edges pg in
-  let remaining = ref pg.parts and order = ref [] in
-  let placed l = List.exists (fun p -> p.label = l) !order in
-  while !remaining <> [] do
-    let ready, rest =
-      List.partition
-        (fun p ->
-          List.for_all (fun (s, d) -> d <> p.label || placed s) edges)
-        !remaining
-    in
-    (match ready with
-    | [] -> fail "topological_parts: cyclic quotient graph"
-    | _ -> ());
-    order := !order @ ready;
-    remaining := rest
-  done;
-  !order
+  List.map (fun f -> (f.producer, f.consumer)) pg.index.flows
+let topological_parts pg = pg.index.topo
 
 (* Edit primitives.  Each rebuilds the part list and re-runs the full
    [partitioning] validator, so coverage, disjointness and quotient
@@ -183,9 +168,9 @@ let revalidate pg parts =
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
 
 let move_op pg ~op ~to_ =
-  match List.find_opt (fun p -> List.mem op p.members) pg.parts with
-  | None -> err "operation %d is not in any partition" op
-  | Some src ->
+  match part_of pg op with
+  | exception Not_found -> err "operation %d is not in any partition" op
+  | src ->
       if not (List.exists (fun p -> p.label = to_) pg.parts) then
         err "unknown partition %s" to_
       else if src.label = to_ then err "operation %d is already in %s" op to_

@@ -14,9 +14,24 @@ type t = private {
 val make : label:string -> Graph.node_id list -> t
 (** @raise Invalid_argument on an empty member list. *)
 
+type flow = {
+  producer : string;  (** producing partition label *)
+  consumer : string;  (** consuming partition label *)
+  bits : Chop_util.Units.bits;  (** distinct value bits crossing the cut *)
+  values : Graph.node_id list;  (** producing nodes of the cut values *)
+}
+
+type index
+(** What the validator derives from the owner relation: the owner of
+    each node, the cut flows (and so the quotient edges) and the
+    topological part order.  Built once by {!partitioning}, read by
+    {!part_of}, {!flows}, {!quotient_edges} and {!topological_parts};
+    opaque and immutable. *)
+
 type partitioning = private {
   graph : Graph.t;
   parts : t list;
+  index : index;
 }
 
 exception Invalid_partitioning of string
@@ -31,7 +46,8 @@ val find : partitioning -> string -> t
 (** @raise Not_found for an unknown label. *)
 
 val part_of : partitioning -> Graph.node_id -> t
-(** Partition owning a computational node.  @raise Not_found otherwise. *)
+(** Partition owning a computational node, in constant time.
+    @raise Not_found for boundary nodes and unknown ids. *)
 
 val subgraph : partitioning -> t -> Graph.t
 (** The induced sub-DFG of a partition, with boundary [Input]/[Output] nodes
@@ -39,17 +55,10 @@ val subgraph : partitioning -> t -> Graph.t
 
 (** {1 Cut analysis} *)
 
-type flow = {
-  producer : string;  (** producing partition label *)
-  consumer : string;  (** consuming partition label *)
-  bits : Chop_util.Units.bits;  (** distinct value bits crossing the cut *)
-  values : Graph.node_id list;  (** producing nodes of the cut values *)
-}
-
 val flows : partitioning -> flow list
 (** One flow per ordered (producer, consumer) partition pair with at least
-    one cut value.  A value consumed by several partitions appears in each
-    consumer's flow. *)
+    one cut value, sorted by labels.  A value consumed by several
+    partitions appears in each consumer's flow. *)
 
 val external_input_bits : partitioning -> t -> Chop_util.Units.bits
 (** Bits of primary-input values (of the original graph) consumed by the
@@ -63,10 +72,13 @@ val cut_bits_total : partitioning -> Chop_util.Units.bits
     once — the classic min-cut objective, for baseline comparison. *)
 
 val topological_parts : partitioning -> t list
-(** Partitions in a topological order of the quotient graph. *)
+(** Partitions in a topological order of the quotient graph: partitions
+    with no producer first, then those whose producers are all placed, and
+    so on; list order within each round. *)
 
 val quotient_edges : partitioning -> (string * string) list
-(** Ordered dependence edges between partition labels, deduplicated. *)
+(** Ordered dependence edges between partition labels, deduplicated and
+    sorted. *)
 
 (** {1 Edit primitives}
 

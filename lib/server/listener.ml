@@ -1,9 +1,11 @@
 (* The one transport behind chop serve and chop gateway.  See
-   listener.mli for the contract.  The point that matters: every send
+   listener.mli for the contract.  The points that matter: every send
    takes its connection's mutex and drops the line once the connection
-   is closed, and the descriptor is closed exactly once under that same
-   mutex — so a response finishing after its client left can never reach
-   the next client handed the same descriptor number. *)
+   is closed, and only the connection's reading thread closes the
+   descriptor, once, under that same mutex, when its loop ends — so a
+   response finishing after its client left can never reach the next
+   client handed the same descriptor number, and [close] never pulls a
+   descriptor out from under a thread still blocked reading it. *)
 
 type conn = {
   fd : Unix.file_descr option;  (* None on stdio: stdout is never closed *)
@@ -100,12 +102,27 @@ let open_conn t fd oc =
   Mutex.unlock t.conns_mu;
   c
 
-let close_conn c =
+(* [close]: later sends are dropped, and shutting the socket down wakes
+   the reader blocked in [read] with end of input; the reader then closes
+   the descriptor.  A connection whose reader has already finished is
+   left alone. *)
+let shutdown_conn c =
   Mutex.lock c.mu;
   if not c.closed then begin
     c.closed <- true;
-    Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) c.fd
+    Option.iter
+      (fun fd ->
+        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+      c.fd
   end;
+  Mutex.unlock c.mu
+
+(* the reader, once its loop has ended: the one place a descriptor is
+   closed *)
+let close_conn c =
+  Mutex.lock c.mu;
+  c.closed <- true;
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) c.fd;
   Mutex.unlock c.mu
 
 let unregister t c =
@@ -175,7 +192,7 @@ let close t =
   let cs = t.conns in
   t.conns <- [];
   Mutex.unlock t.conns_mu;
-  List.iter close_conn cs;
+  List.iter shutdown_conn cs;
   match (t.listen_fd, t.socket_path) with
   | Some fd, Some path ->
       (try Unix.close fd with Unix.Unix_error _ -> ());

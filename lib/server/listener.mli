@@ -42,8 +42,11 @@ val stopping : t -> bool
 (** Whether {!stop} has been called. *)
 
 val close : t -> unit
-(** Closes every open connection, so later sends on it are dropped,
-    then closes and unlinks the socket. *)
+(** Ends every open connection, then closes and unlinks the socket.
+    Later sends on an ended connection are dropped.  Its reading thread
+    is woken even while the peer stays connected: it closes the
+    descriptor and runs the connection's close hook shortly after
+    [close] returns. *)
 
 val logf : t -> ('a, unit, string, unit) format4 -> 'a
 (** Writes one ["TIMESTAMP message"] line to the log and flushes it;

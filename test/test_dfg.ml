@@ -643,6 +643,181 @@ let test_cut_bits_total () =
   in
   Alcotest.(check int) "32 bits" 32 (Partition.cut_bits_total pg)
 
+(* The index the validator stores, checked against a naive recomputation
+   from the part list: the list-based code the index replaced. *)
+module Naive = struct
+  module IntMap = Map.Make (Int)
+
+  let owners_of parts =
+    List.fold_left
+      (fun acc p ->
+        List.fold_left
+          (fun acc id -> IntMap.add id p acc)
+          acc p.Partition.members)
+      IntMap.empty parts
+
+  let owners pg = owners_of pg.Partition.parts
+
+  let part_of pg id =
+    List.find (fun p -> List.mem id p.Partition.members) pg.Partition.parts
+
+  let quotient_edges_of g owners =
+    List.fold_left
+      (fun acc (src, dst) ->
+        match (IntMap.find_opt src owners, IntMap.find_opt dst owners) with
+        | Some p1, Some p2 when p1.Partition.label <> p2.Partition.label ->
+            (p1.Partition.label, p2.Partition.label) :: acc
+        | _ -> acc)
+      [] (Graph.edges g)
+    |> List.sort_uniq Stdlib.compare
+
+  let quotient_edges pg = quotient_edges_of pg.Partition.graph (owners pg)
+
+  let flows pg =
+    let g = pg.Partition.graph in
+    let owners = owners pg in
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun (src, dst) ->
+        match (IntMap.find_opt src owners, IntMap.find_opt dst owners) with
+        | Some p1, Some p2 when p1.Partition.label <> p2.Partition.label ->
+            let key = (p1.Partition.label, p2.Partition.label) in
+            let cur = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
+            if not (List.mem src cur) then Hashtbl.replace tbl key (src :: cur)
+        | _ -> ())
+      (Graph.edges g);
+    Hashtbl.fold
+      (fun (producer, consumer) values acc ->
+        let bits =
+          Chop_util.Listx.sum_by (fun id -> (Graph.node g id).Graph.width) values
+        in
+        { Partition.producer; consumer; bits;
+          values = List.sort Int.compare values }
+        :: acc)
+      tbl []
+    |> List.sort (fun a b ->
+           Stdlib.compare
+             (a.Partition.producer, a.Partition.consumer)
+             (b.Partition.producer, b.Partition.consumer))
+
+  let topological_parts pg =
+    let edges = quotient_edges pg in
+    let remaining = ref pg.Partition.parts and order = ref [] in
+    let placed l = List.exists (fun p -> p.Partition.label = l) !order in
+    while !remaining <> [] do
+      let ready, rest =
+        List.partition
+          (fun p ->
+            List.for_all (fun (s, d) -> d <> p.Partition.label || placed s) edges)
+          !remaining
+      in
+      if ready = [] then failwith "cyclic quotient graph";
+      order := !order @ ready;
+      remaining := rest
+    done;
+    !order
+
+  (* Kahn over the quotient graph of a candidate part list *)
+  let acyclic g parts =
+    let edges = quotient_edges_of g (owners_of parts) in
+    let indeg = Hashtbl.create 8 in
+    List.iter (fun p -> Hashtbl.replace indeg p.Partition.label 0) parts;
+    List.iter (fun (_, d) -> Hashtbl.replace indeg d (1 + Hashtbl.find indeg d)) edges;
+    let queue = Queue.create () in
+    Hashtbl.iter (fun l d -> if d = 0 then Queue.add l queue) indeg;
+    let visited = ref 0 in
+    while not (Queue.is_empty queue) do
+      let l = Queue.pop queue in
+      incr visited;
+      List.iter
+        (fun (s, d) ->
+          if s = l then begin
+            let deg = Hashtbl.find indeg d - 1 in
+            Hashtbl.replace indeg d deg;
+            if deg = 0 then Queue.add d queue
+          end)
+        edges
+    done;
+    !visited = List.length parts
+end
+
+let index_matches_naive pg =
+  let g = pg.Partition.graph in
+  let lookup part_of id =
+    match part_of pg id with p -> Some p | exception Not_found -> None
+  in
+  List.for_all
+    (fun n ->
+      let id = n.Graph.id in
+      lookup Partition.part_of id = lookup Naive.part_of id
+      && (Op.is_computational n.Graph.op || lookup Partition.part_of id = None))
+    (Graph.nodes g)
+  && List.for_all
+       (fun id -> lookup Partition.part_of id = None)
+       [ -1; min_int; Graph.size g; Graph.size g + 7; max_int ]
+  && Partition.flows pg = Naive.flows pg
+  && Partition.quotient_edges pg = Naive.quotient_edges pg
+  && Partition.topological_parts pg = Naive.topological_parts pg
+
+(* A random owner per operation: the validator accepts it exactly when
+   the quotient graph is acyclic (coverage and disjointness hold by
+   construction).  A rejected draw falls back to horizontal cuts. *)
+let random_partitioning rng g k =
+  let ops = List.map (fun n -> n.Graph.id) (Graph.operations g) in
+  let owner = List.map (fun id -> (Random.State.int rng k, id)) ops in
+  let parts =
+    List.filter_map
+      (fun i ->
+        match List.filter_map (fun (j, id) -> if i = j then Some id else None) owner with
+        | [] -> None
+        | members -> Some (Partition.make ~label:(Printf.sprintf "P%d" i) members))
+      (List.init k Fun.id)
+  in
+  match Partition.partitioning g parts with
+  | pg -> if Naive.acyclic g parts then Some pg else None
+  | exception Partition.Invalid_partitioning _ ->
+      if Naive.acyclic g parts then None
+      else
+        let k = min k (List.length (Analysis.levels g)) in
+        Some (if k = 1 then Partition.whole g else Partition.by_levels g ~k)
+
+let random_edit rng pg step =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let parts = pg.Partition.parts in
+  let labels = List.map (fun p -> p.Partition.label) parts in
+  match Random.State.int rng 3 with
+  | 0 ->
+      let op = pick (List.concat_map (fun p -> p.Partition.members) parts) in
+      Partition.move_op pg ~op ~to_:(pick labels)
+  | 1 -> Partition.merge_parts pg ~src:(pick labels) ~dst:(pick labels)
+  | _ ->
+      let p = pick parts in
+      let members =
+        List.filter (fun _ -> Random.State.bool rng) p.Partition.members
+      in
+      Partition.split_part pg ~label:p.Partition.label ~members
+        ~new_label:(Printf.sprintf "S%d" step)
+
+let partition_index_matches_naive =
+  QCheck.Test.make ~name:"partition index equals a naive recomputation"
+    ~count:100
+    QCheck.(quad (0 -- 100000) (4 -- 50) (1 -- 5) (0 -- 12))
+    (fun (seed, ops, k, walk) ->
+      let rng = Random.State.make [| seed |] in
+      let g = Benchmarks.random_dag ~ops ~seed () in
+      match random_partitioning rng g k with
+      | None -> false
+      | Some pg ->
+          let rec go pg step =
+            index_matches_naive pg
+            && (step > walk
+               ||
+               match random_edit rng pg step with
+               | Ok pg' -> go pg' (step + 1)
+               | Error _ -> go pg (step + 1))
+          in
+          go pg 1)
+
 let by_levels_always_legal =
   QCheck.Test.make ~name:"by_levels yields valid partitionings" ~count:50
     QCheck.(pair (8 -- 60) (1 -- 4))
@@ -1085,6 +1260,7 @@ let () =
           tc "part_of" `Quick test_part_of_valid;
           tc "cut bits total" `Quick test_cut_bits_total;
           QCheck_alcotest.to_alcotest by_levels_always_legal;
+          QCheck_alcotest.to_alcotest partition_index_matches_naive;
         ] );
       ( "eval",
         [

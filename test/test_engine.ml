@@ -587,14 +587,19 @@ let test_speculate_exception_drains () =
 (* Parallel speculative predictions over one shared cache: the global
    counters are mutex-protected and the per-run counts are collected
    locally by each run, so the deltas must sum exactly — no lost updates
-   under concurrent writers. *)
+   under concurrent writers.  One session warms the cache; the probes fork
+   a second session on the same spec that has not run, so every label is
+   pending and each probe really looks every partition up (forks of a
+   session that has run serve its carried entries instead). *)
 let test_pred_cache_concurrent_counters () =
   let cache = Pred_cache.create () in
   let config = Explore.Config.make ~cache:(Explore.Config.Custom cache) () in
   let pool = Chop_util.Pool.create ~oversubscribe:true ~jobs:4 () in
   Fun.protect ~finally:(fun () -> Chop_util.Pool.shutdown pool) @@ fun () ->
-  Explore.with_engine ~pool config (ar_spec ()) @@ fun s ->
-  ignore (Explore.Session.run s);
+  let spec = ar_spec () in
+  Explore.with_engine ~pool config spec (fun warm ->
+      ignore (Explore.Session.run warm));
+  Explore.with_engine ~pool config spec @@ fun s ->
   let c0 = Pred_cache.counters cache in
   let n = 16 in
   let results, _ =

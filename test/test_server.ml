@@ -586,6 +586,31 @@ let test_listener_late_send_dropped () =
   Listener.close listener;
   Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
 
+(* [close] must end a connection whose client stays connected and idle:
+   its reader, blocked in [read], wakes and runs the close hook (in the
+   gateway that hook closes the connection's backend connections). *)
+let test_listener_close_wakes_idle_reader () =
+  let path = temp_path "idle.sock" in
+  let listener = Listener.create ~socket_path:(Some path) ~log:None in
+  let opened = Atomic.make false and closed = Atomic.make false in
+  let handler ~send:_ =
+    Atomic.set opened true;
+    (ignore, fun () -> Atomic.set closed true)
+  in
+  let th = Thread.create (fun () -> Listener.run ~signals:false listener handler) () in
+  let client = Client.connect path in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  Alcotest.(check bool) "connection accepted" true
+    (until (fun () -> Atomic.get opened));
+  Listener.stop listener;
+  Thread.join th;
+  Alcotest.(check bool) "idle connection still open after run returns" false
+    (Atomic.get closed);
+  Listener.close listener;
+  Alcotest.(check bool) "close hook ran within 1 s, client still connected"
+    true
+    (until ~timeout:1. (fun () -> Atomic.get closed))
+
 let test_listener_socket_path () =
   let path = temp_path "notes.txt" in
   Out_channel.with_open_text path (fun oc -> output_string oc "keep me\n");
@@ -667,6 +692,8 @@ let () =
         [
           Alcotest.test_case "late send never reaches the next client" `Quick
             test_listener_late_send_dropped;
+          Alcotest.test_case "close wakes an idle connection's reader" `Quick
+            test_listener_close_wakes_idle_reader;
           Alcotest.test_case "only a stale socket is replaced" `Quick
             test_listener_socket_path;
           Alcotest.test_case "log timestamp" `Quick test_listener_timestamp;

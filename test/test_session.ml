@@ -270,10 +270,16 @@ let fixed_edits spec =
     Spec.Set_criteria (Chop_bad.Feasibility.criteria ~perf:25000. ~delay:25000. ());
   ]
 
+(* Incremental soundness across everything a session offers: after each
+   step — an edit, an undo, a redo, a fork that edits and runs, or a
+   state/restore round trip — the session's run equals a cold run of its
+   spec.  Running after every step makes the next run serve the carried
+   entry of every label the step did not dirty; a fork's run must leave
+   its parent's next run unchanged. *)
 let random_session_matches_cold =
   QCheck.Test.make
-    ~name:"session runs match cold exploration across random edits" ~count:8
-    QCheck.(pair (0 -- 10000) (1 -- 4))
+    ~name:"session runs match cold exploration across random edits" ~count:60
+    QCheck.(pair (0 -- 10000) (1 -- 6))
     (fun (seed, len) ->
       let r = lcg seed in
       let spec0 = if seed mod 2 = 0 then ewf_spec () else ar_spec () in
@@ -282,16 +288,37 @@ let random_session_matches_cold =
           ~cache:(Explore.Config.Custom (Pred_cache.create ()))
           ()
       in
-      Explore.with_engine config spec0 (fun session ->
-          ignore (Explore.Session.run session);
-          for _ = 1 to len do
-            let edit = gen_edit r (Explore.Session.spec session) in
-            ignore (Explore.Session.edit session [ edit ])
-          done;
-          let warm = Explore.Session.run session in
-          let spec' = Explore.Session.spec session in
-          let cold = cold_run ~heuristic:Explore.Iterative spec' in
-          String.equal (render spec' cold) (render spec' warm)))
+      let run_matches_cold s =
+        let spec = Explore.Session.spec s in
+        String.equal
+          (render spec (cold_run ~heuristic:Explore.Iterative spec))
+          (render spec (Explore.Session.run s))
+      in
+      let edit_randomly s =
+        ignore
+          (Explore.Session.edit s [ gen_edit r (Explore.Session.spec s) ])
+      in
+      let session = ref (Explore.Session.create config spec0) in
+      Fun.protect ~finally:(fun () -> Explore.Session.close !session)
+      @@ fun () ->
+      let ok = ref (run_matches_cold !session) in
+      for _ = 1 to len do
+        let s = !session in
+        (match rand r 8 with
+        | 0 -> ignore (Explore.Session.undo s)
+        | 1 -> ignore (Explore.Session.redo s)
+        | 2 ->
+            let fork = Explore.Session.fork s in
+            edit_randomly fork;
+            ok := run_matches_cold fork && !ok
+        | 3 ->
+            session :=
+              Explore.Session.restore config (Explore.Session.state s);
+            Explore.Session.close s
+        | _ -> edit_randomly s);
+        ok := run_matches_cold !session && !ok
+      done;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Scoped re-prediction: misses == dirty partitions *)
