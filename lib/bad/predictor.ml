@@ -158,25 +158,56 @@ let mem_bandwidth gf d =
   Array.to_list
     (Array.mapi (fun b block -> (block, Array.fold_left max 0 per_step.(b))) gf.blocks)
 
-(* What every design point of one schedule shares: both styles and every
-   pipelined initiation interval. *)
-type scheduled = {
-  dense : Chop_sched.Schedule.dense;
-  live : Chop_sched.Lifetime.live;
-  units : Datapath.units;
-  mem_bandwidth : (string * int) list;
+(* One design point of a schedule: a style, its initiation interval and
+   the register demand there. *)
+type point = {
+  pipelined : bool;
+  ii_dp : int;
+  demand : Chop_sched.Lifetime.demand;
 }
 
-let scheduled gf ~mset sched =
+(* What every module set of a latency class shares about one of its
+   schedules: the memory bandwidth and each design point, in style order
+   and then II ascending. *)
+type scheduled = {
+  sched : Chop_sched.Schedule.t;
+  mem_bandwidth : (string * int) list;
+  points : point list;
+}
+
+let scheduled cfg gf sched =
   let dense = Chop_sched.Schedule.dense sched in
-  {
-    dense;
-    live = Chop_sched.Lifetime.live gf.values dense;
-    units =
-      Datapath.units gf.datapath ~module_set:mset
-        ~alloc:sched.Chop_sched.Schedule.alloc;
-    mem_bandwidth = mem_bandwidth gf dense;
-  }
+  let live = Chop_sched.Lifetime.live gf.values dense in
+  let length = sched.Chop_sched.Schedule.length in
+  let points =
+    List.concat_map
+      (function
+        | Chop_tech.Style.Non_pipelined ->
+            [
+              {
+                pipelined = false;
+                ii_dp = length;
+                demand = Chop_sched.Lifetime.demand live;
+              };
+            ]
+        | Chop_tech.Style.Pipelined ->
+            let min_ii = Chop_sched.Pipeline.first_feasible dense in
+            if min_ii >= length then
+              (* pipelining cannot beat restarting the schedule *)
+              []
+            else
+              List.map
+                (fun ii ->
+                  {
+                    pipelined = true;
+                    ii_dp = ii;
+                    demand = Chop_sched.Lifetime.demand ~ii live;
+                  })
+                (Chop_util.Listx.range min_ii
+                   (min (length - 1) (min_ii + cfg.max_pipelined_iis - 1))))
+      cfg.style.Chop_tech.Style.pipelinings
+  in
+  { sched; mem_bandwidth = mem_bandwidth gf dense; points }
 
 let power_estimate mset alloc est shape =
   let fu =
@@ -192,15 +223,11 @@ let power_estimate mset alloc est shape =
   +. (0.005 *. float_of_int est.Datapath.mux_count)
   +. (0.02 *. float_of_int shape.Chop_tech.Pla.product_terms)
 
-(* Assemble one prediction from a schedule and an initiation interval: the
-   register demand at that interval and the area/delay roll-up. *)
-let assemble cfg ~label ~mset ~slowest gf sd ~pipelined ~ii_dp =
-  let sched = sd.dense.Chop_sched.Schedule.sched in
-  let demand =
-    if pipelined then Chop_sched.Lifetime.demand ~ii:ii_dp sd.live
-    else Chop_sched.Lifetime.demand sd.live
-  in
-  let est = Datapath.roll_up gf.datapath sd.units demand in
+(* Assemble one prediction from a design point of a schedule under one
+   module set: the area/delay roll-up. *)
+let assemble cfg ~label ~mset ~slowest gf sd ~units { pipelined; ii_dp; demand } =
+  let sched = sd.sched in
+  let est = Datapath.roll_up gf.datapath units demand in
   let shape =
     Control.controller ~comparisons:gf.comparisons ~sched ~est ~ii:ii_dp
       ~pipelined
@@ -279,10 +306,17 @@ let latency_function cfg ~module_set n =
     ~dp_cycle:(Chop_tech.Clocking.datapath_cycle cfg.clocks)
     n
 
-(* Work runs at the level it depends on: [graph_facts] once per call, the
-   latencies, allocations and the list scheduler's [prepare] once per
-   module set, [scheduled] once per schedule, and [assemble] per design
-   point. *)
+(* Work runs at the level it depends on:
+   - [graph_facts] once per call;
+   - once per latency class, the module sets under which every node has
+     the same latency (and, when chaining, the same chain delay), since
+     nothing else that varies with the module set reaches a schedule: the
+     allocations, the list scheduler's [prepare], the schedules and each
+     schedule's [scheduled] facts;
+   - the slowest resource once per module set, [Datapath.units] once per
+     schedule and module set, and [assemble] per design point.
+   The class table is local to the call: pool domains predict
+   concurrently. *)
 let predict cfg ~label g =
   (* validate memory references up front *)
   List.iter (fun b -> ignore (memory_of cfg b)) (Chop_dfg.Graph.memory_blocks g);
@@ -297,9 +331,10 @@ let predict cfg ~label g =
            (fun b -> ("memport:" ^ b, (memory_of cfg b).Chop_tech.Memory.ports))
            gf.blocks)
     in
-    let msets = Chop_tech.Component.module_sets cfg.library g in
-    (* one schedule per serial-parallel design point: allocation-driven list
-       scheduling (default), or length-driven force-directed scheduling *)
+    let chaining =
+      cfg.scheduler = List_based && cfg.chaining
+      && cfg.style.Chop_tech.Style.op_timing = Chop_tech.Style.Single_cycle
+    in
     let chain_delay mset n =
       match n.Chop_dfg.Graph.op with
       | Chop_dfg.Op.Mem_read b | Chop_dfg.Op.Mem_write b ->
@@ -309,30 +344,20 @@ let predict cfg ~label g =
           | Some c -> c.Chop_tech.Component.delay
           | None -> nominal_overhead)
     in
-    let schedules_for ?mset latency =
+    (* one schedule per serial-parallel design point: allocation-driven list
+       scheduling (default), or length-driven force-directed scheduling *)
+    let schedules ~latency ~delay =
       match cfg.scheduler with
-      | List_based
-        when cfg.chaining
-             && cfg.style.Chop_tech.Style.op_timing = Chop_tech.Style.Single_cycle
-        -> (
+      | List_based when chaining ->
           (* chain dependent operations within the long single-cycle step *)
-          match mset with
-          | None -> []
-          | Some mset ->
-              let budget = dp_cycle -. nominal_overhead in
-              let allocs =
-                Alloc_enum.enumerate ~cap:cfg.alloc_cap ~latency ~memport_units g
-              in
-              List.filter_map
-                (fun alloc ->
-                  match
-                    Chop_sched.Chain_sched.run ~delay:(chain_delay mset)
-                      ~budget ~alloc g
-                  with
-                  | sched, _ -> Some sched
-                  | exception Invalid_argument _ ->
-                      None (* a module outgrows the cycle: set unusable *))
-                allocs)
+          let budget = dp_cycle -. nominal_overhead in
+          List.filter_map
+            (fun alloc ->
+              match Chop_sched.Chain_sched.run ~delay ~budget ~alloc g with
+              | sched, _ -> Some sched
+              | exception Invalid_argument _ ->
+                  None (* a module outgrows the cycle: set unusable *))
+            (Alloc_enum.enumerate ~cap:cfg.alloc_cap ~latency ~memport_units g)
       | List_based ->
           let allocs =
             Alloc_enum.enumerate ~cap:cfg.alloc_cap ~latency ~memport_units g
@@ -364,39 +389,34 @@ let predict cfg ~label g =
               if ports_ok then Some sched else None)
             (lengths cp [])
     in
+    (* the schedulers apply [latency] and [delay] to operations only *)
+    let ops = Array.of_list (Chop_dfg.Graph.operations g) in
+    let classes = Hashtbl.create 8 in
     List.concat_map
       (fun mset ->
-        let latency = op_latency cfg mset ~dp_cycle in
+        let latency = op_latency cfg mset ~dp_cycle and delay = chain_delay mset in
+        let key =
+          ( Array.map latency ops,
+            if chaining then Array.map delay ops else [||] )
+        in
+        let shared =
+          match Hashtbl.find_opt classes key with
+          | Some shared -> shared
+          | None ->
+              let shared = List.map (scheduled cfg gf) (schedules ~latency ~delay) in
+              Hashtbl.add classes key shared;
+              shared
+        in
         let slowest = slowest_resource cfg mset gf in
         List.concat_map
-          (fun sched ->
-            let sd = scheduled gf ~mset sched in
-            let length = sched.Chop_sched.Schedule.length in
-            List.concat_map
-              (fun pipelining ->
-                match pipelining with
-                | Chop_tech.Style.Non_pipelined ->
-                    [
-                      assemble cfg ~label ~mset ~slowest gf sd ~pipelined:false
-                        ~ii_dp:length;
-                    ]
-                | Chop_tech.Style.Pipelined ->
-                    let min_ii = Chop_sched.Pipeline.first_feasible sd.dense in
-                    if min_ii >= length then
-                      (* pipelining cannot beat restarting the schedule *)
-                      []
-                    else
-                      let last =
-                        min (length - 1) (min_ii + cfg.max_pipelined_iis - 1)
-                      in
-                      List.map
-                        (fun ii ->
-                          assemble cfg ~label ~mset ~slowest gf sd
-                            ~pipelined:true ~ii_dp:ii)
-                        (Chop_util.Listx.range min_ii last))
-              cfg.style.Chop_tech.Style.pipelinings)
-          (schedules_for ~mset latency))
-      msets
+          (fun sd ->
+            let units =
+              Datapath.units gf.datapath ~module_set:mset
+                ~alloc:sd.sched.Chop_sched.Schedule.alloc
+            in
+            List.map (assemble cfg ~label ~mset ~slowest gf sd ~units) sd.points)
+          shared)
+      (Chop_tech.Component.module_sets cfg.library g)
 
 let prune cfg ~criteria ~chip_area preds =
   let feasible =

@@ -42,7 +42,10 @@ type config = {
   vnodes : int;  (** virtual ring points per backend *)
   fanout : bool;  (** split eligible explores across backends *)
   log : out_channel option;
-  handle_signals : bool;  (** SIGTERM/SIGINT trigger a clean stop *)
+  handle_signals : bool;
+      (** SIGTERM/SIGINT trigger a clean stop.  SIGPIPE is ignored
+          either way, so a write to a backend or client that has gone
+          away fails with [EPIPE] instead of killing the process *)
   health_interval_s : float option;
       (** ping every backend this often (seconds) and maintain the dead
           set; [None] (or a non-positive value) disables the prober and

@@ -5,7 +5,12 @@ type t = {
   mutable closed : bool;
 }
 
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  with Invalid_argument _ | Sys_error _ -> ()
+
 let connect path =
+  ignore_sigpipe ();
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_UNIX path)
    with e ->

@@ -5,8 +5,14 @@
 type t
 
 val connect : string -> t
-(** Connects to a server's Unix-domain socket.
+(** Connects to a server's Unix-domain socket, after {!ignore_sigpipe}.
     Fails with [Unix.Unix_error] when nobody is listening. *)
+
+val ignore_sigpipe : unit -> unit
+(** Ignores SIGPIPE for the whole process, so that a write to a peer
+    that has shut its socket down fails with [EPIPE] instead of killing
+    the process: OCaml's [Unix] has no [MSG_NOSIGNAL].  Every socket
+    owner calls it: {!connect} and [Listener.create]. *)
 
 val close : t -> unit
 (** Idempotent. *)

@@ -41,6 +41,7 @@ let bind path =
   fd
 
 let create ~socket_path ~log =
+  Client.ignore_sigpipe ();
   {
     socket_path;
     listen_fd = Option.map bind socket_path;
@@ -175,8 +176,6 @@ let stdio_loop t handler =
   on_close ()
 
 let install_signals t =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
   let h = Sys.Signal_handle (fun _ -> stop t) in
   (try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ());
   try Sys.set_signal Sys.sigint h with Invalid_argument _ | Sys_error _ -> ()

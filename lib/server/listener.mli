@@ -26,13 +26,15 @@ val create : socket_path:string option -> log:out_channel option -> t
     connect before {!run} starts.  A stale socket file at the path is
     replaced; any other file is left alone and [create] fails with
     [Unix.Unix_error (EEXIST, _, path)].  [None] serves stdin/stdout.
-    [log] receives {!logf} lines; [None] is silent. *)
+    [log] receives {!logf} lines; [None] is silent.  Ignores SIGPIPE
+    ({!Client.ignore_sigpipe}): a write to a client that has gone away
+    fails with [EPIPE] and never kills the process. *)
 
 val run : signals:bool -> t -> handler -> unit
 (** Accepts connections (or reads stdin) until {!stop} — or, on stdio,
-    end of input.  With [signals], SIGINT and SIGTERM call {!stop} and
-    SIGPIPE is ignored.  Returns once accepting has stopped; open
-    connections stay open, so pending responses can still be sent. *)
+    end of input.  With [signals], SIGINT and SIGTERM call {!stop}.
+    Returns once accepting has stopped; open connections stay open, so
+    pending responses can still be sent. *)
 
 val stop : t -> unit
 (** Asks {!run} to return.  Safe from a signal handler or another

@@ -38,9 +38,10 @@ type config = {
       (** applied to requests that carry no [deadline_ms] *)
   log : out_channel option;  (** access log; [None] is silent *)
   handle_signals : bool;
-      (** install SIGINT/SIGTERM handlers that {!stop} the server (and
-          ignore SIGPIPE); tests running a server in-process leave this
-          off *)
+      (** install SIGINT/SIGTERM handlers that {!stop} the server;
+          tests running a server in-process leave this off.  SIGPIPE is
+          ignored either way, so a write to a client that has gone away
+          fails with [EPIPE] instead of killing the process *)
   session_ttl_s : float;
       (** idle time after which an interactive session is evicted (checked
           on every [session/open]) *)

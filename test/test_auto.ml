@@ -204,6 +204,54 @@ let test_pcm_pwm_codesign_triangle () =
   Alcotest.(check bool) "rendering reports the flips" true
     (contains (Ops.render_auto o.Chop_auto.spec o) "model flip(s)")
 
+(* The co-design goldens: [chop explore -g pcm_pwm -k 2 --multi-cycle]
+   under the hardware and the software bindings, and [chop auto] on the
+   same spec with seed 1, each rendered as the CLI prints it before its
+   timing lines, at one job and on two domains.  They pin BAD's
+   multi-cycle output end to end, where 9 module sets form 3 latency
+   classes.  The auto run must land on the hw/sw split that beats both
+   pure seeds, and say so. *)
+let golden name = In_channel.with_open_bin ("data/" ^ name) In_channel.input_all
+
+let test_pcm_pwm_goldens () =
+  let two = Chop_util.Pool.create ~oversubscribe:true ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Chop_util.Pool.shutdown two) @@ fun () ->
+  List.iter
+    (fun (jobs, pool) ->
+      let config () =
+        Chop.Explore.Config.make ~jobs
+          ~cache:(Chop.Explore.Config.Custom (Chop.Pred_cache.create ()))
+          ()
+      in
+      let check what file text =
+        Alcotest.(check string)
+          (Printf.sprintf "%s, jobs %d" what jobs)
+          (golden file) (text ^ "\n")
+      in
+      let explore impls =
+        let spec =
+          bench_spec ~multicycle:true ~strategy:Chop_baseline.Autopart.Levels
+            ~impls "pcm_pwm"
+        in
+        Ops.render_explore spec ~keep_all:false ~csv:false ~verbose:false
+          (Chop.Explore.with_engine ?pool (config ()) spec
+             Chop.Explore.Session.run)
+      in
+      check "hardware explore" "pcm_pwm_hw_explore.golden" (explore []);
+      check "software explore" "pcm_pwm_sw_explore.golden"
+        (explore [ ("P1", "cpu"); ("P2", "cpu") ]);
+      let o =
+        Chop_auto.run ~seed:1 ?pool ~config:(config ())
+          (bench_spec ~multicycle:true "pcm_pwm")
+      in
+      let text = Ops.render_auto o.Chop_auto.spec o in
+      check "auto" "pcm_pwm_auto.golden" text;
+      Alcotest.(check bool) "one model flip" true
+        (contains text "1 model flip(s)");
+      Alcotest.(check bool) "a partition rebound to the cpu" true
+        (contains text "[model cpu]"))
+    [ (1, None); (2, Some two) ]
+
 let test_hardware_only_runs_never_flip () =
   (* no processors declared: no flip candidates are generated and the
      rendering never mentions models — the pre-seam byte identity *)
@@ -462,6 +510,7 @@ let () =
         [
           Alcotest.test_case "pcm_pwm co-design triangle" `Quick
             test_pcm_pwm_codesign_triangle;
+          Alcotest.test_case "pcm_pwm goldens" `Quick test_pcm_pwm_goldens;
           Alcotest.test_case "hardware-only runs never flip" `Quick
             test_hardware_only_runs_never_flip;
         ] );

@@ -579,6 +579,78 @@ let predictor_deterministic =
       let b = Predictor.predict (cfg1 ()) ~label:"X" g in
       a = b)
 
+(* ------------------------------------------------------------------ *)
+(* Latency classes *)
+
+(* Predicting with the whole library must equal predicting with each of
+   its module sets alone, in module-set order: a one-set library has
+   nothing to share, so this is the per-module-set answer, and BAD's
+   sharing of schedules across the module sets of a latency class must
+   not show.  Component delays come from a short list so that, against
+   the 300 ns multi-cycle data-path cycle, some alternatives share a
+   latency and others do not; equal delays share a chain delay; and
+   3500 ns outgrows the single-cycle chaining budget. *)
+let class_delays = [| 20.; 150.; 280.; 450.; 1000.; 1000.; 2000.; 3500. |]
+
+let class_configs =
+  [|
+    ("list-1c", Predictor.List_based, false, Chop_tech.Style.Single_cycle);
+    ("list-mc", Predictor.List_based, false, Chop_tech.Style.Multi_cycle);
+    ("chain-1c", Predictor.List_based, true, Chop_tech.Style.Single_cycle);
+    ("fd-1c", Predictor.Force_directed, false, Chop_tech.Style.Single_cycle);
+    ("fd-mc", Predictor.Force_directed, false, Chop_tech.Style.Multi_cycle);
+  |]
+
+(* A random add/mult DAG and a library of one to three alternatives per
+   class; force-directed cases keep to at most 6 operations. *)
+let class_case seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let name, scheduler, chaining, timing =
+    class_configs.(int (Array.length class_configs))
+  in
+  let ops = if scheduler = Predictor.Force_directed then 2 + int 5 else 2 + int 11 in
+  let library =
+    List.concat_map
+      (fun cls ->
+        List.init (1 + int 3) (fun i ->
+            Chop_tech.Component.make
+              ~name:(Printf.sprintf "%s%d" cls i)
+              ~cls ~width:16
+              ~area:(float_of_int (1000 * (1 + int 5)))
+              ~delay:class_delays.(int (Array.length class_delays))
+              ()))
+      [ "add"; "mult" ]
+  in
+  let cfg =
+    Predictor.config ~alloc_cap:4 ~max_pipelined_iis:3 ~scheduler ~chaining
+      ~library
+      ~clocks:(if timing = Chop_tech.Style.Single_cycle then clocks1 else clocks2)
+      ~style:(Chop_tech.Style.both timing) ()
+  in
+  (name, cfg, Chop_dfg.Benchmarks.random_dag ~ops ~seed ())
+
+let print_class_case seed =
+  let name, cfg, g = class_case seed in
+  Printf.sprintf "seed %d: %s, %d ops, library %s" seed name
+    (Chop_dfg.Graph.op_count g)
+    (String.concat " "
+       (List.map
+          (fun c ->
+            Printf.sprintf "%s(%g ns)" c.Chop_tech.Component.cname
+              c.Chop_tech.Component.delay)
+          cfg.Predictor.library))
+
+let latency_classes_invisible =
+  QCheck.Test.make ~name:"latency classes are invisible" ~count:160
+    (QCheck.make ~print:print_class_case QCheck.Gen.nat)
+    (fun seed ->
+      let _, cfg, g = class_case seed in
+      Predictor.predict cfg ~label:"P" g
+      = List.concat_map
+          (fun m -> Predictor.predict { cfg with Predictor.library = m } ~label:"P" g)
+          (Chop_tech.Component.module_sets cfg.Predictor.library g))
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "chop_bad"
@@ -623,6 +695,7 @@ let () =
           tc "chaining improves single-cycle" `Quick test_chaining_improves_single_cycle;
           tc "every prediction pinned" `Quick test_predictions_pinned;
           QCheck_alcotest.to_alcotest predictor_deterministic;
+          QCheck_alcotest.to_alcotest latency_classes_invisible;
         ] );
       ( "software model",
         [

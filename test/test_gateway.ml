@@ -758,10 +758,6 @@ let test_gateway_socket_clients () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (* as chop gateway does: a write to a backend that has shut its
-     connections down is an error the gateway fails over on, not a fatal
-     signal *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let tc = Alcotest.test_case in
   Alcotest.run "chop_gateway"
     [

@@ -553,9 +553,6 @@ let temp_path name =
    next client is handed the same descriptor number and would otherwise
    read it. *)
 let test_listener_late_send_dropped () =
-  (* as chop serve does: a write to a closed peer is an error, not a
-     fatal signal *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let path = temp_path "late.sock" in
   let listener = Listener.create ~socket_path:(Some path) ~log:None in
   let kept = Atomic.make None and closed = Atomic.make 0 in

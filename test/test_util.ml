@@ -481,13 +481,36 @@ let test_pool_shutdown_idempotent () =
 
 let test_pool_run_timed_stats () =
   with_pool ~oversubscribe:true ~jobs:2 (fun pool ->
-      let _, stats = Pool.run_timed pool (Array.init 64 (fun i () -> i)) in
+      (* 64 tasks make 16 chunks.  Each task first waits until tasks have
+         started on two domains, so neither participant can take every
+         chunk, and then until the clock ticks, so each participant's busy
+         time is measurable on the clock that times it. *)
+      let first = Atomic.make (-1) and both = Atomic.make false in
+      let deadline = Unix.gettimeofday () +. 10. in
+      let task i () =
+        let self = (Domain.self () :> int) in
+        if not (Atomic.compare_and_set first (-1) self || Atomic.get first = self)
+        then Atomic.set both true;
+        while not (Atomic.get both) do
+          if Unix.gettimeofday () > deadline then
+            Alcotest.fail "no task started on a second domain within 10 s";
+          Unix.sleepf 1e-4
+        done;
+        let t = Unix.gettimeofday () in
+        while Unix.gettimeofday () = t do
+          Domain.cpu_relax ()
+        done;
+        i
+      in
+      let _, stats = Pool.run_timed pool (Array.init 64 task) in
       Alcotest.(check int) "one busy slot per participant" 2
         (Array.length stats.Pool.worker_busy);
       Alcotest.(check bool) "busy times are non-negative" true
         (Array.for_all (fun s -> s >= 0.) stats.Pool.worker_busy);
       Alcotest.(check bool) "caller participated" true
-        (stats.Pool.worker_busy.(0) > 0.));
+        (stats.Pool.worker_busy.(0) > 0.);
+      Alcotest.(check bool) "helper participated" true
+        (stats.Pool.worker_busy.(1) > 0.));
   (* inline path: one participant, zero or one chunk *)
   let _, empty_stats = Pool.run_timed Pool.sequential [||] in
   Alcotest.(check int) "empty batch has no chunks" 0
