@@ -37,8 +37,8 @@ let graph_arg =
     & info [ "g"; "graph" ] ~docv:"NAME"
         ~doc:"Benchmark graph: ar, ewf, fir8, fir16, diffeq, dct8, pcm_pwm \
               (the HW/SW co-design case study), ewf2 (ewf rebuilt in a \
-              shuffled construction order — exercises structural cache \
-              sharing).")
+              shuffled construction order — checks that a warm cache \
+              answers as a cold one).")
 
 let partitions_arg =
   Arg.(
@@ -781,8 +781,8 @@ let request_cmd =
          & info [ "g"; "graph" ] ~docv:"NAME"
              ~doc:"Benchmark graph: ar, ewf, fir8, fir16, diffeq, dct8, pcm_pwm \
               (the HW/SW co-design case study), ewf2 (ewf rebuilt in a \
-              shuffled construction order — exercises structural cache \
-              sharing).")
+              shuffled construction order — checks that a warm cache \
+              answers as a cold one).")
   in
   let partitions =
     Arg.(value & opt int 2

@@ -553,7 +553,7 @@ let refine ?(seed = 1) ?(constraints = no_constraints) ?(max_moves = 1024)
   let tried = ref 0 and accepted = ref 0 and flips = ref 0 in
   let spec_runs = ref 0 and rounds = ref 0 in
   let spec_wall = ref 0. and spec_busy = ref 0. in
-  let hits = ref 0 and misses = ref 0 and structural = ref 0 in
+  let hits = ref 0 and misses = ref 0 in
   let interrupted = ref false in
   let stopped = ref false in
   let timed_out () =
@@ -638,8 +638,7 @@ let refine ?(seed = 1) ?(constraints = no_constraints) ?(max_moves = 1024)
   let record_stats (r : Chop.Explore.report) =
     let m = r.Chop.Explore.metrics in
     hits := !hits + m.Chop.Explore.Metrics.cache_hits;
-    misses := !misses + m.Chop.Explore.Metrics.cache_misses;
-    structural := !structural + m.Chop.Explore.Metrics.cache_structural_hits
+    misses := !misses + m.Chop.Explore.Metrics.cache_misses
   in
   (* Memo of probe scores, keyed on a digest of the full partition
      assignment the move would produce.  Sound because only the
@@ -932,7 +931,7 @@ let refine ?(seed = 1) ?(constraints = no_constraints) ?(max_moves = 1024)
     jobs = S.jobs session;
     cache_hits = !hits;
     cache_misses = !misses;
-    cache_structural_hits = !structural;
+    cache_structural_hits = 0;
     interrupted = !interrupted;
     wall_seconds = Unix.gettimeofday () -. t0;
   }

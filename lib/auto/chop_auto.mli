@@ -92,7 +92,10 @@ type outcome = {
   cache_hits : int;  (** prediction-cache hits across refinement runs *)
   cache_misses : int;  (** prediction-cache misses across refinement runs *)
   cache_structural_hits : int;
-      (** structural (cross-construction) hits across refinement runs *)
+      (** always 0: the prediction cache keys on the id-ordered subgraph,
+          so no hit crosses graph constructions.  Kept only because the
+          benchmark's auto-cold workload reads it, until a benchmark
+          change retires it. *)
   interrupted : bool;
       (** the move/time budget or [interrupt] stopped refinement early;
           the outcome is still the best state found *)

@@ -22,44 +22,6 @@ let config ?(alloc_cap = 8) ?(max_pipelined_iis = 8) ?(testability_overhead = 0.
   { library; memories; clocks; style; alloc_cap; max_pipelined_iis;
     testability_overhead; scheduler; chaining }
 
-let signature cfg =
-  let buf = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  List.iter
-    (fun c ->
-      add "c:%s:%s:%d:%.17g:%.17g:%.17g;" c.Chop_tech.Component.cname
-        c.Chop_tech.Component.cls c.Chop_tech.Component.width
-        c.Chop_tech.Component.area c.Chop_tech.Component.delay
-        c.Chop_tech.Component.power)
-    cfg.library;
-  List.iter
-    (fun m ->
-      add "m:%s:%d:%d:%d:%.17g:%s;" m.Chop_tech.Memory.mname
-        m.Chop_tech.Memory.words m.Chop_tech.Memory.word_width
-        m.Chop_tech.Memory.ports m.Chop_tech.Memory.access
-        (match m.Chop_tech.Memory.placement with
-        | Chop_tech.Memory.On_chip a -> Printf.sprintf "on(%.17g)" a
-        | Chop_tech.Memory.Off_chip_package p -> Printf.sprintf "off(%d)" p))
-    cfg.memories;
-  add "k:%.17g:%d:%d;" cfg.clocks.Chop_tech.Clocking.main
-    cfg.clocks.Chop_tech.Clocking.datapath_ratio
-    cfg.clocks.Chop_tech.Clocking.transfer_ratio;
-  add "s:%s:%s;"
-    (match cfg.style.Chop_tech.Style.op_timing with
-    | Chop_tech.Style.Single_cycle -> "1c"
-    | Chop_tech.Style.Multi_cycle -> "mc")
-    (String.concat ","
-       (List.map
-          (function
-            | Chop_tech.Style.Pipelined -> "p"
-            | Chop_tech.Style.Non_pipelined -> "n")
-          cfg.style.Chop_tech.Style.pipelinings));
-  add "p:%d:%d:%.17g:%s:%b" cfg.alloc_cap cfg.max_pipelined_iis
-    cfg.testability_overhead
-    (match cfg.scheduler with List_based -> "lb" | Force_directed -> "fd")
-    cfg.chaining;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* Nominal data-path overhead used before the real one is known: one
    register write plus one steering-mux level. *)
 let nominal_overhead =

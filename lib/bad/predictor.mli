@@ -48,13 +48,6 @@ val config :
 (** Defaults: cap 8, 8 II options, no testability overhead, no memories,
     list-based scheduling, no chaining. *)
 
-val signature : config -> string
-(** A digest of every field that influences prediction — library entries,
-    memory blocks, clocks, style, caps, scheduler and chaining.  Two configs
-    with equal signatures produce identical [predict] output for the same
-    graph.  Used as a cache key by the exploration engine's prediction
-    cache. *)
-
 val latency_function :
   config ->
   module_set:Chop_tech.Component.t list ->

@@ -43,7 +43,6 @@ module Metrics = struct
     cache_hits : int;
     cache_misses : int;
     cache_evictions : int;
-    cache_structural_hits : int;
     pruned_impls : int;
     integrations_avoided : int;
     chip_cache_hits : int;
@@ -54,8 +53,8 @@ module Metrics = struct
   let zero =
     { predict = zero_phase; search = zero_phase; merge_wall_seconds = 0.;
       worker_busy_seconds = [||]; chunk_count = 0; cache_hits = 0;
-      cache_misses = 0; cache_evictions = 0; cache_structural_hits = 0;
-      pruned_impls = 0; integrations_avoided = 0; chip_cache_hits = 0 }
+      cache_misses = 0; cache_evictions = 0; pruned_impls = 0;
+      integrations_avoided = 0; chip_cache_hits = 0 }
 
   (* elementwise sum, padding the shorter array with zeros *)
   let add_worker_busy a b =
@@ -78,13 +77,12 @@ module Metrics = struct
       (Printf.sprintf "%-8s %8.3f         -\n" "merge" m.merge_wall_seconds);
     Buffer.add_string buf
       (Printf.sprintf "workers: %d busy [%s] s, %d chunk(s), cache %d hit(s) \
-                       / %d miss(es) / %d eviction(s) / %d structural\n"
+                       / %d miss(es) / %d eviction(s)\n"
          (Array.length m.worker_busy_seconds)
          (String.concat "/"
             (Array.to_list
                (Array.map (Printf.sprintf "%.3f") m.worker_busy_seconds)))
-         m.chunk_count m.cache_hits m.cache_misses m.cache_evictions
-         m.cache_structural_hits);
+         m.chunk_count m.cache_hits m.cache_misses m.cache_evictions);
     Buffer.add_string buf
       (Printf.sprintf
          "search: %d impl(s) pre-pruned, %d integration(s) avoided, %d \
@@ -426,17 +424,11 @@ module Session = struct
     | None -> 0
     | Some c -> (Pred_cache.counters c).Pred_cache.evictions
 
-  let cache_structural_hits e =
-    match e.cache with
-    | None -> 0
-    | Some c -> (Pred_cache.counters c).Pred_cache.structural_hits
-
   let run_interruptible ~interrupt e =
     check_open e "run";
     if interrupt () then raise Cancelled;
     let keep_all = e.config.Config.keep_all in
     let evictions0 = cache_evictions e in
-    let structural0 = cache_structural_hits e in
     let p = predictions_timed ~interrupt e ~prune:(not keep_all) in
     if interrupt () then raise Cancelled;
     (* second-level dominance pre-pruning: shrink each partition's list to
@@ -492,7 +484,6 @@ module Session = struct
         cache_hits = p.hits;
         cache_misses = p.misses;
         cache_evictions = cache_evictions e - evictions0;
-        cache_structural_hits = cache_structural_hits e - structural0;
         pruned_impls;
         integrations_avoided =
           outcome.Search.stats.Search.integrations_avoided;

@@ -118,13 +118,6 @@ module Metrics : sig
             delta).  Under concurrent runs sharing one cache — the
             serving layer — evictions triggered by a neighbour's inserts
             can land in this run's delta. *)
-    cache_structural_hits : int;
-        (** prediction-cache hits served across graph constructions while
-            this run executed ({!Pred_cache.counters} structural delta):
-            the entry was created by a differently-built isomorphic
-            subgraph — another session, spec revision or client — and
-            only the content-addressed keys could find it.  Same
-            concurrent-delta caveat as {!field-cache_evictions}. *)
     pruned_impls : int;
         (** implementations dropped by dominance pre-pruning before the
             search ({!Config.t}[.pre_prune]) *)
@@ -298,9 +291,9 @@ module Session : sig
       undo/redo chains reinstated (the undo chain truncated to [history]).
       The pool, cache handle and integration context are rebuilt fresh and
       no entries are carried, so the first {!run} looks every partition up
-      in the cache, where the content-addressed keys turn the
-      re-predictions of a spec re-parsed in a new process (node-renumbered)
-      into structural hits. *)
+      in the cache.  A spec restored in the process that saved it hits the
+      entries its last run left there; a spec re-parsed elsewhere is keyed
+      by its own node numbering, and predicts afresh where that differs. *)
 
   (** {2 Distributed slices}
 

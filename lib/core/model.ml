@@ -29,22 +29,6 @@ let of_chip spec ~chip =
   | None -> Hardware
   | Some p -> Software p
 
-(* Identity joined into Pred_cache raw keys: for hardware this is the
-   predictor-config signature the cache always keyed on (so existing
-   entries and cross-session structural hits are untouched); for software
-   it is the processor signature plus the clock parameters the cycle
-   quantization depends on.  The "sw:" prefix keeps the spaces disjoint,
-   so hw and sw predictions of one subgraph can never collide. *)
-let predictor_signature t (cfg : Chop_bad.Predictor.config) =
-  match t with
-  | Hardware -> Chop_bad.Predictor.signature cfg
-  | Software p ->
-      let k = cfg.Chop_bad.Predictor.clocks in
-      Printf.sprintf "%s|k:%.17g:%d:%d"
-        (Chop_model_sw.Processor.signature p)
-        k.Chop_tech.Clocking.main k.Chop_tech.Clocking.datapath_ratio
-        k.Chop_tech.Clocking.transfer_ratio
-
 (* The capacity the area screen checks a partition's predictions against:
    usable die area for hardware (half the package pins assumed bonded, as
    always), the processor's memory budget in bytes for software.  Same

@@ -11,11 +11,11 @@
       the main-cycle algebra (perf = ii_main x clock_main) and whose [area]
       triplet is the model's footprint in its own resource unit;
     - {!capacity} is the bound the area screen checks that footprint
-      against, in the same unit;
-    - {!predictor_signature} is a stable identity joined into
-      {!Pred_cache.Key.raw}, equal across processes for equal inputs and
-      disjoint between models (hardware signatures are byte-identical to
-      the pre-seam cache keys, so warm hardware entries survive). *)
+      against, in the same unit.
+
+    {!Pred_cache.Key.raw} keys a prediction on the model's inputs: the
+    predictor config for [Hardware], the processor and clocks for
+    [Software]. *)
 
 type t =
   | Hardware
@@ -32,8 +32,6 @@ val of_spec : Spec.t -> label:string -> t
 val of_chip : Spec.t -> chip:string -> t
 (** The model of every partition on the chip ([Spec.make] enforces there is
     only one); [Hardware] for empty chips. *)
-
-val predictor_signature : t -> Chop_bad.Predictor.config -> string
 
 val capacity : t -> Spec.t -> label:string -> float
 (** Usable die area (mil^2) for hardware, memory budget (bytes) for

@@ -5,89 +5,74 @@ type entry = {
 }
 
 module Key = struct
-  type raw = { rid : string; origin : string }
-  type full = { parent : raw; fid : string }
+  type identity =
+    | Hardware of Chop_bad.Predictor.config
+    | Software of Chop_model_sw.Processor.t * Chop_tech.Clocking.t
 
+  type raw = { signature : string; model : identity }
+
+  type full = {
+    raw : raw;
+    chip : Chop_tech.Chip.t;
+    criteria : Chop_bad.Feasibility.criteria;
+  }
+
+  (* Exactly what the model's predictor reads: the hardware arm reads the
+     whole config, the software arm only the processor and the clocks.
+     The two constructors keep the models' entries apart. *)
   let raw ~sub ~cfg ~model =
-    (* content-addressed identity: the canonical structural digest (which
-       also interns [sub] into the process-wide sharing table) joined with
-       the implementation model's predictor identity.  For the hardware
-       model that identity is the predictor-config signature this cache
-       always keyed on — hardware keys are byte-identical to the pre-model
-       era, so warm entries and structural hits survive the seam; software
-       identities carry a disjoint "sw:" prefix, so the two models'
-       predictions of one subgraph can never collide.  Each component is
-       digested separately, so a component boundary can never be forged by
-       crafted contents. *)
-    let canon = Chop_dfg.Canon.of_graph sub in
     {
-      rid =
-        canon.Chop_dfg.Canon.digest ^ "-"
-        ^ Digest.to_hex (Digest.string (Model.predictor_signature model cfg));
-      (* the per-construction identity the stringly API used to key on —
-         kept only to tell structural hits (reuse across constructions)
-         from identity hits *)
-      origin = Chop_dfg.Graph.signature sub;
+      signature = Chop_dfg.Graph.signature sub;
+      model =
+        (match model with
+        | Model.Hardware -> Hardware cfg
+        | Model.Software p -> Software (p, cfg.Chop_bad.Predictor.clocks));
     }
 
-  let full ~raw ~chip ~criteria =
-    let chip_sig =
-      Printf.sprintf "%s:%.17g:%.17g:%d:%.17g:%.17g" chip.Chop_tech.Chip.pkg_name
-        chip.Chop_tech.Chip.width chip.Chop_tech.Chip.height
-        chip.Chop_tech.Chip.pins chip.Chop_tech.Chip.pad_delay
-        chip.Chop_tech.Chip.pad_area
-    in
-    let c = criteria in
-    let crit_sig =
-      Printf.sprintf "%.17g:%.17g:%.17g:%.17g:%.17g:%s"
-        c.Chop_bad.Feasibility.perf_constraint
-        c.Chop_bad.Feasibility.delay_constraint c.Chop_bad.Feasibility.perf_prob
-        c.Chop_bad.Feasibility.area_prob c.Chop_bad.Feasibility.delay_prob
-        (match c.Chop_bad.Feasibility.power_budget with
-        | None -> "-"
-        | Some p -> Printf.sprintf "%.17g" p)
-    in
-    {
-      parent = raw;
-      fid = raw.rid ^ "/" ^ Digest.to_hex (Digest.string (chip_sig ^ "|" ^ crit_sig));
-    }
-
-  let raw_of_full k = k.parent
-  let raw_id k = k.rid
-  let full_id k = k.fid
+  let full ~raw ~chip ~criteria = { raw; chip; criteria }
 end
 
-(* Each layer pairs the stored value with the creator's construction
-   identity (for structural-hit accounting) and a last-use stamp drawn
-   from the cache-wide clock; eviction drops the oldest-stamped entries
-   across both layers until the total count fits the capacity again. *)
-type counters = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  structural_hits : int;
-}
+(* Both layers hash on the signature alone and compare whole keys with
+   [compare], which treats the floats of a config, chip or criteria record
+   as [Hashtbl.hash] does (nan equal to itself) and returns at once on a
+   physically shared config. *)
+module Raw_tbl = Hashtbl.Make (struct
+  type t = Key.raw
 
-type 'a slot = { value : 'a; origin : string; stamp : int ref }
+  let equal a b = compare a b = 0
+  let hash (k : t) = Hashtbl.hash k.Key.signature
+end)
+
+module Full_tbl = Hashtbl.Make (struct
+  type t = Key.full
+
+  let equal a b = compare a b = 0
+  let hash (k : t) = Hashtbl.hash k.Key.raw.Key.signature
+end)
+
+(* Each layer pairs the stored value with a last-use stamp drawn from the
+   cache-wide clock; eviction drops the oldest-stamped entries across both
+   layers until the total count fits the capacity again. *)
+type counters = { hits : int; misses : int; evictions : int }
+type 'a slot = { value : 'a; stamp : int ref }
 
 type t = {
   lock : Mutex.t;
-  raw_tbl : (string, Chop_bad.Prediction.t list slot) Hashtbl.t;
-  full_tbl : (string, entry slot) Hashtbl.t;
+  raw_tbl : Chop_bad.Prediction.t list slot Raw_tbl.t;
+  full_tbl : entry slot Full_tbl.t;
   mutable clock : int;
   mutable capacity : int option;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable structural_hits : int;
 }
 
 let default_shared_capacity = 1024
 
 let create ?capacity () =
-  { lock = Mutex.create (); raw_tbl = Hashtbl.create 64;
-    full_tbl = Hashtbl.create 64; clock = 0; capacity; hits = 0; misses = 0;
-    evictions = 0; structural_hits = 0 }
+  { lock = Mutex.create (); raw_tbl = Raw_tbl.create 64;
+    full_tbl = Full_tbl.create 64; clock = 0; capacity; hits = 0; misses = 0;
+    evictions = 0 }
 
 let shared = create ~capacity:default_shared_capacity ()
 
@@ -97,11 +82,11 @@ let locked t f =
 
 let clear t =
   locked t (fun () ->
-      Hashtbl.reset t.raw_tbl;
-      Hashtbl.reset t.full_tbl)
+      Raw_tbl.reset t.raw_tbl;
+      Full_tbl.reset t.full_tbl)
 
 let length t =
-  locked t (fun () -> Hashtbl.length t.raw_tbl + Hashtbl.length t.full_tbl)
+  locked t (fun () -> Raw_tbl.length t.raw_tbl + Full_tbl.length t.full_tbl)
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -109,21 +94,23 @@ let tick t =
 
 (* caller holds the lock *)
 let evict_to t limit =
-  let total () = Hashtbl.length t.raw_tbl + Hashtbl.length t.full_tbl in
+  let total () = Raw_tbl.length t.raw_tbl + Full_tbl.length t.full_tbl in
   if total () > limit then begin
     let stamps = ref [] in
-    Hashtbl.iter (fun k s -> stamps := (!(s.stamp), `Raw, k) :: !stamps) t.raw_tbl;
-    Hashtbl.iter (fun k s -> stamps := (!(s.stamp), `Full, k) :: !stamps)
+    Raw_tbl.iter (fun k s -> stamps := (!(s.stamp), `Raw k) :: !stamps) t.raw_tbl;
+    Full_tbl.iter (fun k s -> stamps := (!(s.stamp), `Full k) :: !stamps)
       t.full_tbl;
-    let oldest_first = List.sort compare !stamps in
+    let oldest_first =
+      List.sort (fun (a, _) (b, _) -> Int.compare a b) !stamps
+    in
     let excess = total () - limit in
     List.iteri
-      (fun i (_, layer, k) ->
+      (fun i (_, k) ->
         if i < excess then begin
           t.evictions <- t.evictions + 1;
-          match layer with
-          | `Raw -> Hashtbl.remove t.raw_tbl k
-          | `Full -> Hashtbl.remove t.full_tbl k
+          match k with
+          | `Raw k -> Raw_tbl.remove t.raw_tbl k
+          | `Full k -> Full_tbl.remove t.full_tbl k
         end)
       oldest_first
   end
@@ -139,54 +126,46 @@ let set_capacity t capacity =
 let capacity t = locked t (fun () -> t.capacity)
 
 let counters t =
-  locked t (fun () ->
-      { hits = t.hits; misses = t.misses; evictions = t.evictions;
-        structural_hits = t.structural_hits })
+  locked t (fun () -> { hits = t.hits; misses = t.misses; evictions = t.evictions })
 
 (* caller holds the lock *)
-let record_hit t ~probe_origin slot =
+let record_hit t slot =
   slot.stamp := tick t;
-  t.hits <- t.hits + 1;
-  (* a hit whose creator was a different construction of the same
-     structure is exactly the hit the per-construction keys missed *)
-  if not (String.equal slot.origin probe_origin) then
-    t.structural_hits <- t.structural_hits + 1
+  t.hits <- t.hits + 1
 
-let find_raw t (k : Key.raw) =
+let find_raw t k =
   locked t (fun () ->
-      match Hashtbl.find_opt t.raw_tbl k.Key.rid with
+      match Raw_tbl.find_opt t.raw_tbl k with
       | None ->
           t.misses <- t.misses + 1;
           None
       | Some slot ->
-          record_hit t ~probe_origin:k.Key.origin slot;
+          record_hit t slot;
           Some slot.value)
 
-let add_raw t (k : Key.raw) v =
+let add_raw t k v =
   locked t (fun () ->
-      Hashtbl.replace t.raw_tbl k.Key.rid
-        { value = v; origin = k.Key.origin; stamp = ref (tick t) };
+      Raw_tbl.replace t.raw_tbl k { value = v; stamp = ref (tick t) };
       enforce_capacity t)
 
 let find_full t (k : Key.full) =
   locked t (fun () ->
-      match Hashtbl.find_opt t.full_tbl k.Key.fid with
+      match Full_tbl.find_opt t.full_tbl k with
       | None ->
           t.misses <- t.misses + 1;
           None
       | Some slot ->
-          record_hit t ~probe_origin:k.Key.parent.Key.origin slot;
+          record_hit t slot;
           (* a full-layer hit is also a use of the raw enumeration behind
              it: refresh the parent's age so derived lookups (sensitivity
              sweeps, criteria edits) don't let their own raw working set
              age out *)
-          (match Hashtbl.find_opt t.raw_tbl k.Key.parent.Key.rid with
+          (match Raw_tbl.find_opt t.raw_tbl k.Key.raw with
           | Some parent -> parent.stamp := tick t
           | None -> ());
           Some slot.value)
 
-let add_full t (k : Key.full) v =
+let add_full t k v =
   locked t (fun () ->
-      Hashtbl.replace t.full_tbl k.Key.fid
-        { value = v; origin = k.Key.parent.Key.origin; stamp = ref (tick t) };
+      Full_tbl.replace t.full_tbl k { value = v; stamp = ref (tick t) };
       enforce_capacity t)

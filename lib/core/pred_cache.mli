@@ -1,24 +1,22 @@
-(** Memoized BAD prediction results, content-addressed.
+(** Memoized BAD prediction results.
 
     The exploration engine predicts each partition of a spec independently;
     advisor what-if probes, {!Sensitivity} sweeps and repeated runs over the
-    same spec re-predict structurally identical subgraphs over and over.
-    This cache memoizes those predictions behind {e structural} keys — the
-    canonical digest of {!Chop_dfg.Canon} rather than the per-construction
-    {!Chop_dfg.Graph.signature} — so the expensive
+    same spec re-predict the same subgraphs over and over.  This cache
+    memoizes those predictions behind keys built from exactly what the
+    predictor reads (see {!Key.raw}), so the expensive
     {!Chop_bad.Predictor.predict} enumeration runs once per distinct
-    (subgraph structure, predictor config) pair, process-wide: warm hits
+    (id-ordered subgraph, predictor input) pair, process-wide: warm hits
     flow across [Spec.update] edits, [Explore.Session] instances, server
-    engine keys and concurrent clients sharing {!shared}, however each of
-    them happened to construct its graph.
+    engine keys and concurrent clients sharing {!shared}, and a hit always
+    returns what a fresh prediction would.
 
     Two layers are kept:
 
-    - the {e raw} layer maps {!Key.raw} (canonical-subgraph digest,
-      predictor-config digest) to the unpruned prediction list — it
-      survives changes to feasibility criteria or chip packages, so a
-      sensitivity sweep that only moves a constraint still reuses the
-      enumeration;
+    - the {e raw} layer maps {!Key.raw} (subgraph signature, model
+      identity) to the unpruned prediction list — it survives changes to
+      feasibility criteria or chip packages, so a sensitivity sweep that
+      only moves a constraint still reuses the enumeration;
     - the {e full} layer keys on {!Key.full} (the raw key extended with
       the chip package and the feasibility criteria) and stores the derived
       per-partition results (feasible count and pruned list), skipping even
@@ -48,18 +46,16 @@ type entry = {
 
 (** {1 Keys}
 
-    Typed, spec-independent cache keys.  The former stringly
-    [raw_key]/[full_key] entry points are gone: every caller builds a
-    {!Key.raw} from the subgraph and predictor config (which also interns
-    the subgraph into the {!Chop_dfg.Canon} sharing table) and extends it
-    to a {!Key.full} per chip package and criteria. *)
+    Typed, spec-independent cache keys, compared structurally: a hit
+    needs an equal signature {e and} an equal model identity, chip and
+    criteria, not equal digests of them. *)
 
 module Key : sig
   type raw
-  (** Identity of one BAD enumeration: canonical structural digest of the
-      subgraph + predictor-config digest.  Also carries the subgraph's
-      per-construction {!Chop_dfg.Graph.signature}, used only to classify
-      hits as structural (see {!counters}). *)
+  (** Identity of one prediction enumeration: the subgraph's
+      {!Chop_dfg.Graph.signature} plus the model identity — the
+      {!Chop_bad.Predictor.config} itself for hardware, the processor and
+      the clocks for software. *)
 
   type full
   (** A {!raw} key extended with the chip package and feasibility criteria
@@ -70,24 +66,25 @@ module Key : sig
     cfg:Chop_bad.Predictor.config ->
     model:Model.t ->
     raw
-  (** The model's {!Model.predictor_signature} joins the digest: hardware
-      keys are byte-identical to the pre-model keys, software keys live in
-      a disjoint space, so predictions never cross models. *)
+  (** The key rests on one premise: equal keys give equal predictions.
+      BAD and {!Chop_model_sw.Sw_predict} read a subgraph's ids, operations,
+      widths and edges, and never its node or graph names.  They read each
+      node's predecessor list only in order-insensitive ways — counts,
+      maxima and checks ([List_sched]'s computational-operand count,
+      [Chain_sched]'s latest-operand fold, [Force_directed]'s ASAP
+      bound) — while {!Chop_dfg.Graph.signature} covers the rest: node ids
+      in topological order and each node's successors in order.  The same
+      structure numbered differently gets a different key, because the
+      schedulers break ties by node id.  Hardware and software identities
+      are different constructors, so predictions never cross models; two
+      software partitions share entries exactly when their processors and
+      clocks are equal. *)
 
   val full :
     raw:raw ->
     chip:Chop_tech.Chip.t ->
     criteria:Chop_bad.Feasibility.criteria ->
     full
-
-  val raw_of_full : full -> raw
-  (** The raw key a full key was built from — the entry whose age a
-      full-layer hit refreshes. *)
-
-  val raw_id : raw -> string
-  (** The underlying digest string (diagnostics; stable across processes). *)
-
-  val full_id : full -> string
 end
 
 val create : ?capacity:int -> unit -> t
@@ -126,12 +123,6 @@ type counters = {
   hits : int;  (** [find_*] lookups that found their entry *)
   misses : int;  (** [find_*] lookups that came back empty *)
   evictions : int;  (** entries dropped by the capacity bound *)
-  structural_hits : int;
-      (** the subset of [hits] whose entry was created under a {e
-          different} graph construction (the probe's
-          {!Chop_dfg.Graph.signature} differs from the creator's) — hits
-          that per-construction identity keying would have missed.  The
-          measure of cross-session / cross-spec reuse. *)
 }
 
 val counters : t -> counters
@@ -142,9 +133,9 @@ val counters : t -> counters
     [Explore.Metrics.cache_misses].  A partition an [Explore.Session]
     serves from the entry it carried over from its last run makes no
     lookup at all, so a warm engine re-running its spec adds nothing
-    here.  The eviction and structural-hit counters are what the per-run
-    [Explore.Metrics] deltas and the server's [stats] request are built
-    from. *)
+    here.  The eviction counter is what the per-run [Explore.Metrics]
+    delta is built from; the server's [stats] request reports all
+    three. *)
 
 (** {1 Lookup and insertion} *)
 

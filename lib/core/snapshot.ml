@@ -5,9 +5,9 @@
    the session's open parameters there), then the spec and each undo/redo
    entry as embedded chopspec blocks framed by `spec <<<` ... `>>>`
    sentinels (chopspec lines are keyword-led, so the sentinel cannot
-   collide).  Restoring re-parses the specs, which renumbers node ids —
-   harmless by design: the prediction store's content-addressed keys serve
-   the re-predictions of a renumbered graph as structural hits. *)
+   collide).  Restoring re-parses the specs, which rebuilds each graph in
+   its written construction order: node ids, and with them the prediction
+   store's keys, come back as they were. *)
 
 exception Parse_error of string
 

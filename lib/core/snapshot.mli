@@ -8,11 +8,11 @@
     restores it on [session/open]; the gateway migrates sessions between
     backends through the same format.
 
-    Round-tripping re-parses the chopspec blocks, which renumbers node ids
-    — by design harmless: the prediction store's content-addressed keys
-    ({!Pred_cache.Key}) serve a renumbered graph's re-predictions as
-    structural hits, so a restored session's first run performs no raw
-    prediction work that any equivalent session has already done. *)
+    Round-tripping re-parses the chopspec blocks, which rebuilds each
+    graph in its written construction order, so node ids come back as they
+    were.  The prediction store keys on the id-ordered subgraph
+    ({!Pred_cache.Key.raw}), so a session restored in the process that
+    saved it runs BAD on nothing the saved session already predicted. *)
 
 exception Parse_error of string
 

@@ -153,17 +153,38 @@ let total_output_bits g =
       | _ -> n.width)
     (outputs g)
 
+(* Buffer appends only: this string is built for every prediction-cache
+   key, so no Printf or string_of_int per node or edge.  The bytes are
+   those of "%d:%s:%d;" per node in topological order, "|", then "%d>%d;"
+   per edge in {!edges} order. *)
 let signature g =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create 512 in
+  (* ids and widths are non-negative *)
+  let rec add_int i =
+    if i >= 10 then add_int (i / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+  in
   List.iter
-    (fun n ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d:%s:%d;" n.id (Op.to_string n.op) n.width))
-    (nodes g);
+    (fun id ->
+      let n = IntMap.find id g.node_map in
+      add_int id;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (Op.to_string n.op);
+      Buffer.add_char buf ':';
+      add_int n.width;
+      Buffer.add_char buf ';')
+    g.order;
   Buffer.add_char buf '|';
   List.iter
-    (fun (src, dst) -> Buffer.add_string buf (Printf.sprintf "%d>%d;" src dst))
-    (edges g);
+    (fun src ->
+      List.iter
+        (fun dst ->
+          add_int src;
+          Buffer.add_char buf '>';
+          add_int dst;
+          Buffer.add_char buf ';')
+        (succs g src))
+    g.order;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let induced g ~name keep =

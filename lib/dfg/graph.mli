@@ -68,11 +68,13 @@ val total_input_bits : t -> Chop_util.Units.bits
 val total_output_bits : t -> Chop_util.Units.bits
 
 val signature : t -> string
-(** A structural digest of the graph — node ids, operations and widths plus
-    the edge list, hashed.  Two graphs built by the same construction
-    sequence (e.g. two {!induced} extractions of the same partition) share a
-    signature; the graph [name] is excluded.  Used as a cache key by the
-    exploration engine's prediction cache. *)
+(** An id-ordered digest of the graph: each node's id, operation and width
+    in topological order, then the {!edges} list (each source's successors
+    in insertion order).  Node and graph names are excluded, and so is the
+    order of each node's predecessor list.  Two graphs built by the same
+    construction sequence (e.g. two {!induced} extractions of the same
+    partition) share a signature; the same structure numbered differently
+    does not.  The prediction cache keys on it ([Chop.Pred_cache.Key.raw]). *)
 
 (** {1 Derived graphs} *)
 

@@ -48,5 +48,6 @@ val renumber : ?seed:int -> Graph.t -> Graph.t
 (** An isomorphic copy with node ids assigned in a deterministically
     shuffled order ([seed] selects the permutation).  Models the same
     behavior arriving from a different frontend construction order:
-    {!Graph.signature} changes, {!Canon.digest} does not — the scenario
-    content-addressed prediction caching exists for. *)
+    {!Graph.signature} changes, and so may BAD's predictions, whose
+    tie-breaks follow node ids.  The prediction cache keys on the
+    signature, so a renumbered twin never shares the original's entries. *)

@@ -25,16 +25,6 @@ let make ~name ~issue_slots ~cycle_ns ~code_bytes_per_op ~data_bytes_per_value
   { pname = name; issue_slots; cycle_ns; code_bytes_per_op;
     data_bytes_per_value; memory_budget_bytes; bus_bits }
 
-(* Stable textual identity: every field that changes the predictions.  The
-   "sw:" prefix keeps the digest space disjoint from the hardware
-   predictor-config signatures by construction. *)
-let signature p =
-  Printf.sprintf "sw:%s:%d:%.17g:%d:%d:%.17g:%d" p.pname p.issue_slots
-    p.cycle_ns p.code_bytes_per_op p.data_bytes_per_value
-    p.memory_budget_bytes p.bus_bits
-
-let digest p = Digest.to_hex (Digest.string (signature p))
-
 let pp ppf p =
   Format.fprintf ppf
     "%s: %d-issue, %a cycle, %.0f byte budget, %d-bit bus" p.pname

@@ -27,13 +27,4 @@ val make :
 (** @raise Invalid_argument on a non-token or reserved name, or any
     non-positive parameter. *)
 
-val signature : t -> string
-(** Textual identity covering every prediction-relevant field, prefixed
-    ["sw:"] so it can never collide with a hardware predictor-config
-    signature. *)
-
-val digest : t -> string
-(** [Digest.to_hex] of {!signature} — the model identity joined into
-    prediction cache keys. *)
-
 val pp : Format.formatter -> t -> unit

@@ -181,8 +181,8 @@ val render_auto : Chop.Spec.t -> Chop_auto.outcome -> string
 val render_auto_timing : Chop_auto.outcome -> string
 (** The wall-clock/cache line [chop auto] prints after the deterministic
     block: wall seconds, the pool's job count with the speculative
-    busy/wall split, and the refinement cache hit/miss/structural
-    counters with the hit rate. *)
+    busy/wall split, and the refinement cache hit/miss counters with
+    the hit rate. *)
 
 val render_auto_stats : Chop_auto.outcome -> string
 (** The [chop auto --stats] block: speculative run/round counts, the

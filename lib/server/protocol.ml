@@ -323,7 +323,6 @@ type timing = {
   cache_hits : int;
   cache_misses : int;
   cache_evictions : int;
-  cache_structural_hits : int;
   moves_tried : int;  (** session/optimize only; 0 elsewhere *)
   moves_accepted : int;  (** session/optimize only; 0 elsewhere *)
   speculative_runs : int;  (** session/optimize only; 0 elsewhere *)
@@ -343,7 +342,6 @@ let no_engine_timing ~queue_ms ~run_ms =
     cache_hits = 0;
     cache_misses = 0;
     cache_evictions = 0;
-    cache_structural_hits = 0;
     moves_tried = 0;
     moves_accepted = 0;
     speculative_runs = 0;
@@ -364,7 +362,6 @@ let timing_of_report ~queue_ms ~run_ms (report : Chop.Explore.report) =
     cache_hits = m.M.cache_hits;
     cache_misses = m.M.cache_misses;
     cache_evictions = m.M.cache_evictions;
-    cache_structural_hits = m.M.cache_structural_hits;
     jobs = report.Chop.Explore.jobs;
   }
 
@@ -376,7 +373,6 @@ let optimize_timing ~queue_ms ~run_ms (o : Chop_auto.outcome) =
     (no_engine_timing ~queue_ms ~run_ms) with
     cache_hits = o.Chop_auto.cache_hits;
     cache_misses = o.Chop_auto.cache_misses;
-    cache_structural_hits = o.Chop_auto.cache_structural_hits;
     moves_tried = o.Chop_auto.moves_tried;
     moves_accepted = o.Chop_auto.moves_accepted;
     speculative_runs = o.Chop_auto.speculative_runs;
@@ -397,7 +393,6 @@ let timing_to_json t =
       ("cache_hits", Json.Int t.cache_hits);
       ("cache_misses", Json.Int t.cache_misses);
       ("cache_evictions", Json.Int t.cache_evictions);
-      ("cache_structural_hits", Json.Int t.cache_structural_hits);
       ("moves_tried", Json.Int t.moves_tried);
       ("moves_accepted", Json.Int t.moves_accepted);
       ("speculative_runs", Json.Int t.speculative_runs);

@@ -167,10 +167,6 @@ type timing = {
   cache_hits : int;
   cache_misses : int;
   cache_evictions : int;
-  cache_structural_hits : int;
-      (** hits served across graph constructions — entries created by
-          another session, spec revision or client (see
-          {!Chop.Pred_cache.counters}) *)
   moves_tried : int;
       (** session/optimize: candidate moves evaluated; 0 elsewhere *)
   moves_accepted : int;

@@ -108,12 +108,11 @@ let access_log ?(client = "") t ~id ~op ~status ~(timing : Protocol.timing)
     ~verdict =
   logf t
     "id=%s op=%s status=%s queue_ms=%.1f run_ms=%.1f predict_ms=%.1f \
-     search_ms=%.1f merge_ms=%.1f cache=%dh/%dm/%de/%ds verdict=%s%s"
+     search_ms=%.1f merge_ms=%.1f cache=%dh/%dm/%de verdict=%s%s"
     id op status timing.Protocol.queue_ms timing.Protocol.run_ms
     timing.Protocol.predict_ms timing.Protocol.search_ms
     timing.Protocol.merge_ms timing.Protocol.cache_hits
-    timing.Protocol.cache_misses timing.Protocol.cache_evictions
-    timing.Protocol.cache_structural_hits verdict
+    timing.Protocol.cache_misses timing.Protocol.cache_evictions verdict
     (* per-client attribution: who performed the op, e.g. which of a
        session's clients made an edit *)
     (if client = "" then "" else " client=" ^ client)
@@ -314,11 +313,10 @@ let stats_fields t =
   let text =
     Printf.sprintf
       "uptime: %.1f s, engines: %d, sessions: %d\n\
-       cache: %d hit(s) / %d miss(es) / %d eviction(s), %d structural \
-       (cross-session) hit(s), hit rate %.1f%%\n"
+       cache: %d hit(s) / %d miss(es) / %d eviction(s), hit rate %.1f%%\n"
       uptime engines sessions cache.Chop.Pred_cache.hits
       cache.Chop.Pred_cache.misses cache.Chop.Pred_cache.evictions
-      cache.Chop.Pred_cache.structural_hits (100. *. hit_rate)
+      (100. *. hit_rate)
   in
   [
     ("uptime_s", Json.Float uptime);
@@ -332,7 +330,10 @@ let stats_fields t =
          ("hits", Json.Int cache.Chop.Pred_cache.hits);
          ("misses", Json.Int cache.Chop.Pred_cache.misses);
          ("evictions", Json.Int cache.Chop.Pred_cache.evictions);
-         ("structural_hits", Json.Int cache.Chop.Pred_cache.structural_hits);
+         (* always 0 (no hit crosses graph constructions); kept only
+            because the benchmark's session-serve workload reads it,
+            until a benchmark change retires it *)
+         ("structural_hits", Json.Int 0);
          ("hit_rate", Json.Float hit_rate);
        ]);
     ("text", Json.String text);

@@ -393,30 +393,150 @@ let test_sw_budget_screens_footprint () =
        (Chop.Model.prune (model 32.) cfg ~criteria:criteria1 ~capacity:32.
           preds))
 
+(* Checked through the cache itself: an entry stored under one model's
+   key is found under an equal key and under no other model's. *)
 let test_cache_keys_disjoint_across_models () =
   let sub = ar () in
   let cfg = cfg1 () in
-  let id model =
-    Chop.Pred_cache.Key.raw_id (Chop.Pred_cache.Key.raw ~sub ~cfg ~model)
-  in
-  let hw = id Chop.Model.Hardware in
-  let sw = id (Chop.Model.Software (cpu ())) in
+  let key model = Chop.Pred_cache.Key.raw ~sub ~cfg ~model in
+  let cache = Chop.Pred_cache.create () in
+  let hw = Chop.Model.Hardware and sw = Chop.Model.Software (cpu ()) in
+  let hw_preds = Chop.Model.predict hw cfg ~label:"X" sub in
+  let sw_preds = Chop.Model.predict sw cfg ~label:"X" sub in
+  Chop.Pred_cache.add_raw cache (key hw) hw_preds;
   Alcotest.(check bool) "hardware and software keys never collide" true
-    (hw <> sw);
+    (Chop.Pred_cache.find_raw cache (key sw) = None);
+  Chop.Pred_cache.add_raw cache (key sw) sw_preds;
+  Alcotest.(check bool) "hardware entry survives the software one" true
+    (Chop.Pred_cache.find_raw cache (key hw) = Some hw_preds);
   Alcotest.(check bool) "processor parameters are cache identity" true
-    (sw <> id (Chop.Model.Software (cpu ~issue:2 ())));
-  Alcotest.(check string) "equal processors, equal keys" sw
-    (id (Chop.Model.Software (cpu ())));
-  (* content addressing holds within each model: a renumbered isomorphic
-     graph probes the same entry *)
-  let renum = Chop_dfg.Transform.renumber sub in
-  let id' model =
-    Chop.Pred_cache.Key.raw_id
-      (Chop.Pred_cache.Key.raw ~sub:renum ~cfg ~model)
+    (Chop.Pred_cache.find_raw cache
+       (key (Chop.Model.Software (cpu ~issue:2 ())))
+    = None);
+  Alcotest.(check bool) "clocks are software cache identity" true
+    (Chop.Pred_cache.find_raw cache
+       (Chop.Pred_cache.Key.raw ~sub ~cfg:(cfg2 ()) ~model:sw)
+    = None);
+  Alcotest.(check bool) "equal processors, equal keys" true
+    (Chop.Pred_cache.find_raw cache (key (Chop.Model.Software (cpu ())))
+    = Some sw_preds)
+
+(* ------------------------------------------------------------------ *)
+(* The prediction cache's premise *)
+
+(* Pred_cache.Key.raw keys on Graph.signature: node ids, operations,
+   widths and each node's successors in order, but neither names nor the
+   order of a node's operands.  So predictions must not depend on those
+   either.  [reordered g] renames every node and the graph and re-adds the
+   edges source by source in Graph.edges order, which keeps the signature
+   and sorts each node's operands by their producer's topological
+   position. *)
+let reordered g =
+  let module G = Chop_dfg.Graph in
+  let b = G.builder ~name:(G.name g ^ "_renamed") () in
+  List.iter
+    (fun n ->
+      ignore
+        (G.add_node b ~name:("renamed_" ^ n.G.name) ~op:n.G.op ~width:n.G.width))
+    (List.sort (fun a c -> Int.compare a.G.id c.G.id) (G.nodes g));
+  List.iter (fun (src, dst) -> G.add_edge b ~src ~dst) (G.edges g);
+  G.build b
+
+(* A random layered DAG over add, sub, mult and select, whose operands are
+   drawn from every earlier value, so operand lists often come out of
+   topological order. *)
+let premise_dag ~seed ~ops =
+  let module G = Chop_dfg.Graph in
+  let rng = Random.State.make [| seed |] in
+  let b = G.builder ~name:(Printf.sprintf "premise_%d" seed) () in
+  let pool =
+    ref (List.init 3 (fun _ -> G.add_node b ~op:Chop_dfg.Op.Input ~width:16))
   in
-  Alcotest.(check string) "hw key is structural" hw (id' Chop.Model.Hardware);
-  Alcotest.(check string) "sw key is structural" sw
-    (id' (Chop.Model.Software (cpu ())))
+  for _ = 1 to ops do
+    let op =
+      Chop_dfg.Op.(
+        [| Add; Sub; Mult; Select |].(Random.State.int rng 4))
+    in
+    let n = G.add_node b ~op ~width:16 in
+    let avail = Array.of_list !pool in
+    for _ = 1 to fst (Chop_dfg.Op.arity op) do
+      G.add_edge b ~src:avail.(Random.State.int rng (Array.length avail)) ~dst:n
+    done;
+    pool := n :: !pool
+  done;
+  List.iter
+    (fun v ->
+      G.add_edge b ~src:v ~dst:(G.add_node b ~op:Chop_dfg.Op.Output ~width:16))
+    (Chop_util.Listx.take (max 1 (ops / 4)) !pool);
+  G.build b
+
+let premise_configs =
+  [|
+    ("list-1c", Predictor.List_based, false, Chop_tech.Style.Single_cycle);
+    ("list-mc", Predictor.List_based, false, Chop_tech.Style.Multi_cycle);
+    ("chain-1c", Predictor.List_based, true, Chop_tech.Style.Single_cycle);
+    ("fd-1c", Predictor.Force_directed, false, Chop_tech.Style.Single_cycle);
+    ("fd-mc", Predictor.Force_directed, false, Chop_tech.Style.Multi_cycle);
+  |]
+
+(* force-directed cases keep to at most 6 operations, like the latency
+   class cases above; odd seeds predict in software *)
+let premise_case seed =
+  let name, scheduler, chaining, timing =
+    premise_configs.(seed mod Array.length premise_configs)
+  in
+  let ops =
+    2 + ((seed / 7) mod if scheduler = Predictor.Force_directed then 5 else 11)
+  in
+  let cfg =
+    Predictor.config ~alloc_cap:4 ~max_pipelined_iis:3 ~scheduler ~chaining
+      ~library:Chop_tech.Mosis.extended_library
+      ~clocks:(if timing = Chop_tech.Style.Single_cycle then clocks1 else clocks2)
+      ~style:(Chop_tech.Style.both timing) ()
+  in
+  let model =
+    if seed land 1 = 0 then Chop.Model.Hardware
+    else Chop.Model.Software (cpu ())
+  in
+  (name, model, cfg, premise_dag ~seed ~ops)
+
+let print_premise_case seed =
+  let name, model, _, g = premise_case seed in
+  Printf.sprintf "seed %d: %s, %s, %d ops" seed name (Chop.Model.name model)
+    (Chop_dfg.Graph.op_count g)
+
+let operands g =
+  List.map (fun n -> Chop_dfg.Graph.preds g n.Chop_dfg.Graph.id)
+    (Chop_dfg.Graph.nodes g)
+
+let names_ignored_operand_order_ignored =
+  QCheck.Test.make ~name:"names and operand order do not change predictions"
+    ~count:120
+    (QCheck.make ~print:print_premise_case QCheck.Gen.nat)
+    (fun seed ->
+      let _, model, cfg, g = premise_case seed in
+      let g' = reordered g in
+      if Chop_dfg.Graph.signature g' <> Chop_dfg.Graph.signature g then
+        QCheck.Test.fail_report "reordering changed the signature";
+      if
+        List.exists2
+          (fun a c -> a.Chop_dfg.Graph.name = c.Chop_dfg.Graph.name)
+          (Chop_dfg.Graph.nodes g) (Chop_dfg.Graph.nodes g')
+      then QCheck.Test.fail_report "a node kept its name";
+      Chop.Model.predict model cfg ~label:"P" g
+      = Chop.Model.predict model cfg ~label:"P" g')
+
+(* the property above is not vacuous: the reordering does move operands *)
+let test_reordering_moves_operands () =
+  let moved =
+    List.filter
+      (fun seed ->
+        let _, _, _, g = premise_case seed in
+        operands g <> operands (reordered g))
+      (List.init 40 Fun.id)
+  in
+  Alcotest.(check bool) "operand order differs on some seeds" true
+    (List.length moved >= 10)
 
 (* Every field of every prediction, floats in exact hexadecimal, so any
    change to an integer or to the order of a float sum shows. *)
@@ -696,6 +816,8 @@ let () =
           tc "every prediction pinned" `Quick test_predictions_pinned;
           QCheck_alcotest.to_alcotest predictor_deterministic;
           QCheck_alcotest.to_alcotest latency_classes_invisible;
+          QCheck_alcotest.to_alcotest names_ignored_operand_order_ignored;
+          tc "reordering moves operands" `Quick test_reordering_moves_operands;
         ] );
       ( "software model",
         [

@@ -928,11 +928,11 @@ let test_specfile_processor_impl_roundtrip () =
             (Spec.impl_of_partition s "P1")
       | ps -> Alcotest.failf "%d processors" (List.length ps))
     [ spec; reparsed ];
-  (* identical processor signatures across the round-trip: the cache
-     identity of a restored software partition is unchanged *)
-  Alcotest.(check string) "signature survives"
-    (Chop_model_sw.Processor.signature (List.hd spec.Spec.processors))
-    (Chop_model_sw.Processor.signature (List.hd reparsed.Spec.processors))
+  (* an equal processor across the round-trip: the cache identity of a
+     restored software partition (Pred_cache.Key.raw compares the
+     processor record itself) is unchanged *)
+  Alcotest.(check bool) "processor survives" true
+    (List.hd spec.Spec.processors = List.hd reparsed.Spec.processors)
 
 (* ------------------------------------------------------------------ *)
 (* Sysim *)

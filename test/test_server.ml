@@ -293,6 +293,49 @@ let test_handle_line_matches_direct_render () =
 let json_string resp path =
   Option.bind (field resp path) Json.to_string_opt
 
+(* ewf2 is ewf rebuilt in a shuffled construction order.  An ewf2
+   session run on the process-wide cache an ewf session has just filled
+   must render exactly as a cache-off explore of its spec. *)
+let test_session_twin_matches_cache_off () =
+  let server = make_server () in
+  let session_run benchmark =
+    let opened =
+      parse_response
+        (Server.handle_line server
+           (Printf.sprintf {|{"op":"session/open","benchmark":"%s"}|} benchmark))
+    in
+    let sid =
+      match json_string opened [ "result"; "session" ] with
+      | Some sid -> sid
+      | None -> Alcotest.fail "no session id in session/open response"
+    in
+    let run =
+      parse_response
+        (Server.handle_line server
+           (Printf.sprintf {|{"op":"session/run","session":"%s"}|} sid))
+    in
+    ignore
+      (Server.handle_line server
+         (Printf.sprintf {|{"op":"session/close","session":"%s"}|} sid));
+    match json_string run [ "result"; "text" ] with
+    | Some text -> text
+    | None -> Alcotest.fail "no text in session/run response"
+  in
+  ignore (session_run "ewf");
+  let text = session_run "ewf2" in
+  let params = { Protocol.default_params with benchmark = "ewf2" } in
+  let reference =
+    match (Ops.spec_of_params params, Ops.config_of_params ~jobs:1 params) with
+    | Ok spec, Ok config ->
+        Ops.render_explore spec ~keep_all:false ~csv:false ~verbose:false
+          (Chop.Explore.with_engine
+             { config with Chop.Explore.Config.cache = Chop.Explore.Config.Off }
+             spec Chop.Explore.Session.run)
+    | Error m, _ | _, Error m -> Alcotest.fail m
+  in
+  Alcotest.(check string) "ewf2 session/run = cache-off explore" reference text;
+  Server.stop server
+
 let test_session_ops_pipeline () =
   let server = make_server () in
   let opened =
@@ -672,6 +715,8 @@ let () =
             test_session_ops_pipeline;
           Alcotest.test_case "LRU eviction past the cap" `Quick
             test_session_lru_eviction;
+          Alcotest.test_case "renumbered twin matches cache-off" `Quick
+            test_session_twin_matches_cache_off;
         ] );
       ( "client",
         [

@@ -536,15 +536,127 @@ let snapshot_roundtrip_preserves_session =
         ~finally:(fun () -> Explore.Session.close restored)
         (fun () ->
           let report = Explore.Session.run restored in
-          (* parsing renumbered every node id, so raw cache keys differ —
-             the content-addressed store must serve every partition
-             anyway, as structural hits: no prediction is recomputed *)
+          (* parsing rebuilds every graph in its written construction
+             order, so the raw keys come back unchanged: every partition
+             hits the entries the live session left, none is recomputed *)
           Alcotest.(check int) "restored run misses nothing" 0
             (misses report);
           Alcotest.(check string)
             "restored run byte-identical to the live session's" reference
             (render (Explore.Session.spec restored) report);
           true))
+
+(* ------------------------------------------------------------------ *)
+(* Cache transparency: a warm shared cache answers as no cache at all *)
+
+(* A spec over a paper benchmark or a random DAG, cut into k levels, in
+   the single- or multi-cycle style, and the same spec over the graph's
+   Transform.renumber twin. *)
+let transparency_specs ~graph ~k ~multi ~seed =
+  let graph =
+    match graph with
+    | 0 -> Chop_dfg.Benchmarks.ar_lattice_filter ()
+    | 1 -> Chop_dfg.Benchmarks.elliptic_wave_filter ()
+    | 2 -> Chop_dfg.Benchmarks.fir_filter ~taps:8 ()
+    | 3 -> Chop_dfg.Benchmarks.diffeq ()
+    | _ -> Chop_dfg.Benchmarks.random_dag ~ops:(8 + (seed mod 12)) ~seed ()
+  in
+  let spec graph =
+    let k = min k (List.length (Chop_dfg.Analysis.levels graph)) in
+    Rig.custom ~graph
+      ~partitioning:(Chop_dfg.Partition.by_levels graph ~k)
+      ~package:Chop_tech.Mosis.package_84
+      ~clocks:
+        (Chop_tech.Clocking.make ~main:300.
+           ~datapath_ratio:(if multi then 1 else 10)
+           ~transfer_ratio:1)
+      ~style:
+        (Chop_tech.Style.both
+           (if multi then Chop_tech.Style.Multi_cycle
+            else Chop_tech.Style.Single_cycle))
+      ~criteria:(Chop_bad.Feasibility.criteria ~perf:25000. ~delay:25000. ())
+      ()
+  in
+  (spec graph, spec (Chop_dfg.Transform.renumber ~seed:(seed + 1) graph))
+
+(* A seeded walk over one session, rendering every report it produces:
+   after each step (an edit, an undo, a redo, a fork that edits and runs,
+   a speculate batch of two probes, or a snapshot round trip through the
+   wire format) the session runs.  The walk depends only on the spec and
+   the seed, so it repeats exactly under another cache scope. *)
+let transparency_walk ~config ~seed ~len spec0 =
+  let r = lcg seed in
+  let out = ref [] in
+  let run s =
+    out :=
+      render (Explore.Session.spec s) (Explore.Session.run s) :: !out
+  in
+  let edit s e = ignore (Explore.Session.edit s [ e ]) in
+  let session = ref (Explore.Session.create config spec0) in
+  run !session;
+  for _ = 1 to len do
+    let s = !session in
+    (match rand r 7 with
+    | 0 | 1 -> edit s (gen_edit r (Explore.Session.spec s))
+    | 2 -> ignore (Explore.Session.undo s)
+    | 3 -> ignore (Explore.Session.redo s)
+    | 4 ->
+        let f = Explore.Session.fork s in
+        edit f (gen_edit r (Explore.Session.spec f));
+        run f;
+        Explore.Session.close f
+    | 5 ->
+        (* drawn here, in order: the probes run concurrently *)
+        let edits = Array.init 2 (fun _ -> gen_edit r (Explore.Session.spec s)) in
+        let reports, _ =
+          Explore.Session.speculate s
+            (Array.map
+               (fun e f ->
+                 edit f e;
+                 render (Explore.Session.spec f) (Explore.Session.run f))
+               edits)
+        in
+        Array.iter (fun text -> out := text :: !out) reports
+    | _ ->
+        let snap =
+          Snapshot.parse
+            (Snapshot.print (Snapshot.of_state (Explore.Session.state s)))
+        in
+        Explore.Session.close s;
+        session := Explore.Session.restore config (Snapshot.to_state snap));
+    run !session
+  done;
+  Explore.Session.close !session;
+  List.rev !out
+
+(* Two sessions, one on a spec and one on its renumbered twin, share one
+   cache: each walk, and the spec's walk again after the twin's, renders
+   exactly as the same walk with the cache off.  The twin is keyed by its
+   own numbering; an entry served across the two would show here. *)
+let cache_on_equals_cache_off =
+  QCheck.Test.make ~name:"cache on equals cache off across constructions"
+    ~count:40
+    QCheck.(quad (0 -- 4) (2 -- 4) bool (0 -- 10000))
+    (fun (graph, k, multi, seed) ->
+      let spec, twin = transparency_specs ~graph ~k ~multi ~seed in
+      let len = 2 + (seed mod 3) in
+      let shared =
+        Explore.Config.make ~jobs:1
+          ~cache:(Explore.Config.Custom (Pred_cache.create ()))
+          ()
+      in
+      let off = Explore.Config.make ~jobs:1 ~cache:Explore.Config.Off () in
+      let walk config spec = transparency_walk ~config ~seed ~len spec in
+      let on_spec = walk shared spec in
+      let on_twin = walk shared twin in
+      let on_spec_again = walk shared spec in
+      let off_spec = walk off spec in
+      Alcotest.(check (list string)) "spec: cache on = cache off" off_spec on_spec;
+      Alcotest.(check (list string)) "twin: cache on = cache off"
+        (walk off twin) on_twin;
+      Alcotest.(check (list string)) "spec after the twin: cache on = cache off"
+        off_spec on_spec_again;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Implementation models: the edit-language seam, per-model cache
@@ -630,7 +742,7 @@ let test_model_flip_keeps_models_cache_disjoint () =
         (misses back);
       Alcotest.(check int) "every partition hits" 3 (hits back))
 
-let test_structural_hits_within_each_model () =
+let test_renumbered_runs_match_cache_off () =
   let cache = Pred_cache.create () in
   let config =
     Explore.Config.make ~jobs:1 ~cache:(Explore.Config.Custom cache) ()
@@ -652,17 +764,15 @@ let test_structural_hits_within_each_model () =
     (hits sw_cold);
   Alcotest.(check int) "software cold run misses every partition" 3
     (misses sw_cold);
-  (* renumbered constructions: content addressing serves both models *)
-  let hw_renum = run (hwsw_spec g') in
-  Alcotest.(check int) "hw re-run misses nothing" 0
-    (misses hw_renum);
-  Alcotest.(check bool) "hw hits are structural" true
-    (hw_renum.Explore.metrics.Explore.Metrics.cache_structural_hits > 0);
-  let sw_renum = run (hwsw_spec ~impls:all_cpu g') in
-  Alcotest.(check int) "sw re-run misses nothing" 0
-    (misses sw_renum);
-  Alcotest.(check bool) "sw hits are structural" true
-    (sw_renum.Explore.metrics.Explore.Metrics.cache_structural_hits > 0)
+  (* renumbered constructions on the cache both models have filled: each
+     report equals its cache-off run *)
+  List.iter
+    (fun (name, spec) ->
+      Alcotest.(check string)
+        (name ^ ": cache on = cache off")
+        (render spec (cold_run ~heuristic:Explore.Iterative spec))
+        (render spec (run spec)))
+    [ ("hw renumbered", hwsw_spec g'); ("sw renumbered", hwsw_spec ~impls:all_cpu g') ]
 
 let test_snapshot_forward_compat () =
   let session =
@@ -776,12 +886,14 @@ let () =
           tc "snapshot forward compatibility" `Quick
             test_snapshot_forward_compat;
         ] );
+      ( "cache",
+        [ QCheck_alcotest.to_alcotest cache_on_equals_cache_off ] );
       ( "models",
         [
           tc "parse_edit impl" `Quick test_parse_edit_impl;
           tc "flip keeps models' cache entries disjoint" `Quick
             test_model_flip_keeps_models_cache_disjoint;
-          tc "structural hits within each model" `Quick
-            test_structural_hits_within_each_model;
+          tc "renumbered runs match cache-off" `Quick
+            test_renumbered_runs_match_cache_off;
         ] );
     ]
