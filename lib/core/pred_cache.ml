@@ -33,9 +33,9 @@ module Key = struct
 end
 
 (* Both layers hash on the signature alone and compare whole keys with
-   [compare], which treats the floats of a config, chip or criteria record
-   as [Hashtbl.hash] does (nan equal to itself) and returns at once on a
-   physically shared config. *)
+   [compare]: the signature strings byte for byte, and the floats of a
+   config, chip or criteria record as [Hashtbl.hash] does (nan equal to
+   itself), returning at once on a physically shared config. *)
 module Raw_tbl = Hashtbl.Make (struct
   type t = Key.raw
 

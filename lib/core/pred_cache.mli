@@ -47,13 +47,14 @@ type entry = {
 (** {1 Keys}
 
     Typed, spec-independent cache keys, compared structurally: a hit
-    needs an equal signature {e and} an equal model identity, chip and
-    criteria, not equal digests of them. *)
+    needs an equal subgraph encoding {e and} an equal model identity, chip
+    and criteria, not equal digests of them. *)
 
 module Key : sig
   type raw
   (** Identity of one prediction enumeration: the subgraph's
-      {!Chop_dfg.Graph.signature} plus the model identity — the
+      {!Chop_dfg.Graph.signature} (its id-ordered encoding itself, so no
+      hit rests on a digest match) plus the model identity — the
       {!Chop_bad.Predictor.config} itself for hardware, the processor and
       the clocks for software. *)
 

@@ -1,6 +1,3 @@
-module IntMap = Map.Make (Int)
-module IntSet = Set.Make (Int)
-
 type node_id = int
 
 type node = {
@@ -10,12 +7,23 @@ type node = {
   name : string;
 }
 
+(* Ids are dense (0 .. size - 1), so every per-node table is an array
+   indexed by id, and everything an accessor returns is computed once by
+   [build].  No array is written after [build] and no field is lazy, so
+   domains can read one graph at the same time. *)
 type t = {
   gname : string;
-  node_map : node IntMap.t;
-  succ_map : node_id list IntMap.t; (* in edge-insertion order *)
-  pred_map : node_id list IntMap.t;
-  order : node_id list; (* topological order, computed at build time *)
+  node_arr : node array;
+  succ_arr : node_id list array; (* in edge-insertion order *)
+  pred_arr : node_id list array;
+  topo_nodes : node list; (* topological order *)
+  input_nodes : node list;
+  output_nodes : node list;
+  op_nodes : node list;
+  n_ops : int;
+  edge_list : (node_id * node_id) list;
+  profile : (string * int) list;
+  blocks : string list;
 }
 
 type builder = {
@@ -44,114 +52,128 @@ let add_edge b ~src ~dst =
   if not (known src && known dst) then invalid_arg "Graph.add_edge: unknown node";
   b.bedges <- (src, dst) :: b.bedges
 
-let multi_add key v m =
-  IntMap.update key (function None -> Some [ v ] | Some vs -> Some (v :: vs)) m
-
-(* Kahn's algorithm; raises on cycles. *)
-let topological node_map pred_map succ_map =
-  let indeg =
-    IntMap.map (fun _ -> 0) node_map
-    |> IntMap.mapi (fun id _ ->
-           match IntMap.find_opt id pred_map with
-           | None -> 0
-           | Some ps -> List.length ps)
+(* Kahn's algorithm; raises on cycles.  The sources are ready in ascending
+   id order, and each popped node puts the successors it releases, in
+   successor order, in front of the rest.  [ready] is a stack whose top is
+   the next node out; every node is pushed at most once. *)
+let topological succ_arr pred_arr =
+  let n = Array.length succ_arr in
+  let indeg = Array.map List.length pred_arr in
+  let ready = Array.make n 0 and top = ref 0 in
+  let push id =
+    ready.(!top) <- id;
+    incr top
   in
-  let ready =
-    IntMap.fold (fun id d acc -> if d = 0 then id :: acc else acc) indeg []
-    |> List.sort Stdlib.compare
-  in
-  let rec go order indeg = function
-    | [] -> order
-    | id :: rest ->
-        let succs = Option.value ~default:[] (IntMap.find_opt id succ_map) in
-        let indeg, newly =
-          List.fold_left
-            (fun (indeg, newly) s ->
-              let d = IntMap.find s indeg - 1 in
-              (IntMap.add s d indeg, if d = 0 then s :: newly else newly))
-            (indeg, []) succs
-        in
-        go (id :: order) indeg (List.rev_append newly rest)
-  in
-  let order = List.rev (go [] indeg ready) in
-  if List.length order <> IntMap.cardinal node_map then
+  for id = n - 1 downto 0 do
+    if indeg.(id) = 0 then push id
+  done;
+  let order = ref [] and count = ref 0 in
+  while !top > 0 do
+    decr top;
+    let id = ready.(!top) in
+    order := id :: !order;
+    incr count;
+    let first = !top in
+    List.iter
+      (fun s ->
+        indeg.(s) <- indeg.(s) - 1;
+        if indeg.(s) = 0 then push s)
+      succ_arr.(id);
+    (* the first successor released must be the next one out *)
+    let i = ref first and j = ref (!top - 1) in
+    while !i < !j do
+      let x = ready.(!i) in
+      ready.(!i) <- ready.(!j);
+      ready.(!j) <- x;
+      incr i;
+      decr j
+    done
+  done;
+  if !count <> n then
     raise (Invalid_graph "cycle detected: behavioral DFGs must be acyclic");
-  order
+  List.rev !order
+
+let profile_of ops =
+  List.map (fun n -> Op.functional_class n.op) ops
+  |> List.sort String.compare
+  |> List.fold_left
+       (fun acc cls ->
+         match acc with
+         | (c, k) :: rest when String.equal c cls -> (c, k + 1) :: rest
+         | _ -> (cls, 1) :: acc)
+       []
+  |> List.rev
 
 let build b =
-  let node_map =
-    List.fold_left (fun m n -> IntMap.add n.id n m) IntMap.empty b.bnodes
-  in
-  let succ_map, pred_map =
-    List.fold_left
-      (fun (s, p) (src, dst) -> (multi_add src dst s, multi_add dst src p))
-      (IntMap.empty, IntMap.empty)
-      (List.rev b.bedges)
-  in
-  (* multi_add prepends: restore edge-insertion order, which carries the
-     operand positions of non-commutative operations (Sub, Select, ...) *)
-  let succ_map = IntMap.map List.rev succ_map in
-  let pred_map = IntMap.map List.rev pred_map in
-  IntMap.iter
-    (fun id n ->
-      let indeg =
-        match IntMap.find_opt id pred_map with None -> 0 | Some ps -> List.length ps
-      in
-      let lo, hi = Op.arity n.op in
+  (* ids were handed out in order, so the reversed list is the id order *)
+  let node_arr = Array.of_list (List.rev b.bnodes) in
+  let n = Array.length node_arr in
+  let succ_arr = Array.make n [] and pred_arr = Array.make n [] in
+  (* prepending over the reversed edges leaves each list in edge-insertion
+     order, which carries the operand positions of non-commutative
+     operations (Sub, Select, ...) *)
+  List.iter
+    (fun (src, dst) ->
+      succ_arr.(src) <- dst :: succ_arr.(src);
+      pred_arr.(dst) <- src :: pred_arr.(dst))
+    b.bedges;
+  (* arities before the cycle check, in ascending id order: the first
+     violation found is the one reported *)
+  Array.iter
+    (fun nd ->
+      let indeg = List.length pred_arr.(nd.id) in
+      let lo, hi = Op.arity nd.op in
       if indeg < lo || indeg > hi then
         raise
           (Invalid_graph
-             (Printf.sprintf "node %s (%s) has %d inputs, expected %d..%d" n.name
-                (Op.to_string n.op) indeg lo hi)))
-    node_map;
-  let order = topological node_map pred_map succ_map in
-  { gname = b.bname; node_map; succ_map; pred_map; order }
+             (Printf.sprintf "node %s (%s) has %d inputs, expected %d..%d" nd.name
+                (Op.to_string nd.op) indeg lo hi)))
+    node_arr;
+  let order = topological succ_arr pred_arr in
+  let topo_nodes = List.map (fun id -> node_arr.(id)) order in
+  let with_op op = List.filter (fun nd -> nd.op = op) topo_nodes in
+  let op_nodes = List.filter (fun nd -> Op.is_computational nd.op) topo_nodes in
+  {
+    gname = b.bname;
+    node_arr;
+    succ_arr;
+    pred_arr;
+    topo_nodes;
+    input_nodes = with_op Op.Input;
+    output_nodes = with_op Op.Output;
+    op_nodes;
+    n_ops = List.length op_nodes;
+    edge_list =
+      List.concat_map (fun id -> List.map (fun s -> (id, s)) succ_arr.(id)) order;
+    profile = profile_of op_nodes;
+    blocks =
+      List.filter_map (fun nd -> Op.memory_block nd.op) topo_nodes
+      |> List.sort_uniq String.compare;
+  }
 
 let name g = g.gname
-let size g = IntMap.cardinal g.node_map
-let nodes g = List.map (fun id -> IntMap.find id g.node_map) g.order
+let size g = Array.length g.node_arr
+let nodes g = g.topo_nodes
+let mem g id = id >= 0 && id < Array.length g.node_arr
+let node g id = if mem g id then g.node_arr.(id) else raise Not_found
+let succs g id = if mem g id then g.succ_arr.(id) else []
+let preds g id = if mem g id then g.pred_arr.(id) else []
+let edges g = g.edge_list
+let inputs g = g.input_nodes
+let outputs g = g.output_nodes
+let operations g = g.op_nodes
+let op_count g = g.n_ops
+let op_profile g = g.profile
+let memory_blocks g = g.blocks
 
-let node g id =
-  match IntMap.find_opt id g.node_map with
-  | Some n -> n
-  | None -> raise Not_found
-
-let mem g id = IntMap.mem id g.node_map
-let succs g id = Option.value ~default:[] (IntMap.find_opt id g.succ_map)
-let preds g id = Option.value ~default:[] (IntMap.find_opt id g.pred_map)
-
-let edges g =
-  List.concat_map
-    (fun id -> List.map (fun s -> (id, s)) (succs g id))
-    g.order
-
-let inputs g = List.filter (fun n -> n.op = Op.Input) (nodes g)
-let outputs g = List.filter (fun n -> n.op = Op.Output) (nodes g)
-let operations g = List.filter (fun n -> Op.is_computational n.op) (nodes g)
-let op_count g = List.length (operations g)
-
-let op_profile g =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun n ->
-      let cls = Op.functional_class n.op in
-      Hashtbl.replace tbl cls (1 + Option.value ~default:0 (Hashtbl.find_opt tbl cls)))
-    (operations g);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let memory_blocks g =
-  List.filter_map (fun n -> Op.memory_block n.op) (nodes g)
-  |> List.sort_uniq String.compare
-
-let total_input_bits g = Chop_util.Listx.sum_by (fun n -> n.width) (inputs g)
+let total_input_bits g = Chop_util.Listx.sum_by (fun n -> n.width) g.input_nodes
 let total_output_bits g =
   Chop_util.Listx.sum_by
     (fun n ->
-      match preds g n.id with
-      | [ p ] -> (node g p).width
+      match g.pred_arr.(n.id) with
+      | [ p ] -> g.node_arr.(p).width
       | _ -> n.width)
-    (outputs g)
+    g.output_nodes
 
 (* Buffer appends only: this string is built for every prediction-cache
    key, so no Printf or string_of_int per node or edge.  The bytes are
@@ -165,91 +187,71 @@ let signature g =
     Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
   in
   List.iter
-    (fun id ->
-      let n = IntMap.find id g.node_map in
-      add_int id;
+    (fun n ->
+      add_int n.id;
       Buffer.add_char buf ':';
       Buffer.add_string buf (Op.to_string n.op);
       Buffer.add_char buf ':';
       add_int n.width;
       Buffer.add_char buf ';')
-    g.order;
+    g.topo_nodes;
   Buffer.add_char buf '|';
   List.iter
-    (fun src ->
-      List.iter
-        (fun dst ->
-          add_int src;
-          Buffer.add_char buf '>';
-          add_int dst;
-          Buffer.add_char buf ';')
-        (succs g src))
-    g.order;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+    (fun (src, dst) ->
+      add_int src;
+      Buffer.add_char buf '>';
+      add_int dst;
+      Buffer.add_char buf ';')
+    g.edge_list;
+  Buffer.contents buf
 
 let induced g ~name keep =
+  let kept = Array.make (size g) false in
   List.iter
     (fun id ->
       if not (mem g id) then invalid_arg "Graph.induced: unknown node";
-      if not (Op.is_computational (node g id).op) then
-        invalid_arg "Graph.induced: boundary nodes cannot be selected")
+      if not (Op.is_computational g.node_arr.(id).op) then
+        invalid_arg "Graph.induced: boundary nodes cannot be selected";
+      kept.(id) <- true)
     keep;
-  let keep_set = IntSet.of_list keep in
   let b = builder ~name () in
-  let fresh = Hashtbl.create 16 in
-  (* map original kept node id -> new id *)
+  (* original id -> new id: the copy of a kept node, or the input that
+     stands for an external producer *)
+  let fresh = Array.make (size g) (-1) in
   List.iter
-    (fun id ->
-      if IntSet.mem id keep_set then
-        let n = node g id in
-        Hashtbl.replace fresh id (add_node b ~name:n.name ~op:n.op ~width:n.width))
-    g.order;
-  let in_map = Hashtbl.create 8 and out_map = Hashtbl.create 8 in
+    (fun n ->
+      if kept.(n.id) then fresh.(n.id) <- add_node b ~name:n.name ~op:n.op ~width:n.width)
+    g.topo_nodes;
+  let in_map = ref [] and out_map = ref [] in
   (* External producers feeding kept nodes become Inputs (one per producer). *)
   List.iter
-    (fun id ->
-      if IntSet.mem id keep_set then
+    (fun n ->
+      if kept.(n.id) then
         List.iter
           (fun p ->
-            let dst = Hashtbl.find fresh id in
-            if IntSet.mem p keep_set then
-              add_edge b ~src:(Hashtbl.find fresh p) ~dst
-            else
-              let src =
-                match Hashtbl.find_opt in_map p with
-                | Some s -> s
-                | None ->
-                    let pn = node g p in
-                    (* Constants are materialized locally (coefficients do
-                       not travel between chips); everything else becomes a
-                       boundary input of the partition. *)
-                    let op =
-                      match pn.op with Op.Const -> Op.Const | _ -> Op.Input
-                    in
-                    let s = add_node b ~name:("in_" ^ pn.name) ~op ~width:pn.width in
-                    Hashtbl.replace in_map p s;
-                    s
-              in
-              add_edge b ~src ~dst)
-          (preds g id))
-    g.order;
+            if (not kept.(p)) && fresh.(p) < 0 then begin
+              let pn = g.node_arr.(p) in
+              (* Constants are materialized locally (coefficients do
+                 not travel between chips); everything else becomes a
+                 boundary input of the partition. *)
+              let op = match pn.op with Op.Const -> Op.Const | _ -> Op.Input in
+              fresh.(p) <- add_node b ~name:("in_" ^ pn.name) ~op ~width:pn.width;
+              in_map := (p, fresh.(p)) :: !in_map
+            end;
+            add_edge b ~src:fresh.(p) ~dst:fresh.(n.id))
+          g.pred_arr.(n.id))
+    g.topo_nodes;
   (* Kept producers feeding external consumers (or original outputs) become
      Outputs (one per producer). *)
   List.iter
-    (fun id ->
-      if IntSet.mem id keep_set then
-        let escapes =
-          List.exists (fun s -> not (IntSet.mem s keep_set)) (succs g id)
-        in
-        if escapes && not (Hashtbl.mem out_map id) then begin
-          let n = node g id in
-          let o = add_node b ~name:("out_" ^ n.name) ~op:Op.Output ~width:n.width in
-          add_edge b ~src:(Hashtbl.find fresh id) ~dst:o;
-          Hashtbl.replace out_map id o
-        end)
-    g.order;
-  let assoc tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  (build b, assoc in_map, assoc out_map)
+    (fun n ->
+      if kept.(n.id) && List.exists (fun s -> not kept.(s)) g.succ_arr.(n.id) then begin
+        let o = add_node b ~name:("out_" ^ n.name) ~op:Op.Output ~width:n.width in
+        add_edge b ~src:fresh.(n.id) ~dst:o;
+        out_map := (n.id, o) :: !out_map
+      end)
+    g.topo_nodes;
+  (build b, !in_map, !out_map)
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph %s: %d nodes (%d operations)@," g.gname (size g)

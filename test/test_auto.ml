@@ -299,6 +299,27 @@ let auto_jobs_byte_identical =
         (fun jobs -> String.equal reference (render jobs))
         [ 1; 2; 4 ])
 
+(* The CLI row [chop auto -g ewf -k 3 --multi-cycle --perf 30000 --delay
+   30000 --seed 1] prints the same at one job as on four domains, up to
+   its timing line (which Ops.render_auto leaves out).  Each side starts
+   from an empty cache, as each CLI process does. *)
+let test_auto_ewf_row_jobs_1_4 () =
+  let render ?pool jobs =
+    let config =
+      Chop.Explore.Config.make ~jobs
+        ~cache:(Chop.Explore.Config.Custom (Chop.Pred_cache.create ()))
+        ()
+    in
+    let o =
+      Chop_auto.run ~seed:1 ?pool ~config
+        (bench_spec ~k:3 ~multicycle:true "ewf")
+    in
+    Ops.render_auto o.Chop_auto.spec o
+  in
+  let four = Chop_util.Pool.create ~oversubscribe:true ~jobs:4 () in
+  Fun.protect ~finally:(fun () -> Chop_util.Pool.shutdown four) @@ fun () ->
+  Alcotest.(check string) "jobs 1 = jobs 4" (render 1) (render ~pool:four 4)
+
 let test_auto_invalid_constraints () =
   let spec = bench_spec ~k:2 "ar" in
   let bad_pin =
@@ -505,6 +526,8 @@ let () =
           Alcotest.test_case "multilevel coarsening depth" `Quick
             test_auto_multilevel_depth;
           QCheck_alcotest.to_alcotest auto_jobs_byte_identical;
+          Alcotest.test_case "ewf row jobs-1 = jobs-4" `Quick
+            test_auto_ewf_row_jobs_1_4;
         ] );
       ( "models",
         [

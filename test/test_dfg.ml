@@ -170,6 +170,396 @@ let test_induced_whole_has_no_cut () =
   Alcotest.(check int) "one output" 1 (List.length (Graph.outputs sub))
 
 (* ------------------------------------------------------------------ *)
+(* Graph against its reference *)
+
+(* The persistent-map Graph that the dense array one replaced, kept as its
+   oracle: the same builder, Kahn order, error messages, accessors and
+   [induced].  Its nodes are its own records (Graph.node is private), and
+   its signature is the encoding that Graph.signature returns. *)
+module Ref = struct
+  module IntMap = Map.Make (Int)
+  module IntSet = Set.Make (Int)
+
+  type node = { id : int; op : Op.t; width : int; name : string }
+
+  type t = {
+    gname : string;
+    node_map : node IntMap.t;
+    succ_map : int list IntMap.t;
+    pred_map : int list IntMap.t;
+    order : int list;
+  }
+
+  type builder = {
+    bname : string;
+    mutable next : int;
+    mutable bnodes : node list;
+    mutable bedges : (int * int) list;
+  }
+
+  let builder ?(name = "dfg") () = { bname = name; next = 0; bnodes = []; bedges = [] }
+
+  let add_node ?name b ~op ~width =
+    let id = b.next in
+    b.next <- id + 1;
+    let name =
+      match name with Some n -> n | None -> Printf.sprintf "%s%d" (Op.to_string op) id
+    in
+    b.bnodes <- { id; op; width; name } :: b.bnodes;
+    id
+
+  let add_edge b ~src ~dst = b.bedges <- (src, dst) :: b.bedges
+
+  let multi_add key v m =
+    IntMap.update key (function None -> Some [ v ] | Some vs -> Some (v :: vs)) m
+
+  let topological node_map pred_map succ_map =
+    let indeg =
+      IntMap.mapi
+        (fun id _ ->
+          match IntMap.find_opt id pred_map with None -> 0 | Some ps -> List.length ps)
+        node_map
+    in
+    let ready =
+      IntMap.fold (fun id d acc -> if d = 0 then id :: acc else acc) indeg []
+      |> List.sort Stdlib.compare
+    in
+    let rec go order indeg = function
+      | [] -> order
+      | id :: rest ->
+          let succs = Option.value ~default:[] (IntMap.find_opt id succ_map) in
+          let indeg, newly =
+            List.fold_left
+              (fun (indeg, newly) s ->
+                let d = IntMap.find s indeg - 1 in
+                (IntMap.add s d indeg, if d = 0 then s :: newly else newly))
+              (indeg, []) succs
+          in
+          go (id :: order) indeg (List.rev_append newly rest)
+    in
+    let order = List.rev (go [] indeg ready) in
+    if List.length order <> IntMap.cardinal node_map then
+      raise (Graph.Invalid_graph "cycle detected: behavioral DFGs must be acyclic");
+    order
+
+  let build b =
+    let node_map = List.fold_left (fun m n -> IntMap.add n.id n m) IntMap.empty b.bnodes in
+    let succ_map, pred_map =
+      List.fold_left
+        (fun (s, p) (src, dst) -> (multi_add src dst s, multi_add dst src p))
+        (IntMap.empty, IntMap.empty) (List.rev b.bedges)
+    in
+    let succ_map = IntMap.map List.rev succ_map in
+    let pred_map = IntMap.map List.rev pred_map in
+    IntMap.iter
+      (fun id n ->
+        let indeg =
+          match IntMap.find_opt id pred_map with None -> 0 | Some ps -> List.length ps
+        in
+        let lo, hi = Op.arity n.op in
+        if indeg < lo || indeg > hi then
+          raise
+            (Graph.Invalid_graph
+               (Printf.sprintf "node %s (%s) has %d inputs, expected %d..%d" n.name
+                  (Op.to_string n.op) indeg lo hi)))
+      node_map;
+    let order = topological node_map pred_map succ_map in
+    { gname = b.bname; node_map; succ_map; pred_map; order }
+
+  let name g = g.gname
+  let size g = IntMap.cardinal g.node_map
+  let nodes g = List.map (fun id -> IntMap.find id g.node_map) g.order
+  let node g id = match IntMap.find_opt id g.node_map with Some n -> n | None -> raise Not_found
+  let mem g id = IntMap.mem id g.node_map
+  let succs g id = Option.value ~default:[] (IntMap.find_opt id g.succ_map)
+  let preds g id = Option.value ~default:[] (IntMap.find_opt id g.pred_map)
+  let edges g = List.concat_map (fun id -> List.map (fun s -> (id, s)) (succs g id)) g.order
+  let inputs g = List.filter (fun n -> n.op = Op.Input) (nodes g)
+  let outputs g = List.filter (fun n -> n.op = Op.Output) (nodes g)
+  let operations g = List.filter (fun n -> Op.is_computational n.op) (nodes g)
+  let op_count g = List.length (operations g)
+
+  let op_profile g =
+    let tbl = Hashtbl.create 8 in
+    List.iter
+      (fun n ->
+        let cls = Op.functional_class n.op in
+        Hashtbl.replace tbl cls (1 + Option.value ~default:0 (Hashtbl.find_opt tbl cls)))
+      (operations g);
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let memory_blocks g =
+    List.filter_map (fun n -> Op.memory_block n.op) (nodes g) |> List.sort_uniq String.compare
+
+  let total_input_bits g = Chop_util.Listx.sum_by (fun n -> n.width) (inputs g)
+
+  let total_output_bits g =
+    Chop_util.Listx.sum_by
+      (fun n -> match preds g n.id with [ p ] -> (node g p).width | _ -> n.width)
+      (outputs g)
+
+  let signature g =
+    let b = Buffer.create 512 in
+    List.iter
+      (fun id ->
+        let n = node g id in
+        Printf.bprintf b "%d:%s:%d;" id (Op.to_string n.op) n.width)
+      g.order;
+    Buffer.add_char b '|';
+    List.iter (fun (src, dst) -> Printf.bprintf b "%d>%d;" src dst) (edges g);
+    Buffer.contents b
+
+  let induced g ~name keep =
+    List.iter
+      (fun id ->
+        if not (mem g id) then invalid_arg "Graph.induced: unknown node";
+        if not (Op.is_computational (node g id).op) then
+          invalid_arg "Graph.induced: boundary nodes cannot be selected")
+      keep;
+    let keep_set = IntSet.of_list keep in
+    let b = builder ~name () in
+    let fresh = Hashtbl.create 16 in
+    List.iter
+      (fun id ->
+        if IntSet.mem id keep_set then
+          let n = node g id in
+          Hashtbl.replace fresh id (add_node b ~name:n.name ~op:n.op ~width:n.width))
+      g.order;
+    let in_map = Hashtbl.create 8 and out_map = Hashtbl.create 8 in
+    List.iter
+      (fun id ->
+        if IntSet.mem id keep_set then
+          List.iter
+            (fun p ->
+              let dst = Hashtbl.find fresh id in
+              if IntSet.mem p keep_set then add_edge b ~src:(Hashtbl.find fresh p) ~dst
+              else
+                let src =
+                  match Hashtbl.find_opt in_map p with
+                  | Some s -> s
+                  | None ->
+                      let pn = node g p in
+                      let op = match pn.op with Op.Const -> Op.Const | _ -> Op.Input in
+                      let s = add_node b ~name:("in_" ^ pn.name) ~op ~width:pn.width in
+                      Hashtbl.replace in_map p s;
+                      s
+                in
+                add_edge b ~src ~dst)
+            (preds g id))
+      g.order;
+    List.iter
+      (fun id ->
+        if IntSet.mem id keep_set then
+          let escapes = List.exists (fun s -> not (IntSet.mem s keep_set)) (succs g id) in
+          if escapes && not (Hashtbl.mem out_map id) then begin
+            let n = node g id in
+            let o = add_node b ~name:("out_" ^ n.name) ~op:Op.Output ~width:n.width in
+            add_edge b ~src:(Hashtbl.find fresh id) ~dst:o;
+            Hashtbl.replace out_map id o
+          end)
+      g.order;
+    let assoc tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+    (build b, assoc in_map, assoc out_map)
+end
+
+(* A random builder script: [n] nodes over every operation, memory
+   accesses on two blocks, named or not, with edges that follow a shuffled
+   topological rank (so ids do not give the order), repeat operands, and
+   are added in shuffled order.  About one script in ten has an arity
+   violation and one in ten a two-node cycle. *)
+let builder_script n seed =
+  let rng = Random.State.make [| n; seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let shuffle a =
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done
+  in
+  let all_ops =
+    Op.[ Input; Output; Const; Add; Sub; Mult; Div; Compare; Logic; Shift; Select;
+         Mem_read "ma"; Mem_write "ma"; Mem_read "mb"; Mem_write "mb" ]
+  in
+  (* the node of rank [r] gets id [id_of.(r)] *)
+  let id_of = Array.init n Fun.id in
+  shuffle id_of;
+  let nodes = Array.make n (Op.Input, 1, None) and edges = ref [] in
+  for r = 0 to n - 1 do
+    let op = if r = 0 then pick Op.[ Input; Const; Mem_read "ma" ] else pick all_ops in
+    let name =
+      if Random.State.bool rng then None
+      else Some (Printf.sprintf "v%d" (Random.State.int rng n))
+    in
+    nodes.(id_of.(r)) <- (op, 1 + Random.State.int rng 32, name);
+    let lo, hi = Op.arity op in
+    let k = lo + Random.State.int rng (hi - lo + 1) in
+    let k =
+      if Random.State.int rng (10 * n) <> 0 then k
+      else if k > 0 && Random.State.bool rng then k - 1
+      else k + 1
+    in
+    let last = ref (-1) in
+    for _ = 1 to if r = 0 then 0 else k do
+      let src =
+        if !last >= 0 && Random.State.int rng 4 = 0 then !last
+        else Random.State.int rng r
+      in
+      last := src;
+      edges := (id_of.(src), id_of.(r)) :: !edges
+    done
+  done;
+  let edges = Array.of_list !edges in
+  shuffle edges;
+  (* a cycle that keeps every arity: re-point an operand of some [u] at
+     a successor [v] of [u] *)
+  (if Random.State.int rng 10 = 0 then
+     let feeds u (s, _) = s = u in
+     match Array.find_index (fun (_, u) -> Array.exists (feeds u) edges) edges with
+     | Some i ->
+         let u = snd edges.(i) in
+         let v = snd (Option.get (Array.find_opt (feeds u) edges)) in
+         edges.(i) <- (v, u)
+     | None -> ());
+  (Array.to_list nodes, Array.to_list edges)
+
+let replay (nodes, edges) ~builder ~add_node ~add_edge ~build =
+  let b = builder () in
+  List.iter (fun (op, width, name) -> ignore (add_node ?name b ~op ~width)) nodes;
+  List.iter (fun (src, dst) -> add_edge b ~src ~dst) edges;
+  match build b with g -> Ok g | exception Graph.Invalid_graph m -> Error m
+
+(* The first accessor on which [g] and [r] disagree, if any. *)
+let disagreement g r =
+  let gn (n : Graph.node) = (n.Graph.id, n.Graph.op, n.Graph.width, n.Graph.name) in
+  let rn (n : Ref.node) = (n.Ref.id, n.Ref.op, n.Ref.width, n.Ref.name) in
+  let ids = List.init (Graph.size g + 3) (fun i -> i - 1) in
+  let lookup node id = match node id with n -> Some n | exception Not_found -> None in
+  let checks =
+    [
+      ("name", Graph.name g = Ref.name r);
+      ("size", Graph.size g = Ref.size r);
+      ("nodes", List.map gn (Graph.nodes g) = List.map rn (Ref.nodes r));
+      ( "node",
+        List.for_all
+          (fun id ->
+            Option.map gn (lookup (Graph.node g) id) = Option.map rn (lookup (Ref.node r) id))
+          ids );
+      ("mem", List.for_all (fun id -> Graph.mem g id = Ref.mem r id) ids);
+      ("succs", List.for_all (fun id -> Graph.succs g id = Ref.succs r id) ids);
+      ("preds", List.for_all (fun id -> Graph.preds g id = Ref.preds r id) ids);
+      ("edges", Graph.edges g = Ref.edges r);
+      ("inputs", List.map gn (Graph.inputs g) = List.map rn (Ref.inputs r));
+      ("outputs", List.map gn (Graph.outputs g) = List.map rn (Ref.outputs r));
+      ("operations", List.map gn (Graph.operations g) = List.map rn (Ref.operations r));
+      ("op_count", Graph.op_count g = Ref.op_count r);
+      ("op_profile", Graph.op_profile g = Ref.op_profile r);
+      ("memory_blocks", Graph.memory_blocks g = Ref.memory_blocks r);
+      ("total_input_bits", Graph.total_input_bits g = Ref.total_input_bits r);
+      ("total_output_bits", Graph.total_output_bits g = Ref.total_output_bits r);
+      ("signature", Graph.signature g = Ref.signature r);
+    ]
+  in
+  List.find_map (fun (what, ok) -> if ok then None else Some what) checks
+
+let graph_agrees_with_reference =
+  QCheck.Test.make ~name:"dense graph agrees with the IntMap reference" ~count:400
+    QCheck.(pair (1 -- 60) (0 -- 100_000))
+    (fun (n, seed) ->
+      let script = builder_script n seed in
+      let dense =
+        replay script ~builder:(Graph.builder ~name:"s") ~add_node:Graph.add_node
+          ~add_edge:Graph.add_edge ~build:Graph.build
+      and reference =
+        replay script ~builder:(Ref.builder ~name:"s") ~add_node:Ref.add_node
+          ~add_edge:Ref.add_edge ~build:Ref.build
+      in
+      match (dense, reference) with
+      | Error a, Error b ->
+          if a <> b then QCheck.Test.fail_reportf "messages %S and %S" a b;
+          true
+      | Ok _, Error m | Error m, Ok _ -> QCheck.Test.fail_reportf "only one raised %S" m
+      | Ok g, Ok r ->
+          let fail what = QCheck.Test.fail_reportf "%s differs" what in
+          Option.iter fail (disagreement g r);
+          (* induced over random keep sets, some with an unknown or a
+             boundary id *)
+          let rng = Random.State.make [| seed; 7 |] in
+          let ops = List.map (fun (nd : Graph.node) -> nd.Graph.id) (Graph.operations g) in
+          let boundary =
+            List.filter_map
+              (fun (nd : Graph.node) ->
+                if Op.is_computational nd.Graph.op then None else Some nd.Graph.id)
+              (Graph.nodes g)
+          in
+          for _ = 1 to 4 do
+            let keep = List.filter (fun _ -> Random.State.bool rng) ops in
+            let keep =
+              match Random.State.int rng 8 with
+              | 0 -> keep @ [ Graph.size g ]
+              | 1 -> (-1) :: keep
+              | 2 when boundary <> [] -> keep @ [ List.hd boundary ]
+              | _ -> keep
+            in
+            let run induced =
+              match induced keep with x -> Ok x | exception Invalid_argument m -> Error m
+            in
+            match (run (Graph.induced g ~name:"sub"), run (Ref.induced r ~name:"sub")) with
+            | Error a, Error b -> if a <> b then QCheck.Test.fail_reportf "induced: %S and %S" a b
+            | Ok (sub, ins, outs), Ok (rsub, rins, routs) ->
+                Option.iter (fun what -> fail ("induced " ^ what)) (disagreement sub rsub);
+                let sorted = List.sort compare in
+                if sorted ins <> sorted rins then fail "induced in_map";
+                if sorted outs <> sorted routs then fail "induced out_map"
+            | _ -> fail "induced outcome"
+          done;
+          true)
+
+(* Every accessor reads a stored value: nothing allocates, on a paper
+   benchmark and on a 60-operation random DAG. *)
+let test_accessors_allocate_nothing () =
+  List.iter
+    (fun (what, g) ->
+      let n = Graph.size g in
+      let words f =
+        let before = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. before
+      in
+      let repeat f () =
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (f g))
+        done
+      in
+      let by_id () =
+        for id = 0 to n - 1 do
+          ignore (Sys.opaque_identity (Graph.node g id));
+          ignore (Sys.opaque_identity (Graph.succs g id));
+          ignore (Sys.opaque_identity (Graph.preds g id));
+          ignore (Sys.opaque_identity (Graph.mem g id))
+        done
+      in
+      List.iter
+        (fun (acc, f) ->
+          Alcotest.(check (float 0.)) (Printf.sprintf "%s: %s" what acc) 0. (words f))
+        [
+          ("nodes", repeat (fun g -> Graph.nodes g));
+          ("operations", repeat (fun g -> Graph.operations g));
+          ("edges", repeat (fun g -> Graph.edges g));
+          ("op_profile", repeat (fun g -> Graph.op_profile g));
+          ("memory_blocks", repeat (fun g -> Graph.memory_blocks g));
+          ("op_count", repeat (fun g -> Graph.op_count g));
+          ("size", repeat (fun g -> Graph.size g));
+          ("node/succs/preds/mem", by_id);
+        ])
+    [
+      ("ewf", Benchmarks.elliptic_wave_filter ());
+      ("random_dag", Benchmarks.random_dag ~ops:60 ~seed:11 ());
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Analysis *)
 
 let test_asap_diamond () =
@@ -1078,8 +1468,8 @@ let test_dot_output () =
 (* The prediction cache keys on Graph.signature, so its bytes are part of
    every cached prediction's identity: each built-in benchmark's signature,
    and those of its by_levels partition subgraphs for k = 2 and 3, are
-   pinned.  ar's k = 3 cut has two lattice stages built the same way, and
-   they share a signature. *)
+   pinned by their MD5 digests.  ar's k = 3 cut has two lattice stages
+   built the same way, and they share a signature. *)
 let pinned_signatures =
   [
     ( "ar",
@@ -1166,6 +1556,7 @@ let pinned_signatures =
   ]
 
 let test_signature_pinned () =
+  let digest g = Digest.to_hex (Digest.string (Graph.signature g)) in
   let graphs =
     [
       ("ar", Benchmarks.ar_lattice_filter ());
@@ -1182,7 +1573,7 @@ let test_signature_pinned () =
   List.iter2
     (fun (name, g) (name', whole, parts) ->
       Alcotest.(check string) "benchmark order" name' name;
-      Alcotest.(check string) (name ^ " signature") whole (Graph.signature g);
+      Alcotest.(check string) (name ^ " signature") whole (digest g);
       let levels = List.length (Analysis.levels g) in
       let subs =
         List.concat_map
@@ -1191,7 +1582,7 @@ let test_signature_pinned () =
             else
               let pg = Partition.by_levels g ~k in
               List.map
-                (fun p -> Graph.signature (Partition.subgraph pg p))
+                (fun p -> digest (Partition.subgraph pg p))
                 pg.Partition.parts)
           [ 2; 3 ]
       in
@@ -1227,6 +1618,8 @@ let () =
           tc "induced clones consts" `Quick test_induced_const_cloned;
           tc "induced rejects boundary" `Quick test_induced_rejects_boundary;
           tc "induced whole" `Quick test_induced_whole_has_no_cut;
+          QCheck_alcotest.to_alcotest graph_agrees_with_reference;
+          tc "accessors allocate nothing" `Quick test_accessors_allocate_nothing;
         ] );
       ( "analysis",
         [
