@@ -1091,1210 +1091,7 @@ let microbenchmarks () =
     rows;
   Texttable.print t
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable exploration timing: BENCH_explore.json records the
-   wall-clock of the keep-all exploration per benchmark x heuristic x jobs,
-   so later changes can be tracked against these numbers.  The prediction
-   cache is off and every run uses a fresh engine: each entry is an honest
-   cold run. *)
-
-let bench_explore_json ?(smoke = false) () =
-  section
-    (if smoke then "Exploration engine smoke run (EWF only, no JSON)"
-     else "Exploration engine timing (BENCH_explore.json)");
-  let ewf_spec () =
-    let graph = Chop_dfg.Benchmarks.elliptic_wave_filter () in
-    Chop.Rig.custom ~graph
-      ~partitioning:(Chop_dfg.Partition.by_levels graph ~k:2)
-      ~package:Chop_tech.Mosis.package_84
-      ~clocks:
-        (Chop_tech.Clocking.make ~main:300. ~datapath_ratio:1
-           ~transfer_ratio:1)
-      ~style:(Chop_tech.Style.both Chop_tech.Style.Multi_cycle)
-      ~criteria:(Chop_bad.Feasibility.criteria ~perf:20000. ~delay:20000. ())
-      ()
-  in
-  let ar_spec () = Chop.Rig.experiment1 ~partitions:2 () in
-  let benches =
-    if smoke then [ ("ewf", ewf_spec) ]
-    else [ ("ewf", ewf_spec); ("ar", ar_spec) ]
-  in
-  (* one timed keep-all run per benchmark x heuristic x jobs x pre-prune;
-     the pre_prune=false rows keep the numbers comparable with the
-     pre-dominance-pruning history of this file *)
-  let runs =
-    List.concat_map
-      (fun (bench_name, spec_of) ->
-        List.concat_map
-          (fun (h_name, h) ->
-            List.concat_map
-              (fun jobs ->
-                List.map
-                  (fun pre_prune ->
-                    let spec = spec_of () in
-                    let t0 = Unix.gettimeofday () in
-                    let report =
-                      explore ~heuristic:h ~keep_all:true ~pre_prune ~jobs
-                        spec
-                    in
-                    let wall = Unix.gettimeofday () -. t0 in
-                    (bench_name, h_name, jobs, pre_prune, wall, report))
-                  [ true; false ])
-              [ 1; 4 ])
-          [ ("E", Chop.Explore.Enumeration); ("B", Chop.Explore.Branch_bound) ])
-      benches
-  in
-  let entries =
-    List.map
-      (fun (bench_name, h_name, jobs, pre_prune, wall, report) ->
-        let m = report.Chop.Explore.metrics in
-        let st = report.Chop.Explore.outcome.Chop.Search.stats in
-        let trials = st.Chop.Search.implementation_trials in
-        let search_wall =
-          m.Chop.Explore.Metrics.search.Chop.Explore.Metrics.wall_seconds
-        in
-        let per_second =
-          if search_wall > 0. then float_of_int trials /. search_wall else 0.
-        in
-        Printf.printf
-          "  %-4s %-2s jobs=%d prune=%-5b %8.3f s wall  (%d explored, %d \
-           trials, %d avoided, %.0f comb/s)\n"
-          bench_name h_name jobs pre_prune wall
-          (List.length report.Chop.Explore.outcome.Chop.Search.explored)
-          trials st.Chop.Search.integrations_avoided per_second;
-        Printf.sprintf
-          "    {\"benchmark\": \"%s\", \"heuristic\": \"%s\", \
-           \"jobs\": %d, \"keep_all\": true, \"wall_seconds\": %.6f, \
-           \"predict_wall_seconds\": %.6f, \"predict_busy_seconds\": \
-           %.6f, \"search_wall_seconds\": %.6f, \
-           \"search_busy_seconds\": %.6f, \"merge_wall_seconds\": \
-           %.6f, \"chunks\": %d, \"cache_hits\": %d, \
-           \"cache_misses\": %d, \"cache_evictions\": %d, \
-           \"pre_prune\": %b, \"trials\": %d, \
-           \"integrations\": %d, \"integrations_avoided\": %d, \
-           \"pruned_impls\": %d, \"chip_cache_hits\": %d, \
-           \"combinations_per_second\": %.1f}"
-          bench_name h_name jobs wall
-          m.Chop.Explore.Metrics.predict.Chop.Explore.Metrics.wall_seconds
-          m.Chop.Explore.Metrics.predict.Chop.Explore.Metrics.busy_seconds
-          search_wall
-          m.Chop.Explore.Metrics.search.Chop.Explore.Metrics.busy_seconds
-          m.Chop.Explore.Metrics.merge_wall_seconds
-          m.Chop.Explore.Metrics.chunk_count
-          m.Chop.Explore.Metrics.cache_hits
-          m.Chop.Explore.Metrics.cache_misses
-          m.Chop.Explore.Metrics.cache_evictions pre_prune trials
-          st.Chop.Search.integrations st.Chop.Search.integrations_avoided
-          m.Chop.Explore.Metrics.pruned_impls
-          m.Chop.Explore.Metrics.chip_cache_hits per_second)
-      runs
-  in
-  (* sequential vs --jobs: same work split across the pool *)
-  print_newline ();
-  let t =
-    Texttable.create ~title:"search wall: sequential vs --jobs 4"
-      [
-        ("Benchmark", Texttable.Left); ("H", Texttable.Center);
-        ("Pre-prune", Texttable.Center); ("jobs=1 s", Texttable.Right);
-        ("jobs=4 s", Texttable.Right); ("Speedup", Texttable.Right);
-      ]
-  in
-  let search_wall_of want_jobs bench h prune =
-    List.find_map
-      (fun (b, hn, jobs, pp, _, report) ->
-        if b = bench && hn = h && jobs = want_jobs && pp = prune then
-          Some
-            report.Chop.Explore.metrics.Chop.Explore.Metrics.search
-              .Chop.Explore.Metrics.wall_seconds
-        else None)
-      runs
-  in
-  List.iter
-    (fun (bench, h, prune) ->
-      match (search_wall_of 1 bench h prune, search_wall_of 4 bench h prune) with
-      | Some w1, Some w4 ->
-          Texttable.add_row t
-            [
-              bench; h;
-              (if prune then "on" else "off");
-              Printf.sprintf "%.3f" w1;
-              Printf.sprintf "%.3f" w4;
-              (if w4 > 0. then Printf.sprintf "%.2fx" (w1 /. w4) else "-");
-            ]
-      | _ -> ())
-    (List.concat_map
-       (fun (bench, _) ->
-         List.concat_map
-           (fun h -> [ (bench, h, true); (bench, h, false) ])
-           [ "E"; "B" ])
-       benches);
-  Texttable.print t;
-  if smoke then print_endline "  smoke OK (BENCH_explore.json left untouched)"
-  else begin
-    let oc = open_out "BENCH_explore.json" in
-    Printf.fprintf oc
-      "{\n  \"host_cores\": %d,\n  \"entries\": [\n%s\n  ]\n}\n"
-      (Domain.recommended_domain_count ())
-      (String.concat ",\n" entries);
-    close_out oc;
-    print_endline "  wrote BENCH_explore.json"
-  end
-
-(* ------------------------------------------------------------------ *)
-
-(* [bench serve]: load-generate against an in-process chop server over a
-   Unix-domain socket.  Cold requests hit fresh engine keys (engine
-   construction + BAD prediction); warm requests repeat the first key and
-   ride the persistent engine and shared prediction cache.  Writes
-   BENCH_serve.json (also in --smoke mode: the file is the acceptance
-   artifact). *)
-let bench_serve_json ?(smoke = false) () =
-  let module Server = Chop_server.Server in
-  let module Client = Chop_server.Client in
-  let module Protocol = Chop_server.Protocol in
-  section
-    (if smoke then "bench serve --smoke: cold vs warm request latency"
-     else "bench serve: cold vs warm request latency");
-  let socket_path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "chop-bench-serve-%d.sock" (Unix.getpid ()))
-  in
-  let concurrency = 2 and queue = 32 and jobs = 1 in
-  let server =
-    Server.create
-      {
-        Server.default_config with
-        socket_path = Some socket_path;
-        concurrency;
-        queue;
-        jobs;
-        log = None;
-        handle_signals = false;
-      }
-  in
-  let server_thread = Thread.create Server.serve server in
-  let client =
-    (* the listener is up before [create] returns; retry briefly anyway *)
-    let rec retry n =
-      match Client.connect socket_path with
-      | c -> c
-      | exception Unix.Unix_error _ when n > 0 ->
-          Thread.delay 0.05;
-          retry (n - 1)
-    in
-    retry 40
-  in
-  let request ~id ~perf =
-    Protocol.request_to_json
-      {
-        Protocol.id;
-        op = Protocol.Explore;
-        deadline_ms = None;
-        params =
-          {
-            Protocol.default_params with
-            benchmark = "ewf";
-            partitions = 2;
-            perf;
-            keep_all = true;
-          };
-      }
-  in
-  let timed_rpc json =
-    let t0 = Unix.gettimeofday () in
-    match Client.rpc client json with
-    | Ok resp ->
-        let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        if Protocol.response_ok resp <> Some true then
-          failwith "bench serve: request failed";
-        ms
-    | Error msg -> failwith ("bench serve: " ^ msg)
-  in
-  let cold_n = if smoke then 3 else 8 in
-  let warm_n = if smoke then 12 else 40 in
-  let t_start = Unix.gettimeofday () in
-  (* distinct perf constraints -> distinct engine keys -> every request
-     builds its engine and predicts from an empty per-engine state *)
-  let cold =
-    List.init cold_n (fun i ->
-        timed_rpc
-          (request
-             ~id:(Printf.sprintf "cold-%d" i)
-             ~perf:(30000. +. (100. *. float_of_int i))))
-  in
-  (* repeats of the first cold key: warm engine, warm prediction cache *)
-  let warm =
-    List.init warm_n (fun i ->
-        timed_rpc (request ~id:(Printf.sprintf "warm-%d" i) ~perf:30000.))
-  in
-  let wall = Unix.gettimeofday () -. t_start in
-  (* cross-session pass: "ewf2" is ewf rebuilt in a shuffled construction
-     order.  Cold samples predict ewf at partition counts untouched above;
-     each paired ewf2 response, served on the cache ewf just filled, must
-     then render exactly as a cache-off explore of its own spec — a
-     prediction borrowed across the two numberings would show here. *)
-  let xparams ~benchmark ~partitions =
-    { Protocol.default_params with benchmark; partitions; keep_all = true }
-  in
-  let xrequest ~id params =
-    Protocol.request_to_json
-      { Protocol.id; op = Protocol.Explore; deadline_ms = None; params }
-  in
-  let rpc_timed json =
-    match Client.rpc client json with
-    | Ok resp ->
-        if Protocol.response_ok resp <> Some true then
-          failwith "bench serve: request failed";
-        let predict_ms =
-          match
-            Option.bind
-              (Option.bind (Chop_util.Json.member "timing" resp)
-                 (Chop_util.Json.member "predict_ms"))
-              Chop_util.Json.to_float_opt
-          with
-          | Some v -> v
-          | None -> failwith "bench serve: predict_ms missing from timing"
-        in
-        let text =
-          match
-            Option.bind
-              (Option.bind (Chop_util.Json.member "result" resp)
-                 (Chop_util.Json.member "text"))
-              Chop_util.Json.to_string_opt
-          with
-          | Some t -> t
-          | None -> failwith "bench serve: text missing from response"
-        in
-        (predict_ms, text)
-    | Error msg -> failwith ("bench serve: " ^ msg)
-  in
-  let cache_off_text params =
-    match (Chop_server.Ops.spec_of_params params, Chop_server.Ops.config_of_params ~jobs:1 params) with
-    | Ok spec, Ok config ->
-        Chop_server.Ops.render_explore spec ~keep_all:params.Protocol.keep_all
-          ~csv:params.Protocol.csv ~verbose:params.Protocol.verbose
-          (Chop.Explore.with_engine
-             { config with Chop.Explore.Config.cache = Chop.Explore.Config.Off }
-             spec Chop.Explore.Session.run)
-    | Error m, _ | _, Error m -> failwith ("bench serve: " ^ m)
-  in
-  let xsession_n = if smoke then 3 else 6 in
-  (* k = 2 is already warm from the passes above; k = 1 (the whole-graph
-     enumeration, the costliest cold predict) plus k >= 3 stay cold *)
-  let xsession_ks =
-    List.init xsession_n (fun i -> if i = 0 then 1 else i + 2)
-  in
-  let xcold =
-    List.map
-      (fun k ->
-        fst
-          (rpc_timed
-             (xrequest ~id:(Printf.sprintf "xcold-%d" k)
-                (xparams ~benchmark:"ewf" ~partitions:k))))
-      xsession_ks
-  in
-  let xtwin_samples =
-    List.map
-      (fun k ->
-        let params = xparams ~benchmark:"ewf2" ~partitions:k in
-        let ms, text =
-          rpc_timed (xrequest ~id:(Printf.sprintf "xtwin-%d" k) params)
-        in
-        (ms, String.equal text (cache_off_text params)))
-      xsession_ks
-  in
-  let xtwin = List.map fst xtwin_samples in
-  let xtwin_matching = List.length (List.filter snd xtwin_samples) in
-  Client.close client;
-  Server.stop server;
-  Thread.join server_thread;
-  let total = cold_n + warm_n in
-  let req_per_s = if wall > 0. then float_of_int total /. wall else 0. in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    let rank = int_of_float (ceil (q *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-  in
-  let stats_of samples =
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    let mean = Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a) in
-    (percentile a 0.50, percentile a 0.95, percentile a 0.99, mean)
-  in
-  let c50, c95, c99, cmean = stats_of cold in
-  let w50, w95, w99, wmean = stats_of warm in
-  Printf.printf "  %d requests in %.3f s (%.1f req/s)\n" total wall req_per_s;
-  Printf.printf
-    "  cold (n=%d): p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  mean %.3f ms\n"
-    cold_n c50 c95 c99 cmean;
-  Printf.printf
-    "  warm (n=%d): p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  mean %.3f ms\n"
-    warm_n w50 w95 w99 wmean;
-  let warm_faster = w50 < c50 in
-  Printf.printf "  warm p50 < cold p50: %b (%.2fx)\n" warm_faster
-    (if w50 > 0. then c50 /. w50 else 0.);
-  let x50c, x95c, x99c, xmeanc = stats_of xcold in
-  let x50w, x95w, x99w, xmeanw = stats_of xtwin in
-  let xsession_ok = xtwin_matching = xsession_n in
-  Printf.printf
-    "  xsession cold predict (ewf,  n=%d): p50 %.3f ms  p95 %.3f ms  mean %.3f ms\n"
-    xsession_n x50c x95c xmeanc;
-  Printf.printf
-    "  xsession twin predict (ewf2, n=%d): p50 %.3f ms  p95 %.3f ms  mean %.3f ms\n"
-    xsession_n x50w x95w xmeanw;
-  Printf.printf "  xsession: %d/%d ewf2 response(s) equal a cache-off explore\n"
-    xtwin_matching xsession_n;
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"host_cores\": %d,\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"concurrency\": %d,\n\
-    \  \"queue\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"requests\": %d,\n\
-    \  \"wall_seconds\": %.6f,\n\
-    \  \"requests_per_second\": %.1f,\n\
-    \  \"cold\": {\"count\": %d, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \
-     \"p99_ms\": %.3f, \"mean_ms\": %.3f},\n\
-    \  \"warm\": {\"count\": %d, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \
-     \"p99_ms\": %.3f, \"mean_ms\": %.3f},\n\
-    \  \"warm_p50_lt_cold_p50\": %b,\n\
-    \  \"xsession\": {\"cold\": {\"count\": %d, \"p50_ms\": %.3f, \
-     \"p95_ms\": %.3f, \"p99_ms\": %.3f, \"mean_ms\": %.3f}, \
-     \"twin\": {\"count\": %d, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \
-     \"p99_ms\": %.3f, \"mean_ms\": %.3f}, \"twin_matches_cache_off\": %d}\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    (if smoke then "smoke" else "full")
-    concurrency queue jobs total wall req_per_s cold_n c50 c95 c99 cmean
-    warm_n w50 w95 w99 wmean warm_faster xsession_n x50c x95c x99c xmeanc
-    xsession_n x50w x95w x99w xmeanw xtwin_matching;
-  close_out oc;
-  print_endline "  wrote BENCH_serve.json";
-  if not warm_faster then begin
-    prerr_endline "bench serve: warm p50 was not below cold p50";
-    exit 1
-  end;
-  if not xsession_ok then begin
-    prerr_endline
-      "bench serve: cross-session pass failed (an ewf2 response differs \
-       from a cache-off explore)";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Interactive-session micro-benchmark: cold exploration vs warm re-runs
-   after single edits, with the Metrics cache counters asserting the
-   incremental contract — a re-run after an edit misses the prediction
-   cache exactly for the partitions the edit dirtied and nowhere else.
-   Runs on a private cache (Config.Custom) so the counters are exact. *)
-
-let bench_session_json ?(smoke = false) () =
-  section
-    (if smoke then "Interactive session smoke run (EWF only, no JSON)"
-     else "Interactive session timing (BENCH_session.json)");
-  let ewf_spec () =
-    let graph = Chop_dfg.Benchmarks.elliptic_wave_filter () in
-    Chop.Rig.custom ~graph
-      ~partitioning:(Chop_dfg.Partition.by_levels graph ~k:3)
-      ~package:Chop_tech.Mosis.package_84
-      ~clocks:
-        (Chop_tech.Clocking.make ~main:300. ~datapath_ratio:1
-           ~transfer_ratio:1)
-      ~style:(Chop_tech.Style.both Chop_tech.Style.Multi_cycle)
-      ~criteria:(Chop_bad.Feasibility.criteria ~perf:20000. ~delay:20000. ())
-      ()
-  in
-  let ar_spec () = Chop.Rig.experiment1 ~partitions:3 () in
-  let benches =
-    if smoke then [ ("ewf", ewf_spec) ]
-    else [ ("ewf", ewf_spec); ("ar", ar_spec) ]
-  in
-  let failed = ref false in
-  let check name cond =
-    Printf.printf "  %-44s %s\n" name (if cond then "ok" else "FAIL");
-    if not cond then failed := true
-  in
-  let rows =
-    List.map
-      (fun (bench_name, spec_of) ->
-        let spec = spec_of () in
-        let parts =
-          spec.Chop.Spec.partitioning.Chop_dfg.Partition.parts
-        in
-        let k = List.length parts in
-        let config =
-          Chop.Explore.Config.make ~jobs:1
-            ~cache:(Chop.Explore.Config.Custom (Chop.Pred_cache.create ()))
-            ()
-        in
-        let session = Chop.Explore.Session.create config spec in
-        Fun.protect ~finally:(fun () -> Chop.Explore.Session.close session)
-        @@ fun () ->
-        let timed_run () =
-          let t0 = Unix.gettimeofday () in
-          let report = Chop.Explore.Session.run session in
-          (Unix.gettimeofday () -. t0, report)
-        in
-        let hits r = r.Chop.Explore.metrics.Chop.Explore.Metrics.cache_hits in
-        let misses r =
-          r.Chop.Explore.metrics.Chop.Explore.Metrics.cache_misses
-        in
-        Printf.printf "  %s (%d partitions):\n" bench_name k;
-        let cold_wall, cold = timed_run () in
-        (* partitions built the same way (ar's repeated lattice stages)
-           share a signature and so a cache key, so a cold run may
-           legitimately hit on a twin's entry; every partition is still
-           accounted for *)
-        check "cold run predicts every partition"
-          (misses cold >= 1 && misses cold + hits cold = k);
-        (* one merge: the single-dirty edit — only the absorbing partition
-           re-predicts, every untouched partition hits the cache *)
-        let p3 = List.nth parts 2 and p2 = List.nth parts 1 in
-        let dirty =
-          match
-            Chop.Explore.Session.edit session
-              [ Chop.Spec.Merge_parts
-                  { src = p3.Chop_dfg.Partition.label;
-                    dst = p2.Chop_dfg.Partition.label } ]
-          with
-          | Ok d -> d
-          | Error e ->
-              failwith (Format.asprintf "%a" Chop.Spec.pp_update_error e)
-        in
-        let merge_wall, merged = timed_run () in
-        check "merge dirties exactly one partition"
-          (List.length dirty.Chop.Spec.repredict = 1);
-        check "misses after merge == dirty partitions"
-          (misses merged
-           = List.length dirty.Chop.Spec.repredict
-          && hits merged = k - 2);
-        (* a criteria change re-screens everything but re-predicts nothing:
-           the raw enumeration layer of the cache serves every partition *)
-        let criteria_edit =
-          Chop.Spec.Set_criteria
-            (Chop_bad.Feasibility.criteria ~perf:25000. ~delay:25000. ())
-        in
-        (match Chop.Explore.Session.edit session [ criteria_edit ] with
-        | Ok d -> check "criteria edit re-predicts nothing" (d.Chop.Spec.repredict = [])
-        | Error e ->
-            failwith (Format.asprintf "%a" Chop.Spec.pp_update_error e));
-        let warm_wall, warm = timed_run () in
-        check "criteria re-run misses nothing"
-          (misses warm = 0 && hits warm = k - 1);
-        check "warm edit latency well under cold explore"
-          (warm_wall < cold_wall /. 2.);
-        (* reopen the edited spec the way another frontend would build it:
-           same structure, different construction order (node ids
-           shuffled), sharing this session's private cache.  Its run must
-           render exactly as a cache-off run of the same spec *)
-        if bench_name = "ewf" then begin
-          let graph2 =
-            Chop_dfg.Transform.renumber
-              (Chop_dfg.Benchmarks.elliptic_wave_filter ())
-          in
-          let spec2 =
-            Chop.Rig.custom ~graph:graph2
-              ~partitioning:(Chop_dfg.Partition.by_levels graph2 ~k:3)
-              ~package:Chop_tech.Mosis.package_84
-              ~clocks:
-                (Chop_tech.Clocking.make ~main:300. ~datapath_ratio:1
-                   ~transfer_ratio:1)
-              ~style:(Chop_tech.Style.both Chop_tech.Style.Multi_cycle)
-              ~criteria:
-                (Chop_bad.Feasibility.criteria ~perf:25000. ~delay:25000. ())
-              ()
-          in
-          let render config =
-            Chop.Explore.with_engine config spec2 (fun session2 ->
-                Chop_server.Ops.render_explore spec2 ~keep_all:false ~csv:false
-                  ~verbose:false
-                  (Chop.Explore.Session.run session2))
-          in
-          check "reopened spec runs as with the cache off"
-            (String.equal (render config)
-               (render
-                  { config with Chop.Explore.Config.cache = Chop.Explore.Config.Off }))
-        end;
-        Printf.printf
-          "    cold %.3f ms   merge-warm %.3f ms   criteria-warm %.3f ms\n"
-          (cold_wall *. 1000.) (merge_wall *. 1000.) (warm_wall *. 1000.);
-        (bench_name, k, cold_wall, merge_wall, warm_wall))
-      benches
-  in
-  if smoke then
-    print_endline "  smoke OK (BENCH_session.json left untouched)"
-  else begin
-    let oc = open_out "BENCH_session.json" in
-    Printf.fprintf oc "{\n  \"host_cores\": %d,\n  \"benches\": [\n"
-      (Domain.recommended_domain_count ());
-    List.iteri
-      (fun i (name, k, cold, merge, warm) ->
-        Printf.fprintf oc
-          "    {\"bench\": \"%s\", \"partitions\": %d, \
-           \"cold_ms\": %.3f, \"merge_warm_ms\": %.3f, \
-           \"criteria_warm_ms\": %.3f}%s\n"
-          name k (cold *. 1000.) (merge *. 1000.) (warm *. 1000.)
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc;
-    print_endline "  wrote BENCH_session.json"
-  end;
-  if !failed then begin
-    prerr_endline "bench session: incremental contract violated";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Automatic partitioner: BENCH_auto.json.
-
-   One row per paper benchmark, each a (k, constraints) point chosen so
-   the space is interesting: on some rows the Min_cut seed is already
-   feasible (auto must keep it and may improve area/performance), on
-   others only a different strategy finds feasibility and auto has to
-   move its way out.  The harness asserts the ISSUE acceptance criteria:
-   auto finds feasibility wherever any Autopart strategy does, beats the
-   Min_cut seed on at least 3 rows, and the refinement prediction-cache
-   hit rate stays >= 50% in aggregate. *)
-
-let bench_auto_json ?(smoke = false) () =
-  section
-    (if smoke then "Automatic partitioner smoke run (EWF only, no JSON)"
-     else "Automatic partitioner vs Min_cut seed (BENCH_auto.json)");
-  let module Ops = Chop_server.Ops in
-  let rows =
-    (* name, partitions, perf ns, delay ns, multicycle *)
-    if smoke then [ ("ewf", 3, 30000., 30000., true) ]
-    else
-      [
-        ("ar", 3, 30000., 30000., false);
-        ("ewf", 3, 30000., 30000., true);
-        ("fir8", 2, 6000., 30000., false);
-        ("fir16", 2, 30000., 30000., false);
-        ("diffeq", 2, 6000., 30000., false);
-        ("dct8", 4, 30000., 30000., false);
-      ]
-  in
-  let failed = ref false in
-  let check name cond =
-    Printf.printf "  %-52s %s\n" name (if cond then "ok" else "FAIL");
-    if not cond then failed := true
-  in
-  let spec_of name k perf delay multicycle strategy =
-    let graph =
-      match Ops.graph_of_name name with
-      | Ok g -> g
-      | Error m -> failwith m
-    in
-    Ops.build_spec
-      ~processors:(Ops.processors_for ~benchmark:name ~impls:[])
-      ~graph ~partitions:k ~package:Chop_tech.Mosis.package_84 ~perf ~delay
-      ~multicycle ~strategy ()
-  in
-  let feasible_of (r : Chop.Explore.report) =
-    match r.Chop.Explore.outcome.Chop.Search.feasible with
-    | [] -> None
-    | best :: _ ->
-        let o = Chop.Integration.objectives best in
-        Some (o.(0), o.(2)) (* perf ns, likely total area *)
-  in
-  let jobs_n =
-    (* bench auto [--jobs N] sets the parallel run's job count *)
-    let rec scan i =
-      if i + 1 >= Array.length Sys.argv then 4
-      else if Sys.argv.(i) = "--jobs" then
-        (try max 2 (int_of_string Sys.argv.(i + 1)) with _ -> 4)
-      else scan (i + 1)
-    in
-    scan 0
-  in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "  parallel runs: jobs=%d (host reports %d core(s))\n" jobs_n
-    cores;
-  (* Each row runs twice over a fresh private cache (so the counters and
-     the walls are exactly that run's): sequential, then jobs_n.  The
-     parallel pool oversubscribes past the core clamp so the speculative
-     path really runs multiple domains even on small hosts — walls stay
-     honest for the host either way. *)
-  let run_auto name k perf delay multicycle ~jobs =
-    let config =
-      Chop.Explore.Config.make ~jobs
-        ~cache:(Chop.Explore.Config.Custom (Chop.Pred_cache.create ()))
-        ()
-    in
-    let seed_spec =
-      spec_of name k perf delay multicycle (Chop_baseline.Autopart.Min_cut 1)
-    in
-    if jobs = 1 then Chop_auto.run ~config seed_spec
-    else begin
-      let pool = Chop_util.Pool.create ~oversubscribe:true ~jobs () in
-      Fun.protect
-        ~finally:(fun () -> Chop_util.Pool.shutdown pool)
-        (fun () -> Chop_auto.run ~pool ~config seed_spec)
-    end
-  in
-  let results =
-    List.map
-      (fun (name, k, perf, delay, multicycle) ->
-        Printf.printf "  %s (k=%d, perf %.0f ns, delay %.0f ns%s):\n" name k
-          perf delay
-          (if multicycle then ", multi-cycle" else "");
-        (* which strategies find feasibility on this row? *)
-        let strategy_feasible =
-          List.map
-            (fun (sname, s) ->
-              let r = explore (spec_of name k perf delay multicycle s) in
-              (sname, feasible_of r <> None))
-            [
-              ("levels", Chop_baseline.Autopart.Levels);
-              ("min-cut", Chop_baseline.Autopart.Min_cut 1);
-              ("random", Chop_baseline.Autopart.Random_balanced 1);
-            ]
-        in
-        let any_strategy =
-          List.exists (fun (_, f) -> f) strategy_feasible
-        in
-        let o = run_auto name k perf delay multicycle ~jobs:1 in
-        let oj = run_auto name k perf delay multicycle ~jobs:jobs_n in
-        check
-          (Printf.sprintf "jobs-1 vs jobs-%d results byte-identical" jobs_n)
-          (String.equal
-             (Ops.render_auto o.Chop_auto.spec o)
-             (Ops.render_auto oj.Chop_auto.spec oj));
-        let speedup =
-          o.Chop_auto.wall_seconds /. Float.max 1e-9 oj.Chop_auto.wall_seconds
-        in
-        let seed = feasible_of o.Chop_auto.seed_report in
-        let final = feasible_of o.Chop_auto.report in
-        let beats =
-          match (seed, final) with
-          | None, Some _ -> true (* verdict flip *)
-          | Some (sp, sa), Some (fp, fa) -> fp < sp || fa < sa
-          | _, None -> false
-        in
-        check "auto feasible wherever any strategy is"
-          ((not any_strategy) || final <> None);
-        check "auto no worse than the Min_cut seed"
-          (match (seed, final) with
-          | Some _, None -> false
-          | _ -> true);
-        Printf.printf
-          "    seed %s   auto %s   %d move(s) tried, %d accepted, cache %d/%d \
-           (%.1f%% hits)\n"
-          (match seed with
-          | None -> "infeasible"
-          | Some (p, a) -> Printf.sprintf "perf %.0f area %.0f" p a)
-          (match final with
-          | None -> "infeasible"
-          | Some (p, a) -> Printf.sprintf "perf %.0f area %.0f" p a)
-          o.Chop_auto.moves_tried o.Chop_auto.moves_accepted
-          o.Chop_auto.cache_hits o.Chop_auto.cache_misses
-          (100.
-          *. float_of_int o.Chop_auto.cache_hits
-          /. float_of_int (max 1 (o.Chop_auto.cache_hits + o.Chop_auto.cache_misses)));
-        Printf.printf
-          "    wall %.3f s (jobs=1) / %.3f s (jobs=%d): %.2fx, %d \
-           speculative run(s) over %d round(s)\n"
-          o.Chop_auto.wall_seconds oj.Chop_auto.wall_seconds jobs_n speedup
-          o.Chop_auto.speculative_runs o.Chop_auto.batch_rounds;
-        (name, k, perf, delay, multicycle, strategy_feasible, seed, final,
-         beats, o, oj, speedup))
-      rows
-  in
-  let hits =
-    List.fold_left
-      (fun a (_, _, _, _, _, _, _, _, _, o, _, _) -> a + o.Chop_auto.cache_hits)
-      0 results
-  in
-  let misses =
-    List.fold_left
-      (fun a (_, _, _, _, _, _, _, _, _, o, _, _) ->
-        a + o.Chop_auto.cache_misses)
-      0 results
-  in
-  let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-  let beaten =
-    List.length
-      (List.filter (fun (_, _, _, _, _, _, _, _, b, _, _, _) -> b) results)
-  in
-  Printf.printf "  aggregate refinement cache hit rate %.1f%%, seed beaten on \
-                 %d/%d rows\n"
-    (100. *. hit_rate) beaten (List.length results);
-  (* the probe-score memo now skips redundant runs outright, so the small
-     single-row smoke set sees relatively more cold misses; the full set
-     stays well above 50% *)
-  let hit_floor = if smoke then 0.3 else 0.5 in
-  check
-    (Printf.sprintf "aggregate refinement cache hit rate >= %.0f%%"
-       (100. *. hit_floor))
-    (hit_rate >= hit_floor);
-  if not smoke then begin
-    check "beats the Min_cut seed on >= 3 benchmarks" (beaten >= 3);
-    (* the speedup target needs real cores behind the pool; on smaller
-       hosts the ratio is recorded in the JSON but not asserted *)
-    List.iter
-      (fun (name, _, _, _, _, _, _, _, _, _, _, speedup) ->
-        if name = "dct8" then
-          if cores >= 4 then
-            check "dct8 speedup >= 2.5x at jobs=4" (speedup >= 2.5)
-          else
-            Printf.printf
-              "  dct8 speedup %.2fx — >= 2.5x assertion skipped (host has \
-               %d core(s), needs >= 4)\n"
-              speedup cores)
-      results
-  end;
-  if smoke then print_endline "  smoke OK (BENCH_auto.json left untouched)"
-  else begin
-    let oc = open_out "BENCH_auto.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"seed_strategy\": \"min-cut\",\n\
-      \  \"refinement_cache_hit_rate\": %.3f,\n\
-      \  \"rows_beating_seed\": %d,\n\
-      \  \"parallel_jobs\": %d,\n\
-      \  \"host_cores\": %d,\n\
-      \  \"jobs_byte_identical\": %b,\n\
-      \  \"benches\": [\n"
-      hit_rate beaten jobs_n cores (not !failed);
-    List.iteri
-      (fun i (name, k, perf, delay, multicycle, strategy_feasible, seed, final,
-              beats, o, oj, speedup) ->
-        let verdict = function None -> "infeasible" | Some _ -> "feasible" in
-        let obj field = function
-          | None -> "null"
-          | Some (p, a) ->
-              Printf.sprintf "%.0f" (if field = `Perf then p else a)
-        in
-        Printf.fprintf oc
-          "    {\"bench\": \"%s\", \"partitions\": %d, \"perf_ns\": %.0f, \
-           \"delay_ns\": %.0f, \"multicycle\": %b,\n\
-          \     \"strategies\": {%s},\n\
-          \     \"seed\": {\"verdict\": \"%s\", \"perf_ns\": %s, \"area\": %s},\n\
-          \     \"auto\": {\"verdict\": \"%s\", \"perf_ns\": %s, \"area\": %s, \
-           \"beats_seed\": %b,\n\
-          \              \"levels\": %d, \"coarse_clusters\": %d, \
-           \"moves_tried\": %d, \"moves_accepted\": %d,\n\
-          \              \"speculative_runs\": %d, \"batch_rounds\": %d,\n\
-          \              \"cache_hits\": %d, \"cache_misses\": %d,\n\
-          \              \"wall_s_jobs1\": %.3f, \"wall_s_jobs%d\": %.3f, \
-           \"speedup\": %.2f}}%s\n"
-          name k perf delay multicycle
-          (String.concat ", "
-             (List.map
-                (fun (s, f) -> Printf.sprintf "\"%s\": \"%s\"" s
-                    (if f then "feasible" else "infeasible"))
-                strategy_feasible))
-          (verdict seed) (obj `Perf seed) (obj `Area seed)
-          (verdict final) (obj `Perf final) (obj `Area final) beats
-          o.Chop_auto.levels o.Chop_auto.coarse_clusters
-          o.Chop_auto.moves_tried o.Chop_auto.moves_accepted
-          o.Chop_auto.speculative_runs o.Chop_auto.batch_rounds
-          o.Chop_auto.cache_hits o.Chop_auto.cache_misses
-          o.Chop_auto.wall_seconds jobs_n
-          oj.Chop_auto.wall_seconds speedup
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc;
-    print_endline "  wrote BENCH_auto.json"
-  end;
-  if !failed then begin
-    prerr_endline "bench auto: acceptance criteria violated";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* [bench gateway]: real [chop serve] subprocesses behind the in-process
-   gateway — subprocesses, because two backends in one OCaml process
-   would share a runtime lock and could never show cluster throughput.
-   Measures warm explore req/s through one backend directly vs through
-   the gateway over two backends (distinct engine keys, so the ring
-   spreads the load), asserts response-text parity, and exercises the
-   snapshot save/reopen path asserting the content-addressed cache
-   serves the restored session without raw prediction work.  Writes
-   BENCH_gateway.json (also in --smoke: the file is the acceptance
-   artifact). *)
-
-let bench_gateway_json ?(smoke = false) () =
-  let module Client = Chop_server.Client in
-  let module Protocol = Chop_server.Protocol in
-  let module Ops = Chop_server.Ops in
-  let module Gateway = Chop_gateway.Gateway in
-  let module Ring = Chop_gateway.Ring in
-  let module Json = Chop_util.Json in
-  section
-    (if smoke then "bench gateway --smoke: 2 backends vs 1, snapshot restore"
-     else "bench gateway: 2 backends vs 1, snapshot restore");
-  (* the gateway serve thread writes to client sockets from this process *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let cli =
-    match Sys.getenv_opt "CHOP_CLI" with
-    | Some p -> p
-    | None ->
-        Filename.concat
-          (Filename.dirname Sys.executable_name)
-          "../bin/chop_cli.exe"
-  in
-  if not (Sys.file_exists cli) then begin
-    Printf.eprintf
-      "bench gateway: chop binary not found at %s (build bin/ or set \
-       CHOP_CLI)\n"
-      cli;
-    exit 1
-  end;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "chop-bench-gw-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o700;
-  let state_dir = Filename.concat dir "state" in
-  let backend_socks =
-    [ Filename.concat dir "b0.sock"; Filename.concat dir "b1.sock" ]
-  in
-  let spawn sock =
-    Unix.create_process cli
-      [|
-        cli; "serve"; "--socket"; sock; "-c"; "2"; "-q"; "64"; "-j"; "1";
-        "--quiet"; "--state-dir"; state_dir;
-      |]
-      Unix.stdin Unix.stdout Unix.stderr
-  in
-  let pids = List.map spawn backend_socks in
-  let connect_retry sock =
-    let rec go n =
-      match Client.connect sock with
-      | c -> c
-      | exception Unix.Unix_error _ when n > 0 ->
-          Thread.delay 0.05;
-          go (n - 1)
-    in
-    go 100
-  in
-  let gw_sock = Filename.concat dir "gw.sock" in
-  let gw =
-    Gateway.create
-      {
-        Gateway.socket_path = Some gw_sock;
-        backends = backend_socks;
-        vnodes = 64;
-        fanout = false;
-        log = None;
-        handle_signals = false;
-        health_interval_s = None;
-      }
-  in
-  let gw_thread = Thread.create Gateway.serve gw in
-  let teardown () =
-    Gateway.stop gw;
-    Thread.join gw_thread;
-    List.iter
-      (fun pid ->
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid))
-      pids;
-    rm_rf dir
-  in
-  (* exit must happen after Fun.protect returns: Stdlib.exit does not unwind,
-     so calling it inside the body would skip teardown and orphan the backends *)
-  let bad =
-    Fun.protect ~finally:teardown @@ fun () ->
-  (* wait for every listener *)
-  List.iter
-    (fun s -> Client.close (connect_retry s))
-    (backend_socks @ [ gw_sock ]);
-  let failed = ref false in
-  let check name cond =
-    Printf.printf "  %-52s %s\n" name (if cond then "ok" else "FAIL");
-    if not cond then failed := true
-  in
-  (* two warm engine keys the ring assigns to different backends, so the
-     gateway genuinely spreads the load *)
-  let params perf =
-    {
-      Protocol.default_params with
-      benchmark = "ewf";
-      partitions = 2;
-      perf;
-      keep_all = true;
-    }
-  in
-  let ring = Ring.create ~vnodes:64 backend_socks in
-  let owner perf =
-    match Ring.lookup ring (Ops.engine_key ~op:Protocol.Explore (params perf)) with
-    | Some b -> b
-    | None -> failwith "bench gateway: empty ring"
-  in
-  let perf_a = 30000. in
-  let perf_b =
-    let rec find p =
-      if owner p <> owner perf_a then p
-      else if p > 60000. then failwith "bench gateway: no second key found"
-      else find (p +. 100.)
-    in
-    find 30100.
-  in
-  let request ~id ~perf =
-    Protocol.request_to_json
-      { Protocol.id; op = Protocol.Explore; deadline_ms = None;
-        params = params perf }
-  in
-  let rpc_ok c json =
-    match Client.rpc c json with
-    | Ok resp ->
-        if Protocol.response_ok resp <> Some true then
-          failwith "bench gateway: request failed";
-        resp
-    | Error msg -> failwith ("bench gateway: " ^ msg)
-  in
-  (* warm both keys everywhere they will be served: on the direct
-     baseline backend and (through the gateway) on each key's owner *)
-  let b0 = List.hd backend_socks in
-  let warm sock =
-    let c = connect_retry sock in
-    ignore (rpc_ok c (request ~id:"warm-a" ~perf:perf_a));
-    ignore (rpc_ok c (request ~id:"warm-b" ~perf:perf_b));
-    Client.close c
-  in
-  warm b0;
-  warm gw_sock;
-  (* byte-identity through the gateway, measured on the wire *)
-  let text_of resp =
-    match Protocol.response_text resp with
-    | Some t -> t
-    | None -> failwith "bench gateway: response has no text"
-  in
-  let direct = connect_retry b0 and via_gw = connect_retry gw_sock in
-  let parity =
-    List.for_all
-      (fun perf ->
-        let id = Printf.sprintf "parity-%.0f" perf in
-        String.equal
-          (text_of (rpc_ok direct (request ~id ~perf)))
-          (text_of (rpc_ok via_gw (request ~id ~perf))))
-      [ perf_a; perf_b ]
-  in
-  Client.close direct;
-  Client.close via_gw;
-  check "gateway responses byte-identical to a single serve" parity;
-  (* throughput: the same concurrent warm load against one backend
-     directly, then through the gateway over both *)
-  let threads_n = 4 in
-  let per_thread = if smoke then 6 else 25 in
-  let measure sock =
-    let t0 = Unix.gettimeofday () in
-    let ts =
-      List.init threads_n (fun tid ->
-          Thread.create
-            (fun () ->
-              let c = connect_retry sock in
-              for i = 0 to per_thread - 1 do
-                let perf = if (tid + i) mod 2 = 0 then perf_a else perf_b in
-                ignore
-                  (rpc_ok c (request ~id:(Printf.sprintf "t%d-%d" tid i) ~perf))
-              done;
-              Client.close c)
-            ())
-    in
-    List.iter Thread.join ts;
-    let wall = Unix.gettimeofday () -. t0 in
-    float_of_int (threads_n * per_thread) /. Float.max 1e-9 wall
-  in
-  let single_rps = measure b0 in
-  let gateway_rps = measure gw_sock in
-  let speedup = gateway_rps /. Float.max 1e-9 single_rps in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "  %d requests each: single backend %.1f req/s, gateway x2 %.1f req/s \
-     (%.2fx)\n"
-    (threads_n * per_thread) single_rps gateway_rps speedup;
-  if cores >= 4 then
-    check "2-backend throughput >= 1.5x single backend" (speedup >= 1.5)
-  else
-    Printf.printf
-      "  speedup %.2fx — >= 1.5x assertion skipped (host has %d core(s), \
-       needs >= 4)\n"
-      speedup cores;
-  (* snapshot durability: a snapshot round-trip preserves the spec's
-     construction order, so a reopened session raw-hits its own pre-save
-     entries and renders exactly as it did before the save.  The owner is
-     warmed first with an ewf session, so its cache also holds the same
-     structure under another numbering, which the ewf2 session must not
-     borrow from *)
-  let c = connect_retry gw_sock in
-  let session_req ~id ~op ~benchmark ?(sid = "") ?(edits = [])
-      ?(close = false) ?(restore = false) () =
-    Protocol.request_to_json
-      {
-        Protocol.id;
-        op;
-        deadline_ms = None;
-        params =
-          {
-            Protocol.default_params with
-            benchmark;
-            partitions = 3;
-            session = sid;
-            client = "bench";
-            edits;
-            close;
-            restore;
-          };
-      }
-  in
-  (* both sessions must land on the same backend: sessions route by sid,
-     so pick sid strings the ring assigns to one chosen owner *)
-  let target = List.hd backend_socks in
-  let sid_owned_by prefix =
-    let rec go i =
-      if i > 1000 then failwith "bench gateway: ring never chose the target"
-      else
-        let s = Printf.sprintf "%s%d" prefix i in
-        if Ring.lookup ring s = Some target then s else go (i + 1)
-    in
-    go 0
-  in
-  let sid_warm = sid_owned_by "bench-warm-" in
-  let sid = sid_owned_by "bench-snap-" in
-  let run_result resp =
-    let misses =
-      Option.bind
-        (Option.bind (Json.member "timing" resp) (Json.member "cache_misses"))
-        Json.to_int_opt
-    in
-    let text =
-      Option.bind
-        (Option.bind (Json.member "result" resp) (Json.member "text"))
-        Json.to_string_opt
-    in
-    match (misses, text) with
-    | Some m, Some text -> (m, text)
-    | _ -> failwith "bench gateway: run response incomplete"
-  in
-  let ewf = "ewf" and ewf2 = "ewf2" in
-  ignore
-    (rpc_ok c
-       (session_req ~id:"wo" ~op:Protocol.Session_open ~benchmark:ewf
-          ~sid:sid_warm ()));
-  ignore
-    (rpc_ok c
-       (session_req ~id:"we" ~op:Protocol.Session_edit ~benchmark:ewf
-          ~sid:sid_warm ~edits:[ "merge P3 P2" ] ()));
-  let cold_misses, _ =
-    run_result
-      (rpc_ok c
-         (session_req ~id:"wr" ~op:Protocol.Session_run ~benchmark:ewf
-            ~sid:sid_warm ()))
-  in
-  check "first construction predicts cold (raw misses)" (cold_misses >= 1);
-  ignore
-    (rpc_ok c
-       (session_req ~id:"wc" ~op:Protocol.Session_close ~benchmark:ewf
-          ~sid:sid_warm ()));
-  ignore
-    (rpc_ok c (session_req ~id:"o" ~op:Protocol.Session_open ~benchmark:ewf2 ~sid ()));
-  ignore
-    (rpc_ok c
-       (session_req ~id:"e" ~op:Protocol.Session_edit ~benchmark:ewf2 ~sid
-          ~edits:[ "merge P3 P2" ] ()));
-  let pre_misses, pre_text =
-    run_result
-      (rpc_ok c (session_req ~id:"r1" ~op:Protocol.Session_run ~benchmark:ewf2 ~sid ()))
-  in
-  ignore
-    (rpc_ok c
-       (session_req ~id:"s" ~op:Protocol.Session_save ~benchmark:ewf2 ~sid
-          ~close:true ()));
-  ignore
-    (rpc_ok c
-       (session_req ~id:"o2" ~op:Protocol.Session_open ~benchmark:ewf2 ~sid
-          ~restore:true ()));
-  let reopen_misses, reopen_text =
-    run_result
-      (rpc_ok c (session_req ~id:"r2" ~op:Protocol.Session_run ~benchmark:ewf2 ~sid ()))
-  in
-  let reopen_matches = String.equal pre_text reopen_text in
-  check "restored run misses nothing (raw)" (reopen_misses = 0);
-  check "restored run renders as before the save" reopen_matches;
-  ignore
-    (rpc_ok c (session_req ~id:"c" ~op:Protocol.Session_close ~benchmark:ewf2 ~sid ()));
-  Client.close c;
-  Printf.printf
-    "  restore: ewf cold misses %d, ewf2 misses %d, reopened misses %d, \
-     reopened run renders as before the save: %b\n"
-    cold_misses pre_misses reopen_misses reopen_matches;
-  let oc = open_out "BENCH_gateway.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"host_cores\": %d,\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"backends\": %d,\n\
-    \  \"client_threads\": %d,\n\
-    \  \"requests_per_mode\": %d,\n\
-    \  \"single_backend_rps\": %.1f,\n\
-    \  \"gateway_rps\": %.1f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"speedup_asserted\": %b,\n\
-    \  \"parity\": %b,\n\
-    \  \"restore\": {\"cold_misses\": %d, \"second_construction_misses\": %d, \
-     \"reopen_misses\": %d, \"reopen_matches_pre_save\": %b}\n\
-     }\n"
-    cores
-    (if smoke then "smoke" else "full")
-    (List.length backend_socks)
-    threads_n (threads_n * per_thread) single_rps gateway_rps speedup
-    (cores >= 4) parity cold_misses pre_misses reopen_misses reopen_matches;
-  close_out oc;
-  print_endline "  wrote BENCH_gateway.json";
-  !failed
-  in
-  if bad then begin
-    prerr_endline "bench gateway: acceptance criteria violated";
-    exit 1
-  end
-
 let () =
-  if Array.exists (fun a -> a = "gateway") Sys.argv then begin
-    bench_gateway_json ~smoke:(Array.exists (fun a -> a = "--smoke") Sys.argv) ();
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "hwsw") Sys.argv then begin
-    ablation_hwsw_codesign ();
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "auto") Sys.argv then begin
-    bench_auto_json ~smoke:(Array.exists (fun a -> a = "--smoke") Sys.argv) ();
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "session") Sys.argv then begin
-    bench_session_json ~smoke:(Array.exists (fun a -> a = "--smoke") Sys.argv) ();
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "serve") Sys.argv then begin
-    bench_serve_json ~smoke:(Array.exists (fun a -> a = "--smoke") Sys.argv) ();
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "--explore-json-only") Sys.argv then begin
-    bench_explore_json ();
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "--smoke") Sys.argv then begin
-    (* CI smoke: the cheap EWF benchmark only, nothing written to disk *)
-    bench_explore_json ~smoke:true ();
-    exit 0
-  end;
   print_endline
     "CHOP reproduction benches — Kucukcakar & Parker, DAC 1991\n\
      Workload: AR lattice filter element (Figure 6), 28 operations.";
@@ -2362,7 +1159,6 @@ let () =
   ablation_baseline ();
   ablation_hwsw_codesign ();
   secondary_workload ();
-  bench_explore_json ();
   scale_check ();
   microbenchmarks ();
   print_endline "\nDone.  See EXPERIMENTS.md for paper-vs-measured commentary."

@@ -640,10 +640,11 @@ let refine ?(seed = 1) ?(constraints = no_constraints) ?(max_moves = 1024)
     hits := !hits + m.Chop.Explore.Metrics.cache_hits;
     misses := !misses + m.Chop.Explore.Metrics.cache_misses
   in
-  (* Memo of probe scores, keyed on a digest of the full partition
-     assignment the move would produce.  Sound because only the
-     partitioning changes during refinement — graph, chips, clock and
-     criteria are fixed — so the assignment alone determines the state.
+  (* Memo of probe scores, keyed on the encoding of the full partition
+     assignment the move would produce, compared whole on every lookup.
+     Sound because only the partitioning changes during refinement —
+     graph, chips, clock and criteria are fixed — so the assignment alone
+     determines the state.
      A memo hit skips the speculative run entirely; legality of the move
      from the *current* state is still path-dependent, so a commit
      re-applies the edit and deterministically skips a stale entry. *)
@@ -684,7 +685,7 @@ let refine ?(seed = 1) ?(constraints = no_constraints) ?(max_moves = 1024)
         (List.sort
            (fun (a : P.t) (b : P.t) -> String.compare a.P.label b.P.label)
            spec.Chop.Spec.partitioning.P.parts);
-    Digest.string (Buffer.contents b)
+    Buffer.contents b
   in
   (* Apply an action to a session (the main one or a speculative fork).
      Returns the revert token a cancelled or failed commit needs. *)

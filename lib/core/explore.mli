@@ -91,8 +91,8 @@ end
     are elapsed time on the calling domain; {e busy} seconds are summed
     across pool participants, so busy exceeding wall is the signature of
     parallelism actually paying off, while wall far exceeding busy points
-    at scheduling overhead.  Printed by [chop explore --stats] and written
-    into [BENCH_explore.json] by the bench harness. *)
+    at scheduling overhead.  Printed by [chop explore --stats] and
+    returned in each server response's [timing]. *)
 
 module Metrics : sig
   type phase = { wall_seconds : float; busy_seconds : float }

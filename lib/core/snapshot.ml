@@ -179,14 +179,20 @@ let parse text =
   }
 
 (* Durable writes are atomic: a crash mid-write leaves the previous
-   snapshot (or nothing), never a torn file a restore could half-read. *)
+   snapshot (or nothing), never a torn file a restore could half-read.
+   [close_out] flushes, so a full disk raises here, before the rename
+   could put an unwritten file in the snapshot's place. *)
 let save path s =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (print s));
-  Sys.rename tmp path
+  try
+    output_string oc (print s);
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let load path =
   let ic = open_in_bin path in

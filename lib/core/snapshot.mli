@@ -49,7 +49,9 @@ val parse : string -> t
 
 val save : string -> t -> unit
 (** [save path s] writes atomically (temp file + rename): a crash
-    mid-write never leaves a torn snapshot. *)
+    mid-write never leaves a torn snapshot.  A failed write (a full disk)
+    raises [Sys_error], removes the temp file and leaves the previous
+    snapshot at [path] in place. *)
 
 val load : string -> t
 (** @raise Parse_error on malformed contents; [Sys_error] on I/O. *)

@@ -1,6 +1,6 @@
 (** A small blocking client for the {!Server} protocol — the engine room
-    of [chop request], the serve smoke test and the [bench serve]
-    load generator. *)
+    of [chop request], the gateway's backend connections and perfbench's
+    serving workloads. *)
 
 type t
 

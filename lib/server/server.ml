@@ -70,9 +70,15 @@ let create cfg =
     invalid_arg "Server.create: max_sessions must be >= 1";
   if cfg.session_ttl_s <= 0. then
     invalid_arg "Server.create: session_ttl_s must be positive";
-  (match cfg.state_dir with
-  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-  | _ -> ());
+  (* mkdir first and inspect only on EEXIST: backends started together on
+     one fresh shared directory race to create it, and each must win *)
+  Option.iter
+    (fun dir ->
+      try Unix.mkdir dir 0o755
+      with Unix.Unix_error (Unix.EEXIST, _, _) ->
+        if (Unix.stat dir).Unix.st_kind <> Unix.S_DIR then
+          raise (Unix.Unix_error (Unix.ENOTDIR, "mkdir", dir)))
+    cfg.state_dir;
   let listener = Listener.create ~socket_path:cfg.socket_path ~log:cfg.log in
   {
     cfg;

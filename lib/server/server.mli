@@ -6,8 +6,8 @@
     ({!Chop.Explore.Session.create}[ ?pool]) and all engines share the
     process-wide prediction cache, so a request repeating an earlier
     request's parameters reuses both the engine (integration context,
-    staged caches) and the cached BAD predictions — the warm path the
-    bench harness measures.
+    staged caches) and the cached BAD predictions — the warm path
+    perfbench's explore-gateway workload measures.
 
     Requests flow through a {!Scheduler}: bounded queue, fixed
     concurrency, per-request deadlines, and a structured [overloaded]
@@ -53,7 +53,7 @@ type config = {
           written on shutdown, eviction and [session/save], restored by
           [session/open] naming a snapshotted id.  [None] (the default)
           keeps sessions purely in-memory.  The directory is created if
-          missing. *)
+          missing; several servers may create it at once. *)
 }
 
 val default_config : config
@@ -67,7 +67,9 @@ val create : config -> t
 (** Binds the listener (when [socket_path] is set) and starts the
     scheduler workers.  A stale socket file at the path is replaced; any
     other file is left alone.  Fails with [Unix.Unix_error] when the
-    socket cannot be bound — [EEXIST] for a file that is not a socket. *)
+    socket cannot be bound — [EEXIST] for a file that is not a socket —
+    or the state dir cannot be created — [ENOTDIR] for a path that is
+    not a directory. *)
 
 val stop : t -> unit
 (** Requests shutdown: the serve loop stops accepting and begins its

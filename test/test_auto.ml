@@ -320,6 +320,77 @@ let test_auto_ewf_row_jobs_1_4 () =
   Fun.protect ~finally:(fun () -> Chop_util.Pool.shutdown four) @@ fun () ->
   Alcotest.(check string) "jobs 1 = jobs 4" (render 1) (render ~pool:four 4)
 
+(* Six paper benchmarks at settings where the space is interesting: on
+   some rows the Min_cut seed is already feasible, on others only another
+   Autopart strategy finds feasibility and auto has to move its way out.
+   Each row refines its Min_cut 1 seed at one job on a fresh cache. *)
+let auto_rows =
+  (* name, partitions, perf ns, multi-cycle; delay 30000 ns throughout *)
+  [
+    ("ar", 3, 30000., false);
+    ("ewf", 3, 30000., true);
+    ("fir8", 2, 6000., false);
+    ("fir16", 2, 30000., false);
+    ("diffeq", 2, 6000., false);
+    ("dct8", 4, 30000., false);
+  ]
+
+let test_auto_rows_vs_seed () =
+  (* perf and likely area of the best feasible design *)
+  let best (r : Chop.Explore.report) =
+    match r.Chop.Explore.outcome.Chop.Search.feasible with
+    | [] -> None
+    | best :: _ ->
+        let o = Chop.Integration.objectives best in
+        Some (o.(0), o.(2))
+  in
+  let rows =
+    List.map
+      (fun (name, k, perf, multicycle) ->
+        let spec strategy = bench_spec ~k ~perf ~multicycle ~strategy name in
+        let any_strategy =
+          List.exists
+            (fun strategy ->
+              best
+                (Chop.Explore.with_engine
+                   (Chop.Explore.Config.make ~cache:Chop.Explore.Config.Off ())
+                   (spec strategy) Chop.Explore.Session.run)
+              <> None)
+            Chop_baseline.Autopart.[ Levels; Min_cut 1; Random_balanced 1 ]
+        in
+        let o =
+          Chop_auto.run ~config:(private_config ())
+            (spec (Chop_baseline.Autopart.Min_cut 1))
+        in
+        let seed = best o.Chop_auto.seed_report
+        and final = best o.Chop_auto.report in
+        if any_strategy then
+          Alcotest.(check bool)
+            (name ^ ": auto feasible where a strategy is")
+            true (final <> None);
+        Alcotest.(check bool)
+          (name ^ ": auto no worse than its seed")
+          false
+          (seed <> None && final = None);
+        let beats =
+          match (seed, final) with
+          | None, Some _ -> true
+          | Some (sp, sa), Some (fp, fa) -> fp < sp || fa < sa
+          | _, None -> false
+        in
+        (beats, o.Chop_auto.cache_hits, o.Chop_auto.cache_misses))
+      auto_rows
+  in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 rows in
+  let hits = sum (fun (_, h, _) -> h) and misses = sum (fun (_, _, m) -> m) in
+  Alcotest.(check bool) "auto beats its seed on at least 3 rows" true
+    (List.length (List.filter (fun (b, _, _) -> b) rows) >= 3);
+  Alcotest.(check bool)
+    (Printf.sprintf "aggregate cache hit rate %d/%d >= 50%%" hits
+       (hits + misses))
+    true
+    (2 * hits >= hits + misses)
+
 let test_auto_invalid_constraints () =
   let spec = bench_spec ~k:2 "ar" in
   let bad_pin =
@@ -431,12 +502,12 @@ let autopart_exactly_k =
 (* ------------------------------------------------------------------ *)
 (* session/optimize through the server pipeline *)
 
-let make_server () =
+let make_server ?(jobs = 1) () =
   Server.create
     {
       Server.default_config with
       socket_path = None;
-      jobs = 1;
+      jobs;
       log = None;
       handle_signals = false;
     }
@@ -458,12 +529,7 @@ let open_session server line =
   | Some sid -> sid
   | None -> Alcotest.failf "no session id in %s" (Json.print resp)
 
-let test_session_optimize_roundtrip () =
-  let server = make_server () in
-  let sid =
-    open_session server
-      {|{"op":"session/open","benchmark":"diffeq","partitions":2,"perf":6000,"strategy":"min-cut"}|}
-  in
+let optimize server sid =
   let resp =
     parse_response
       (Server.handle_line server
@@ -471,13 +537,29 @@ let test_session_optimize_roundtrip () =
             {|{"op":"session/optimize","session":"%s","seed":1}|} sid))
   in
   Alcotest.(check (option bool)) "ok" (Some true) (Protocol.response_ok resp);
+  resp
+
+let int_field resp path = Option.bind (field resp path) Json.to_int_opt
+
+(* On a two-job server, so the speculative waves run on its pool. *)
+let test_session_optimize_roundtrip () =
+  let server = make_server ~jobs:2 () in
+  let sid =
+    open_session server
+      {|{"op":"session/open","benchmark":"diffeq","partitions":2,"perf":6000,"strategy":"min-cut"}|}
+  in
+  let resp = optimize server sid in
   Alcotest.(check (option bool)) "verdict flipped to feasible" (Some true)
     (Option.bind (field resp [ "result"; "feasible" ]) Json.to_bool_opt);
-  let moves_tried =
-    Option.bind (field resp [ "timing"; "moves_tried" ]) Json.to_int_opt
+  let at_least_one what path =
+    Alcotest.(check bool) what true
+      (match int_field resp path with Some n -> n >= 1 | None -> false)
   in
-  Alcotest.(check bool) "timing counts the candidate moves" true
-    (match moves_tried with Some n -> n > 0 | None -> false);
+  at_least_one "timing counts the candidate moves" [ "timing"; "moves_tried" ];
+  at_least_one "probes ran speculatively" [ "timing"; "speculative_runs" ];
+  at_least_one "in batch rounds" [ "timing"; "batch_rounds" ];
+  Alcotest.(check (option int)) "on the server's two jobs" (Some 2)
+    (int_field resp [ "timing"; "jobs" ]);
   (* byte-identity with the CLI path: same spec, same seed, rendered
      through the same Ops.render_auto *)
   let o =
@@ -487,6 +569,19 @@ let test_session_optimize_roundtrip () =
   Alcotest.(check (option string)) "text identical to chop auto"
     (Some (Ops.render_auto o.Chop_auto.spec o))
     (Protocol.response_text resp)
+
+(* HW/SW co-design over the wire: refining pcm_pwm rebinds a partition
+   to the processor and says so in the response. *)
+let test_session_optimize_model_flip () =
+  let server = make_server ~jobs:2 () in
+  let sid =
+    open_session server
+      {|{"op":"session/open","benchmark":"pcm_pwm","partitions":2,"multicycle":true}|}
+  in
+  Alcotest.(check bool) "at least one model flip" true
+    (match int_field (optimize server sid) [ "result"; "impl_flips" ] with
+    | Some n -> n >= 1
+    | None -> false)
 
 let test_session_optimize_bad_constraints () =
   let server = make_server () in
@@ -528,6 +623,8 @@ let () =
           QCheck_alcotest.to_alcotest auto_jobs_byte_identical;
           Alcotest.test_case "ewf row jobs-1 = jobs-4" `Quick
             test_auto_ewf_row_jobs_1_4;
+          Alcotest.test_case "six rows against the Min_cut seed" `Quick
+            test_auto_rows_vs_seed;
         ] );
       ( "models",
         [
@@ -553,6 +650,8 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick
             test_session_optimize_roundtrip;
+          Alcotest.test_case "pcm_pwm model flip" `Quick
+            test_session_optimize_model_flip;
           Alcotest.test_case "bad constraints" `Quick
             test_session_optimize_bad_constraints;
         ] );

@@ -677,6 +677,197 @@ let test_listener_timestamp () =
     (Listener.timestamp 1700000000.005)
 
 (* ------------------------------------------------------------------ *)
+(* State dir: durable sessions *)
+
+let rm_rf dir =
+  let rec go path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> go (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  if Sys.file_exists dir then go dir
+
+let state_config dir =
+  {
+    Server.default_config with
+    socket_path = None;
+    concurrency = 1;
+    jobs = 1;
+    log = None;
+    handle_signals = false;
+    state_dir = Some dir;
+  }
+
+(* a stdio server stopped before it serves drains and tears down at once *)
+let shut server =
+  Server.stop server;
+  Server.serve server
+
+let test_state_dir_regular_file_refused () =
+  let path = temp_path "state-file" in
+  Out_channel.with_open_text path (fun oc -> output_string oc "keep me\n");
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  (match Server.create (state_config path) with
+  | exception Unix.Unix_error (Unix.ENOTDIR, _, p) ->
+      Alcotest.(check string) "the error names the path" path p
+  | server ->
+      shut server;
+      Alcotest.fail "a regular file accepted as the state dir");
+  Alcotest.(check string) "the file survives" "keep me\n"
+    (In_channel.with_open_text path In_channel.input_all)
+
+(* Backends started together on one fresh shared state dir (the gateway
+   setup) all come up: the one that loses the race to create the
+   directory finds it there.  Two domains meet at each of many fresh
+   directories and create a server on it at the same moment. *)
+let test_state_dir_concurrent_create () =
+  let dirs =
+    List.init 100 (fun i -> temp_path (Printf.sprintf "state-race-%d" i))
+  in
+  List.iter rm_rf dirs;
+  let arrived = Atomic.make 0 in
+  let backend () =
+    List.concat
+      (List.mapi
+         (fun i dir ->
+           Atomic.incr arrived;
+           while Atomic.get arrived < 2 * (i + 1) do
+             Domain.cpu_relax ()
+           done;
+           match shut (Server.create (state_config dir)) with
+           | () -> []
+           | exception e -> [ dir ^ ": " ^ Printexc.to_string e ])
+         dirs)
+  in
+  let failures =
+    List.init 2 (fun _ -> Domain.spawn backend) |> List.concat_map Domain.join
+  in
+  List.iter rm_rf dirs;
+  Alcotest.(check (list string)) "every server came up" [] failures
+
+(* A session saved with close and reopened with restore comes back from
+   its snapshot: its run misses the prediction cache nowhere and renders
+   as before the save.  The cache, emptied as a fresh backend's, first
+   takes an ewf session, the same structure under another numbering,
+   which the ewf2 session must not borrow from. *)
+let test_session_restore_from_state_dir () =
+  let dir = temp_path "state-restore" in
+  rm_rf dir;
+  Chop.Pred_cache.clear Chop.Pred_cache.shared;
+  let server = Server.create (state_config dir) in
+  Fun.protect
+    ~finally:(fun () ->
+      shut server;
+      rm_rf dir)
+  @@ fun () ->
+  let request what line =
+    let resp = parse_response (Server.handle_line server line) in
+    if Protocol.response_ok resp <> Some true then
+      Alcotest.failf "%s failed: %s" what (Json.print resp);
+    resp
+  in
+  let session_op ?(extra = "") op benchmark sid =
+    request (op ^ " " ^ benchmark)
+      (Printf.sprintf
+         {|{"op":"session/%s","benchmark":"%s","partitions":3,"session":"%s"%s}|}
+         op benchmark sid extra)
+  in
+  let run benchmark sid =
+    let resp = session_op "run" benchmark sid in
+    match
+      ( Option.bind (field resp [ "timing"; "cache_misses" ]) Json.to_int_opt,
+        json_string resp [ "result"; "text" ] )
+    with
+    | Some misses, Some text -> (misses, text)
+    | _ -> Alcotest.failf "incomplete run response: %s" (Json.print resp)
+  in
+  let open_edited benchmark =
+    let sid =
+      match json_string (session_op "open" benchmark "") [ "result"; "session" ] with
+      | Some sid -> sid
+      | None -> Alcotest.fail "no session id in session/open response"
+    in
+    ignore (session_op ~extra:{|,"edits":["merge P3 P2"]|} "edit" benchmark sid);
+    sid
+  in
+  let warm = open_edited "ewf" in
+  let cold_misses, _ = run "ewf" warm in
+  Alcotest.(check bool) "the first construction predicts cold" true
+    (cold_misses >= 1);
+  ignore (session_op "close" "ewf" warm);
+  let sid = open_edited "ewf2" in
+  let _, before = run "ewf2" sid in
+  ignore (session_op ~extra:{|,"close":true|} "save" "ewf2" sid);
+  ignore (session_op ~extra:{|,"restore":true|} "open" "ewf2" sid);
+  let misses, after = run "ewf2" sid in
+  Alcotest.(check int) "the restored run misses nothing" 0 misses;
+  Alcotest.(check string) "the restored run renders as before the save"
+    before after
+
+(* ------------------------------------------------------------------ *)
+(* The chop binary: serve on a socket, driven by chop request *)
+
+let chop = "../bin/chop_cli.exe"
+
+(* [chop args]: its exit code and everything it printed on stdout *)
+let run_chop args =
+  let ic = Unix.open_process_args_in chop (Array.of_list (chop :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED code -> (code, out)
+  | _ -> Alcotest.failf "chop %s died on a signal" (String.concat " " args)
+
+let test_serve_process_matches_cli () =
+  let sock = temp_path "serve.sock" in
+  let pid =
+    Unix.create_process chop
+      [| chop; "serve"; "--socket"; sock; "-c"; "2"; "-q"; "8"; "--jobs";
+         "2"; "--quiet" |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end)
+  @@ fun () ->
+  Alcotest.(check bool) "chop serve is listening" true
+    (until ~timeout:10. (fun () ->
+         match Client.connect sock with
+         | c ->
+             Client.close c;
+             true
+         | exception Unix.Unix_error _ -> false));
+  let request what args =
+    let code, out = run_chop ("request" :: "--socket" :: sock :: args) in
+    Alcotest.(check int) (what ^ " answers ok") 0 code;
+    out
+  in
+  ignore (request "ping" [ "--op"; "ping" ]);
+  let served =
+    request "explore" [ "-g"; "ewf"; "-k"; "2"; "--keep-all" ]
+  in
+  let code, cli = run_chop [ "explore"; "-g"; "ewf"; "-k"; "2"; "--keep-all" ] in
+  Alcotest.(check int) "chop explore exits 0" 0 code;
+  Alcotest.(check string) "chop request prints what chop explore prints" cli
+    served;
+  ignore (request "advise" [ "-g"; "ar"; "--op"; "advise" ]);
+  let stats =
+    parse_response (String.trim (request "stats" [ "--op"; "stats"; "--json" ]))
+  in
+  Alcotest.(check (option bool)) "stats JSON says ok" (Some true)
+    (Protocol.response_ok stats);
+  Unix.kill pid Sys.sigterm;
+  let _, status = Unix.waitpid [] pid in
+  reaped := true;
+  Alcotest.(check bool) "exits 0 after SIGTERM" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists sock)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "chop_server"
@@ -717,6 +908,15 @@ let () =
             test_session_lru_eviction;
           Alcotest.test_case "renumbered twin matches cache-off" `Quick
             test_session_twin_matches_cache_off;
+          Alcotest.test_case "restore from the state dir misses nothing"
+            `Quick test_session_restore_from_state_dir;
+        ] );
+      ( "state-dir",
+        [
+          Alcotest.test_case "a regular file is refused" `Quick
+            test_state_dir_regular_file_refused;
+          Alcotest.test_case "concurrent creation on a fresh dir" `Quick
+            test_state_dir_concurrent_create;
         ] );
       ( "client",
         [
@@ -729,6 +929,8 @@ let () =
         [
           Alcotest.test_case "concurrent clients byte-identical" `Quick
             test_socket_concurrent_clients;
+          Alcotest.test_case "chop serve process matches the CLI" `Quick
+            test_serve_process_matches_cli;
         ] );
       ( "listener",
         [

@@ -324,35 +324,55 @@ let random_session_matches_cold =
 (* Scoped re-prediction: misses == dirty partitions *)
 
 let test_misses_equal_dirty () =
-  let spec = ewf_spec () in
-  let config =
-    Explore.Config.make
-      ~cache:(Explore.Config.Custom (Pred_cache.create ()))
-      ()
-  in
-  Explore.with_engine config spec (fun session ->
-      let cold = Explore.Session.run session in
-      Alcotest.(check int) "cold accounts for every partition" 3
-        (hits cold + misses cold);
-      let dirty =
-        match
-          Explore.Session.edit session
-            [ Spec.Merge_parts { src = "P3"; dst = "P2" } ]
-        with
-        | Ok d -> d
-        | Error e -> Alcotest.failf "%a" Spec.pp_update_error e
+  List.iter
+    (fun (name, spec) ->
+      let config =
+        Explore.Config.make
+          ~cache:(Explore.Config.Custom (Pred_cache.create ()))
+          ()
       in
-      Alcotest.(check (list string)) "single dirty partition" [ "P2" ]
-        dirty.Spec.repredict;
-      let warm = Explore.Session.run session in
-      Alcotest.(check int) "misses == dirty partitions"
-        (List.length dirty.Spec.repredict)
-        (misses warm);
-      Alcotest.(check int) "clean partitions hit" 1 (hits warm);
-      (* a third run with no edits is all hits *)
-      let idle = Explore.Session.run session in
-      Alcotest.(check int) "idle re-run misses nothing" 0
-        (misses idle))
+      let check_int what = Alcotest.(check int) (name ^ ": " ^ what) in
+      Explore.with_engine config spec (fun session ->
+          let edit edits =
+            match Explore.Session.edit session edits with
+            | Ok d -> d
+            | Error e -> Alcotest.failf "%a" Spec.pp_update_error e
+          in
+          let cold = Explore.Session.run session in
+          check_int "cold accounts for every partition" 3
+            (hits cold + misses cold);
+          Alcotest.(check bool) (name ^ ": cold predicts") true
+            (misses cold >= 1);
+          let dirty = edit [ Spec.Merge_parts { src = "P3"; dst = "P2" } ] in
+          Alcotest.(check (list string))
+            (name ^ ": single dirty partition")
+            [ "P2" ] dirty.Spec.repredict;
+          let warm = Explore.Session.run session in
+          check_int "misses == dirty partitions"
+            (List.length dirty.Spec.repredict)
+            (misses warm);
+          check_int "clean partitions hit" 1 (hits warm);
+          (* a third run with no edits is all hits *)
+          let idle = Explore.Session.run session in
+          check_int "idle re-run misses nothing" 0 (misses idle);
+          (* a criteria change re-screens every partition but re-predicts
+             none: the raw layer of the cache serves them all *)
+          let criteria =
+            edit
+              [
+                Spec.Set_criteria
+                  (Chop_bad.Feasibility.criteria ~perf:25000. ~delay:25000.
+                     ());
+              ]
+          in
+          Alcotest.(check (list string))
+            (name ^ ": criteria edit re-predicts nothing")
+            [] criteria.Spec.repredict;
+          let rescreened = Explore.Session.run session in
+          check_int "criteria re-run misses nothing" 0 (misses rescreened);
+          check_int "criteria re-run hits every partition" 2
+            (hits rescreened)))
+    [ ("ewf", ewf_spec ()); ("ar", ar_spec ()) ]
 
 let test_session_revision_and_pending () =
   let spec = ewf_spec () in
@@ -836,6 +856,43 @@ let test_snapshot_forward_compat () =
         (List.sort compare (labels spec));
       ignore (Explore.Session.run restored))
 
+(* A snapshot write that fails raises and leaves the previous snapshot in
+   place.  The temp file is a link to /dev/full, so the flush at close
+   fails with ENOSPC, as on a full disk. *)
+let test_failed_save_keeps_previous () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "chop-snapshot-%d" (Unix.getpid ()))
+  in
+  let path = Filename.concat dir "s1.chopsession" in
+  let tmp = path ^ ".tmp" in
+  Unix.mkdir dir 0o700;
+  let session = Explore.Session.create Explore.Config.default (ar_spec ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      Explore.Session.close session;
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ tmp; path ];
+      Unix.rmdir dir)
+  @@ fun () ->
+  let snapshot () = Snapshot.of_state ~meta:[] (Explore.Session.state session) in
+  let saved = snapshot () in
+  Snapshot.save path saved;
+  ignore
+    (Explore.Session.edit session
+       [ Spec.Merge_parts { src = "P3"; dst = "P2" } ]);
+  Unix.symlink "/dev/full" tmp;
+  (match Snapshot.save path (snapshot ()) with
+  | exception Sys_error _ -> ()
+  | () -> Alcotest.fail "a write to a full disk returned normally");
+  Alcotest.(check bool) "the temp file is removed" false (Sys.file_exists tmp);
+  Alcotest.(check string) "the previous snapshot is unchanged"
+    (Snapshot.print saved)
+    (In_channel.with_open_bin path In_channel.input_all);
+  Alcotest.(check int) "and loads" saved.Snapshot.revision
+    (Snapshot.load path).Snapshot.revision
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -885,6 +942,8 @@ let () =
           QCheck_alcotest.to_alcotest snapshot_roundtrip_preserves_session;
           tc "snapshot forward compatibility" `Quick
             test_snapshot_forward_compat;
+          tc "failed save keeps the previous snapshot" `Quick
+            test_failed_save_keeps_previous;
         ] );
       ( "cache",
         [ QCheck_alcotest.to_alcotest cache_on_equals_cache_off ] );
