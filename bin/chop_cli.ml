@@ -722,8 +722,6 @@ let request_cmd =
                 client;
                 restore;
                 close;
-                slice_index = 0;
-                slice_count = 1;
               };
           }
         in
@@ -946,7 +944,7 @@ let request_cmd =
       $ deadline_ms_arg $ raw)
 
 let gateway_cmd =
-  let run socket backends vnodes fanout quiet health_interval =
+  let run socket backends vnodes quiet health_interval =
     if backends = [] then begin
       prerr_endline "chop gateway: at least one --backend is required";
       2
@@ -958,7 +956,6 @@ let gateway_cmd =
           Chop_gateway.Gateway.socket_path = socket;
           backends;
           vnodes;
-          fanout;
           log = (if quiet then None else Some stderr);
           handle_signals = true;
           health_interval_s =
@@ -976,14 +973,6 @@ let gateway_cmd =
     Arg.(value & opt int 64
          & info [ "vnodes" ] ~docv:"N"
              ~doc:"Virtual points per backend on the consistent-hash ring.")
-  in
-  let fanout =
-    Arg.(value & flag
-         & info [ "fanout" ]
-             ~doc:"Split eligible stateless explores across every backend \
-                   as $(i,explore/slice) requests and merge the slices \
-                   deterministically; the response stays byte-identical to \
-                   a single backend's.")
   in
   let quiet =
     Arg.(value & flag
@@ -1004,7 +993,7 @@ let gateway_cmd =
              stick to (and migrate between) them through snapshots, and \
              responses are byte-identical to a single-process serve")
     Term.(
-      const run $ serve_socket_arg $ backends $ vnodes $ fanout $ quiet
+      const run $ serve_socket_arg $ backends $ vnodes $ quiet
       $ health_interval)
 
 let bench_info_cmd =

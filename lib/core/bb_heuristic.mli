@@ -17,7 +17,6 @@ val run :
   ?keep_all:bool ->
   ?pool:Chop_util.Pool.t ->
   ?metrics:Search.parallel_metrics ref ->
-  ?slices_out:Search.Slice.t list ref ->
   Integration.context ->
   (string * Chop_bad.Prediction.t list) list ->
   Search.outcome
@@ -27,8 +26,4 @@ val run :
     outcome is identical to the sequential one.  Outside keep-all mode,
     leaves that {!Integration.quick_check} proves infeasible are counted
     as trials but not integrated.  [metrics], when given, receives the
-    search/merge timing breakdown of this run.  [slices_out], when given,
-    receives the raw root slices (in task order, before merging); bound
-    bookkeeping is slice-private, so a slice computed in a run restricted
-    to a subset of first-partition implementations is identical to the
-    same slice of the full run. *)
+    search/merge timing breakdown of this run. *)

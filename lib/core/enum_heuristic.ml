@@ -12,8 +12,8 @@
    except in keep-all mode, where every evaluated design must be recorded
    exactly as before. *)
 
-let run ?(keep_all = false) ?(pool = Chop_util.Pool.sequential) ?metrics
-    ?slices_out ctx per_partition =
+let run ?(keep_all = false) ?(pool = Chop_util.Pool.sequential) ?metrics ctx
+    per_partition =
   let spec = Integration.spec_of ctx in
   let clocks = spec.Spec.clocks in
   let crit = spec.Spec.criteria in
@@ -127,7 +127,6 @@ let run ?(keep_all = false) ?(pool = Chop_util.Pool.sequential) ?metrics
     end
   in
   let search_wall = Unix.gettimeofday () -. wall0 in
-  Option.iter (fun r -> r := slices) slices_out;
   let merge0 = Unix.gettimeofday () in
   let outcome =
     Search.Slice.merge ~keep_all ~cpu_seconds:(Sys.time () -. t0) slices

@@ -11,7 +11,6 @@ val run :
   ?keep_all:bool ->
   ?pool:Chop_util.Pool.t ->
   ?metrics:Search.parallel_metrics ref ->
-  ?slices_out:Search.Slice.t list ref ->
   Integration.context ->
   (string * Chop_bad.Prediction.t list) list ->
   Search.outcome
@@ -25,7 +24,4 @@ val run :
     sequential) searches the product in parallel, one slice per
     implementation of the first partition, with deterministic merging: the
     outcome is identical to the sequential one.  [metrics], when given,
-    receives the search/merge timing breakdown of this run.  [slices_out],
-    when given, receives the raw per-first-implementation slices (in task
-    order, before merging) so a caller can ship partial results across
-    processes and merge them elsewhere. *)
+    receives the search/merge timing breakdown of this run. *)

@@ -495,71 +495,6 @@ module Session = struct
       jobs = Chop_util.Pool.jobs e.pool; metrics }
 
   let run e = run_interruptible ~interrupt:(fun () -> false) e
-
-  (* Distributed fan-out support: run only the first-axis slices whose
-     global index is congruent to [index] modulo [count], and expose them
-     raw (unmerged) so a front process can replay every backend's
-     admissions in global task order — Search.Slice.merge at row
-     granularity — and reproduce the sequential outcome byte for byte.
-     Prediction and pre-pruning run in full (they are what make the
-     restricted search identical to the corresponding slices of a full
-     run); pending is left untouched, a partial run is not a run. *)
-  type slice_run = {
-    slice_bad : bad_stats list;
-    first_total : int;
-        (* first-axis choices in the full search (1 for the degenerate
-           empty product, which index 0 owns) *)
-    slice_indices : int list;  (* global indices, aligned with [slices] *)
-    slices : Search.Slice.t list;
-  }
-
-  let run_slice ~index ~count e =
-    check_open e "run_slice";
-    if count < 1 || index < 0 || index >= count then
-      invalid_arg "Explore.Session.run_slice: slice index out of range";
-    let keep_all = e.config.Config.keep_all in
-    let p = predictions_timed e ~prune:(not keep_all) in
-    let search_lists =
-      match e.config.Config.heuristic with
-      | Iterative ->
-          invalid_arg
-            "Explore.Session.run_slice: the iterative heuristic does not \
-             slice"
-      | Enumeration | Branch_bound ->
-          if e.config.Config.pre_prune then
-            fst (Prune.per_partition ~clocks:e.spec.Spec.clocks p.per_partition)
-          else p.per_partition
-    in
-    let first_total =
-      match search_lists with [] -> 1 | (_, ps) :: _ -> List.length ps
-    in
-    let slice_indices =
-      List.filter (fun j -> j mod count = index) (List.init first_total Fun.id)
-    in
-    let restricted =
-      match search_lists with
-      | [] -> []
-      | (l0, ps0) :: rest ->
-          (l0, List.filteri (fun j _ -> j mod count = index) ps0) :: rest
-    in
-    let slices =
-      if slice_indices = [] then []
-      else begin
-        let out = ref [] in
-        (match e.config.Config.heuristic with
-        | Enumeration ->
-            ignore
-              (Enum_heuristic.run ~keep_all ~pool:e.pool ~slices_out:out e.ctx
-                 restricted)
-        | Branch_bound ->
-            ignore
-              (Bb_heuristic.run ~keep_all ~pool:e.pool ~slices_out:out e.ctx
-                 restricted)
-        | Iterative -> assert false);
-        !out
-      end
-    in
-    { slice_bad = p.bad; first_total; slice_indices; slices }
 end
 
 let with_engine ?pool config spec f =

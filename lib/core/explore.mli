@@ -294,32 +294,6 @@ module Session : sig
       in the cache.  A spec restored in the process that saved it hits the
       entries its last run left there; a spec re-parsed elsewhere is keyed
       by its own node numbering, and predicts afresh where that differs. *)
-
-  (** {2 Distributed slices}
-
-      A front process (the gateway) can split an exhaustive search across
-      backends: each backend runs {!run_slice} over the first-axis slices
-      congruent to its index, ships the raw per-slice counters and
-      admitted/explored rows, and the front replays every admission in
-      global task order — {!Search.Slice.merge} at {!Search.Row} granularity
-      — reproducing the single-process outcome byte for byte. *)
-
-  type slice_run = {
-    slice_bad : bad_stats list;
-    first_total : int;
-        (** first-axis choices in the full search (1 for the degenerate
-            empty product, owned by index 0) *)
-    slice_indices : int list;  (** global indices, aligned with [slices] *)
-    slices : Search.Slice.t list;
-  }
-
-  val run_slice : index:int -> count:int -> t -> slice_run
-  (** Predict (in full, through the cache) and search only the first-axis
-      slices assigned to [index] of [count].  Slice-private bound
-      bookkeeping makes each returned slice identical to the same slice of
-      a full run.  The pending set is left untouched — a partial run is
-      not a run.  Only the exhaustive heuristics slice; the iterative
-      heuristic raises [Invalid_argument]. *)
 end
 
 val with_engine :

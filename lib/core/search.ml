@@ -30,97 +30,33 @@ let no_parallel_metrics =
     merge_wall_seconds = 0.; worker_busy_seconds = [||]; chunk_count = 0;
     chip_cache_hits = 0 }
 
-module Row = struct
-  type t = {
-    ii_main : int;
-    clock : float;
-    perf_ns : float;
-    delay_cycles : int;
-    delay_likely : float;
-    area_likely : float;
-    feasible : bool;
-  }
+let delay_likely s = Chop_util.Triplet.(s.Integration.delay.likely)
+let area_likely s = Chop_util.Triplet.((Integration.total_area s).likely)
 
-  let of_system s =
-    {
-      ii_main = s.Integration.ii_main;
-      clock = s.Integration.clock;
-      perf_ns = s.Integration.perf_ns;
-      delay_cycles = s.Integration.delay_cycles;
-      delay_likely = Chop_util.Triplet.(s.Integration.delay.likely);
-      area_likely = Chop_util.Triplet.((Integration.total_area s).likely);
-      feasible = Integration.feasible s;
-    }
+(* the design point {!finalize} collapses distinct combinations to *)
+let dedup_key s =
+  ( s.Integration.ii_main,
+    s.Integration.delay_cycles,
+    int_of_float s.Integration.clock,
+    int_of_float (area_likely s /. 50.) )
 
-  let objectives r = [| r.perf_ns; r.delay_likely; r.area_likely |]
+(* the (performance, delay) order of the feasible list *)
+let compare_rank a b =
+  match Float.compare a.Integration.perf_ns b.Integration.perf_ns with
+  | 0 -> Float.compare (delay_likely a) (delay_likely b)
+  | n -> n
 
-  let dedup_key r =
-    ( r.ii_main,
-      r.delay_cycles,
-      int_of_float r.clock,
-      int_of_float (r.area_likely /. 50.) )
+let csv_line s =
+  Printf.sprintf "%d,%.1f,%.1f,%d,%.1f,%.1f,%b\n" s.Integration.ii_main
+    s.Integration.clock s.Integration.perf_ns s.Integration.delay_cycles
+    (delay_likely s) (area_likely s) (Integration.feasible s)
 
-  let compare_rank a b =
-    match Float.compare a.perf_ns b.perf_ns with
-    | 0 -> Float.compare a.delay_likely b.delay_likely
-    | n -> n
-
-  let csv_header =
-    "ii_main,clock_ns,perf_ns,delay_cycles,delay_likely_ns,area_likely,feasible\n"
-
-  let csv_line r =
-    Printf.sprintf "%d,%.1f,%.1f,%d,%.1f,%.1f,%b\n" r.ii_main r.clock r.perf_ns
-      r.delay_cycles r.delay_likely r.area_likely r.feasible
-
-  let to_csv rows =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf csv_header;
-    List.iter (fun r -> Buffer.add_string buf (csv_line r)) rows;
-    Buffer.contents buf
-
-  (* Exact float transport: OCaml's %h prints the hex significand and
-     exponent, and [float_of_string] reverses it bit-for-bit, so a row
-     survives a JSON hop without decimal rounding. *)
-  let float_to_wire f = Printf.sprintf "%h" f
-
-  let float_of_wire s =
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> invalid_arg (Printf.sprintf "Row.float_of_wire: %S" s)
-
-  let admit row front =
-    let objs = objectives row in
-    let dominated =
-      List.exists
-        (fun r -> Chop_util.Pareto.dominates (objectives r) objs)
-        front
-    in
-    if dominated then (front, false)
-    else
-      ( row
-        :: List.filter
-             (fun r -> not (Chop_util.Pareto.dominates objs (objectives r)))
-             front,
-        true )
-
-  let finalize feasible =
-    let non_inferior = Chop_util.Pareto.frontier ~objectives feasible in
-    let non_inferior =
-      let seen = Hashtbl.create 16 in
-      List.filter
-        (fun r ->
-          let key = dedup_key r in
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.replace seen key ();
-            true
-          end)
-        non_inferior
-    in
-    List.sort compare_rank non_inferior
-end
-
-let to_csv systems = Row.to_csv (List.map Row.of_system systems)
+let to_csv systems =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf
+    "ii_main,clock_ns,perf_ns,delay_cycles,delay_likely_ns,area_likely,feasible\n";
+  List.iter (fun s -> Buffer.add_string buf (csv_line s)) systems;
+  Buffer.contents buf
 
 let admit system front =
   let objs = Integration.objectives system in
@@ -142,14 +78,12 @@ let finalize ~keep_all ~feasible ~explored stats =
   let non_inferior =
     Chop_util.Pareto.frontier ~objectives:Integration.objectives feasible
   in
-  (* collapse distinct combinations that predict the same design point;
-     key and rank are shared with {!Row} so a row-level merge (the gateway
-     fan-out) reproduces this ordering byte for byte *)
+  (* collapse distinct combinations that predict the same design point *)
   let non_inferior =
     let seen = Hashtbl.create 16 in
     List.filter
       (fun s ->
-        let key = Row.dedup_key (Row.of_system s) in
+        let key = dedup_key s in
         if Hashtbl.mem seen key then false
         else begin
           Hashtbl.replace seen key ();
@@ -157,12 +91,11 @@ let finalize ~keep_all ~feasible ~explored stats =
         end)
       non_inferior
   in
-  let sorted =
-    List.sort
-      (fun a b -> Row.compare_rank (Row.of_system a) (Row.of_system b))
-      non_inferior
-  in
-  { feasible = sorted; explored = (if keep_all then explored else []); stats }
+  {
+    feasible = List.sort compare_rank non_inferior;
+    explored = (if keep_all then explored else []);
+    stats;
+  }
 
 module Slice = struct
   type t = {

@@ -42,59 +42,6 @@ type parallel_metrics = {
 val no_parallel_metrics : parallel_metrics
 (** All-zero metrics — the value sequential searches report. *)
 
-(** {1 Design-point rows}
-
-    A {!Row.t} is the printable projection of an {!Integration.system}: the
-    seven fields that reach every deterministic output (CSV rows, the human
-    feasible lines, the Pareto objectives, the finalize dedup key and sort
-    rank).  Everything the search layer renders or ranks factors through a
-    row, which is what lets a gateway merge partial results from remote
-    backends byte-identically: rows cross the wire (floats as [%h] hex, so
-    the transport is exact), and a row-level replay of each slice's
-    admissions reproduces the sequential front. *)
-module Row : sig
-  type t = {
-    ii_main : int;
-    clock : float;
-    perf_ns : float;
-    delay_cycles : int;
-    delay_likely : float;
-    area_likely : float;
-    feasible : bool;
-  }
-
-  val of_system : Integration.system -> t
-
-  val objectives : t -> float array
-  (** Equals [Integration.objectives] of the source system. *)
-
-  val dedup_key : t -> int * int * int * int
-  (** The design-point collapse key used by {!finalize}. *)
-
-  val compare_rank : t -> t -> int
-  (** The (performance, delay) order {!finalize} sorts by. *)
-
-  val csv_header : string
-
-  val csv_line : t -> string
-
-  val to_csv : t list -> string
-  (** Byte-identical to {!Search.to_csv} on the source systems. *)
-
-  val float_to_wire : float -> string
-  (** Hex-float ([%h]) encoding; [float_of_wire] inverts it exactly. *)
-
-  val float_of_wire : string -> float
-  (** Raises [Invalid_argument] on malformed input. *)
-
-  val admit : t -> t list -> t list * bool
-  (** Row image of {!Search.admit}: same dominance test, same front order. *)
-
-  val finalize : t list -> t list
-  (** Row image of the feasible half of {!Search.finalize}: frontier,
-      design-point dedup, (performance, delay) sort. *)
-end
-
 val to_csv : Integration.system list -> string
 (** The explored design points as CSV
     ([ii_main,clock_ns,perf_ns,delay_cycles,delay_likely_ns,area_likely,feasible])
@@ -130,24 +77,9 @@ val admit :
     sequential ones. *)
 
 module Slice : sig
-  type t = private {
-    mutable trials : int;
-    mutable integrations : int;
-    mutable avoided : int;
-        (** combinations {!avoid}ed via {!Integration.quick_check} *)
-    mutable cache_hits : int;
-        (** integration-cache chip hits attributed to this slice *)
-    mutable feasible : int;
-        (** feasible integrations seen by this slice — summed by {!merge}
-            into [stats.feasible_trials], matching the sequential
-            heuristics' count of feasible integrations (not the final
-            front size) *)
-    mutable front : Integration.system list;
-    mutable admitted_rev : Integration.system list;
-        (** locally admitted systems, most recent first *)
-    mutable explored_rev : Integration.system list;
-        (** locally integrated systems, most recent first *)
-  }
+  type t
+  (** One slice's private counters, local non-dominated front, and
+      admitted and explored systems in the order it met them. *)
 
   val create : unit -> t
 

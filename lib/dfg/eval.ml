@@ -141,20 +141,31 @@ let run_partitioned ?(inputs = []) ?(consts = []) ?memory pg =
       else None)
     (Graph.nodes g)
 
-let stimulus ~seed ~names =
-  let rng = Random.State.make [| seed |] in
-  List.map (fun name -> (name, Random.State.int rng (1 lsl 12))) names
-
 let equivalent ?(trials = 25) ?(seed = 0) g1 g2 =
   let names which g =
     List.map (fun n -> n.Graph.name) (which g) |> List.sort String.compare
   in
+  let consts g = List.filter (fun n -> n.Graph.op = Op.Const) (Graph.nodes g) in
   let in1 = names Graph.inputs g1 and in2 = names Graph.inputs g2 in
   let out1 = names Graph.outputs g1 and out2 = names Graph.outputs g2 in
+  let const1 = names consts g1 and const2 = names consts g2 in
+  let const_names = List.sort_uniq String.compare (const1 @ const2) in
+  let by_name = List.sort (fun (a, _) (b, _) -> String.compare a b) in
   in1 = in2 && out1 = out2
   && List.for_all
        (fun t ->
-         let inputs = stimulus ~seed:(seed + t) ~names:in1 in
-         let sort = List.sort (fun (a, _) (b, _) -> String.compare a b) in
-         sort (run ~inputs g1) = sort (run ~inputs g2))
+         let rng = Random.State.make [| seed + t |] in
+         let draw =
+           List.map (fun name -> (name, Random.State.int rng (1 lsl 12)))
+         in
+         let inputs = draw in1 in
+         let drawn = draw const_names in
+         (* each graph is bound only the constant names it has, so a
+            transform that drops or merges a constant shows up as a
+            different output *)
+         let run_on g own =
+           let consts = List.filter (fun (name, _) -> List.mem name own) drawn in
+           by_name (run ~inputs ~consts g)
+         in
+         run_on g1 const1 = run_on g2 const2)
        (Chop_util.Listx.range 1 trials)

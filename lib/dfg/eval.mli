@@ -52,4 +52,6 @@ val equivalent :
   ?trials:int -> ?seed:int -> Graph.t -> Graph.t -> bool
 (** Randomized input/output equivalence: both graphs must expose the same
     input and output names (order-insensitive) and produce identical
-    outputs on [trials] (default 25) pseudo-random stimulus vectors. *)
+    outputs on [trials] (default 25) pseudo-random stimulus vectors.  Each
+    vector also draws one value per constant name; each graph is bound
+    only the constant names it has. *)

@@ -106,12 +106,12 @@ let common_subexpression_elimination g =
       let operands = List.map (fun p -> Hashtbl.find remap p) (Graph.preds g id) in
       let key =
         match n.Graph.op with
-        | Op.Const -> Some (Op.Const, [ Hashtbl.hash n.Graph.name ])
+        | Op.Const -> Some (`Const (n.Graph.name, n.Graph.width))
         | op when Op.is_computational op && not (Op.is_memory op) ->
             let ops =
               if commutative op then List.sort Int.compare operands else operands
             in
-            Some (op, ops)
+            Some (`Op (op, ops))
         | _ -> None
       in
       let existing =

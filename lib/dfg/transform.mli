@@ -25,9 +25,10 @@ val common_subexpression_elimination : Graph.t -> Graph.t
 (** Merges computational nodes with the same operation and the same operand
     list (order-sensitive: [Sub]/[Select] operands do not commute; [Add],
     [Mult], [Logic] and [Compare]-free commutative operations match under
-    operand reordering).  Memory operations are never merged — reads may
-    alias intervening writes.  Semantics-preserving (property-tested
-    against {!Eval}). *)
+    operand reordering).  Constants merge only when they share a name
+    (what {!Eval} binds them by) and a width.  Memory operations are
+    never merged — reads may alias intervening writes.
+    Semantics-preserving (property-tested against {!Eval}). *)
 
 val balance_associative : Graph.t -> Graph.t
 (** Tree-height reduction: rebuilds maximal chains of same-operation

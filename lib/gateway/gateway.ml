@@ -1,7 +1,6 @@
 (* The sharding front process: consistent-hash routing over backend
-   [chop serve] sockets, verbatim line forwarding, snapshot-based
-   session migration and failover, and the deterministic fan-out merge
-   for stateless explores.  See gateway.mli for the contract. *)
+   [chop serve] sockets, verbatim line forwarding, and snapshot-based
+   session migration and failover.  See gateway.mli for the contract. *)
 
 module Json = Chop_util.Json
 module P = Chop_server.Protocol
@@ -13,7 +12,6 @@ type config = {
   socket_path : string option;
   backends : string list;
   vnodes : int;
-  fanout : bool;
   log : out_channel option;
   handle_signals : bool;
   health_interval_s : float option;
@@ -21,7 +19,6 @@ type config = {
 
 type counters = {
   mutable forwarded : int;
-  mutable fanned_out : int;
   mutable migrations : int;
   mutable failovers : int;
   mutable errors : int;  (* requests answered with a gateway-made error *)
@@ -62,9 +59,7 @@ let create cfg =
     routes = Hashtbl.create 16;
     writers = Hashtbl.create 16;
     seq = 0;
-    counters =
-      { forwarded = 0; fanned_out = 0; migrations = 0; failovers = 0;
-        errors = 0 };
+    counters = { forwarded = 0; migrations = 0; failovers = 0; errors = 0 };
     counters_mu = Mutex.create ();
     listener = Listener.create ~socket_path:cfg.socket_path ~log:cfg.log;
     test_pc = Hashtbl.create 4;
@@ -281,121 +276,6 @@ let forward_stateless t pc (req : P.request) line =
         | Error e -> go e rest)
   in
   go "no backend configured" (prefer_live t (Ring.spread t.ring key))
-
-(* ------------------------------------------------------------------ *)
-(* The fan-out explore: split the first search axis across every live
-   backend as explore/slice requests, then replay the merge exactly as
-   one process would (Ops.merge_slice_payloads), so the rendered block
-   is byte-identical to a single backend's. *)
-
-let fanout_eligible t (req : P.request) =
-  t.cfg.fanout
-  && req.P.op = P.Explore
-  && (not req.P.params.P.verbose)
-  && (match req.P.params.P.heuristic with "e" | "b" -> true | _ -> false)
-
-let fanout_explore t pc (req : P.request) =
-  let p = req.P.params in
-  let live =
-    List.filter
-      (fun b -> (not (is_dead t b)) && Result.is_ok (conn_of pc b))
-      (Ring.nodes t.ring)
-  in
-  let n = List.length live in
-  if n < 2 then `Fallback
-  else
-    let slice_line i =
-      Json.print
-        (P.request_to_json
-           {
-             req with
-             P.op = P.Explore_slice;
-             params = { p with P.slice_index = i; slice_count = n };
-           })
-    in
-    (* pipeline: every backend computes its slices concurrently *)
-    match
-      List.iteri
-        (fun i b ->
-          match conn_of pc b with
-          | Ok c -> Client.send_line c (slice_line i)
-          | Error _ -> raise Exit)
-        live;
-      List.map
-        (fun b ->
-          match conn_of pc b with
-          | Ok c -> (
-              match Client.recv_line c with
-              | Some l -> l
-              | None -> raise Exit)
-          | Error _ -> raise Exit)
-        live
-    with
-    | exception (Exit | Sys_error _ | Unix.Unix_error _) ->
-        (* a backend died mid-flight: drop every pipelined connection
-           (responses can no longer be matched up) and run the explore
-           whole on one backend — it is stateless and idempotent *)
-        List.iter (drop_conn pc) live;
-        `Fallback
-    | resps -> (
-        match List.find_opt (fun l -> not (line_ok l)) resps with
-        | Some err ->
-            (* a structured backend rejection (overloaded, deadline...)
-               carries the original id: forward it verbatim *)
-            `Done err
-        | None -> (
-            let t0 = Unix.gettimeofday () in
-            let decoded =
-              List.map
-                (fun l ->
-                  match line_json l with
-                  | None -> Error "unparseable slice response"
-                  | Some j -> (
-                      match Json.member "result" j with
-                      | None -> Error "slice response without result"
-                      | Some r -> Ops.slice_payload_of_result r))
-                resps
-            in
-            match
-              List.fold_right
-                (fun r acc ->
-                  match (r, acc) with
-                  | Ok p, Ok ps -> Ok (p :: ps)
-                  | Error e, _ | _, Error e -> Error e)
-                decoded (Ok [])
-            with
-            | Error e ->
-                `Done
-                  (Json.print
-                     (P.error_response ~id:req.P.id ~code:P.Internal
-                        (Printf.sprintf "fan-out merge failed: %s" e)))
-            | Ok payloads -> (
-                match Ops.merge_slice_payloads payloads with
-                | Error e ->
-                    `Done
-                      (Json.print
-                         (P.error_response ~id:req.P.id ~code:P.Internal
-                            (Printf.sprintf "fan-out merge failed: %s" e)))
-                | Ok m ->
-                    let text =
-                      Ops.render_explore_rows ~keep_all:p.P.keep_all
-                        ~csv:p.P.csv ~bad:m.Ops.mx_bad ~trials:m.Ops.mx_trials
-                        ~verbose_tail:None ~feasible:m.Ops.mx_feasible
-                        ~explored:m.Ops.mx_explored ()
-                    in
-                    let feasible = List.length m.Ops.mx_feasible in
-                    let run_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-                    counted t (fun c -> c.fanned_out <- c.fanned_out + 1);
-                    `Done
-                      (Json.print
-                         (P.ok_response ~id:req.P.id ~op:P.Explore
-                            ~timing:(P.no_engine_timing ~queue_ms:0. ~run_ms)
-                            [
-                              ("text", Json.String text);
-                              ("feasible", Json.Bool (feasible > 0));
-                              ("feasible_count", Json.Int feasible);
-                              ("trials", Json.Int m.Ops.mx_trials);
-                            ])))))
 
 (* ------------------------------------------------------------------ *)
 (* Session ops: sticky routing, snapshot failover, migration           *)
@@ -634,8 +514,8 @@ let stats_response t (req : P.request) =
   Mutex.unlock t.mu;
   Mutex.lock t.counters_mu;
   let c = t.counters in
-  let forwarded, fanned_out, migrations, failovers, errors =
-    (c.forwarded, c.fanned_out, c.migrations, c.failovers, c.errors)
+  let forwarded, migrations, failovers, errors =
+    (c.forwarded, c.migrations, c.failovers, c.errors)
   in
   Mutex.unlock t.counters_mu;
   let backends = Ring.nodes t.ring in
@@ -647,9 +527,8 @@ let stats_response t (req : P.request) =
       Printf.bprintf buf "  backend %s%s\n" b
         (if is_dead t b then " (unreachable)" else ""))
     backends;
-  Printf.bprintf buf
-    "forwarded %d, fanned out %d, migrations %d, failovers %d, errors %d\n"
-    forwarded fanned_out migrations failovers errors;
+  Printf.bprintf buf "forwarded %d, migrations %d, failovers %d, errors %d\n"
+    forwarded migrations failovers errors;
   Json.print
     (P.ok_response ~id:req.P.id ~op:P.Stats
        ~timing:(P.no_engine_timing ~queue_ms:0. ~run_ms:0.)
@@ -663,7 +542,6 @@ let stats_response t (req : P.request) =
                backends));
          ("sessions", Json.Int sessions);
          ("forwarded", Json.Int forwarded);
-         ("fanned_out", Json.Int fanned_out);
          ("migrations", Json.Int migrations);
          ("failovers", Json.Int failovers);
          ("errors", Json.Int errors);
@@ -694,18 +572,7 @@ let answer t pc line =
         | P.Session_optimize | P.Session_attach | P.Session_detach
         | P.Session_save | P.Session_close ->
             session_op t pc req line
-        | P.Explore when fanout_eligible t req -> (
-            match fanout_explore t pc req with
-            | `Done resp -> resp
-            | `Fallback -> (
-                match forward_stateless t pc req line with
-                | Ok resp -> resp
-                | Error e ->
-                    counted t (fun c -> c.errors <- c.errors + 1);
-                    Json.print
-                      (P.error_response ~id:req.P.id ~code:P.Internal e)))
-        | P.Explore | P.Explore_slice | P.Predict | P.Advise | P.Sensitivity
-          -> (
+        | P.Explore | P.Predict | P.Advise | P.Sensitivity -> (
             match forward_stateless t pc req line with
             | Ok resp -> resp
             | Error e ->
@@ -736,13 +603,11 @@ let serve t =
   in
   (match t.cfg.socket_path with
   | Some path ->
-      logf t "listening on %s (%d backend(s)%s)" path
+      logf t "listening on %s (%d backend(s))" path
         (List.length t.cfg.backends)
-        (if t.cfg.fanout then ", fan-out" else "")
   | None ->
-      logf t "reading requests from stdin (%d backend(s)%s)"
-        (List.length t.cfg.backends)
-        (if t.cfg.fanout then ", fan-out" else ""));
+      logf t "reading requests from stdin (%d backend(s))"
+        (List.length t.cfg.backends));
   (* each connection answers its lines in turn over its own backend
      connections, closed with it *)
   Listener.run ~signals:t.cfg.handle_signals t.listener (fun ~send ->

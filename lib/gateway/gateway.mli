@@ -18,12 +18,7 @@
     - [gateway/migrate] moves a session between backends through the
       snapshot format ([session/save close] on the source, restoring
       [session/open] on the target) — the backends must share a
-      [--state-dir];
-    - with [fanout], eligible explores (enumeration/branch-bound, not
-      verbose) are split across every live backend as [explore/slice]
-      requests and merged deterministically
-      ({!Chop_server.Ops.merge_slice_payloads}), which keeps the
-      response text byte-identical to a single process's.
+      [--state-dir].
 
     When a backend dies, stateless ops fail over to the next backend on
     the ring; session ops fail over by restoring the session's snapshot
@@ -31,16 +26,14 @@
     backend snapshots its sessions on shutdown).  With
     [health_interval_s], a prober thread pings every backend
     periodically and marks failures dead ahead of time: routing prefers
-    live backends, fan-out skips dead ones, and a session op whose
-    owner is marked dead fails over preemptively instead of waiting for
-    its own request to time out. *)
+    live backends, and a session op whose owner is marked dead fails over
+    preemptively instead of waiting for its own request to time out. *)
 
 type config = {
   socket_path : string option;
       (** listen here; [None] reads requests from stdin (tests, CI) *)
   backends : string list;  (** backend serve sockets, at least one *)
   vnodes : int;  (** virtual ring points per backend *)
-  fanout : bool;  (** split eligible explores across backends *)
   log : out_channel option;
   handle_signals : bool;
       (** SIGTERM/SIGINT trigger a clean stop.  SIGPIPE is ignored

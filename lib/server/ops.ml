@@ -122,12 +122,11 @@ let config_of_params ~jobs (p : Protocol.params) =
 
 let engine_key ~op (p : Protocol.params) =
   (* predict runs a default-config engine (the CLI parity point), so it
-     keys separately from the explore family; explore/advise share (and
-     explore/slice runs the same engine as the explore it slices). *)
+     keys separately from the explore family; explore/advise share. *)
   let family =
     match op with
     | Protocol.Predict -> "predict"
-    | Protocol.Explore | Protocol.Explore_slice | Protocol.Advise
+    | Protocol.Explore | Protocol.Advise
     | Protocol.Sensitivity | Protocol.Stats | Protocol.Ping
     | Protocol.Session_open | Protocol.Session_edit | Protocol.Session_undo
     | Protocol.Session_redo | Protocol.Session_run
@@ -148,26 +147,23 @@ let engine_key ~op (p : Protocol.params) =
 let explore_feasible_count (report : Chop.Explore.report) =
   List.length report.Chop.Explore.outcome.Chop.Search.feasible
 
-(* The deterministic explore block over design-point rows — the single
-   renderer behind the CLI, the server and the gateway's distributed
-   merge, which is what makes all three byte-identical.  [verbose_tail]
-   carries the report-guideline section when the caller has full systems
-   in hand (the gateway never does: fan-out is restricted to non-verbose
-   requests). *)
-let render_explore_rows ~keep_all ~csv ~bad ~trials ~verbose_tail
-    ~(feasible : Chop.Search.Row.t list) ~(explored : Chop.Search.Row.t list)
-    () =
+(* The deterministic explore block — the single renderer behind the CLI
+   and the server, which is what makes the two byte-identical. *)
+let render_explore spec ~keep_all ~csv ~verbose (report : Chop.Explore.report) =
+  let outcome = report.Chop.Explore.outcome in
+  let feasible = outcome.Chop.Search.feasible in
+  let explored = outcome.Chop.Search.explored in
   if keep_all then
-    (* deterministic dump: no timings, so jobs=1 and jobs=N (and the CLI,
-       the server and the gateway) are byte-identical *)
+    (* deterministic dump: no timings, so jobs=1 and jobs=N (and the CLI
+       and the server) are byte-identical *)
     String.concat ""
       [
         "# feasible\n";
-        Chop.Search.Row.to_csv feasible;
+        Chop.Search.to_csv feasible;
         "# explored\n";
-        Chop.Search.Row.to_csv explored;
+        Chop.Search.to_csv explored;
       ]
-  else if csv then Chop.Search.Row.to_csv explored
+  else if csv then Chop.Search.to_csv explored
   else begin
     let buf = Buffer.create 512 in
     List.iter
@@ -175,41 +171,27 @@ let render_explore_rows ~keep_all ~csv ~bad ~trials ~verbose_tail
         Printf.bprintf buf "BAD %s: %d predictions, %d feasible, %d kept\n"
           b.Chop.Explore.label b.Chop.Explore.total_predictions
           b.Chop.Explore.feasible_predictions b.Chop.Explore.kept)
-      bad;
-    Printf.bprintf buf "search: %d trials\n\n" trials;
+      report.Chop.Explore.bad;
+    Printf.bprintf buf "search: %d trials\n\n"
+      outcome.Chop.Search.stats.Chop.Search.implementation_trials;
     (match feasible with
     | [] -> Buffer.add_string buf "no feasible implementation\n"
-    | feas ->
+    | best :: _ ->
         Printf.bprintf buf "%d feasible non-inferior implementation(s):\n"
-          (List.length feas);
+          (List.length feasible);
         List.iter
-          (fun (r : Chop.Search.Row.t) ->
+          (fun (s : Chop.Integration.system) ->
             Printf.bprintf buf
               "  II %d cycles, delay %d cycles, clock %.0f ns (perf %.0f ns)\n"
-              r.Chop.Search.Row.ii_main r.Chop.Search.Row.delay_cycles
-              r.Chop.Search.Row.clock r.Chop.Search.Row.perf_ns)
-          feas;
-        Option.iter
-          (fun tail ->
-            Buffer.add_char buf '\n';
-            Buffer.add_string buf tail)
-          verbose_tail);
+              s.Chop.Integration.ii_main s.Chop.Integration.delay_cycles
+              s.Chop.Integration.clock s.Chop.Integration.perf_ns)
+          feasible;
+        if verbose then begin
+          Buffer.add_char buf '\n';
+          Buffer.add_string buf (Chop.Report.guideline spec best)
+        end);
     Buffer.contents buf
   end
-
-let render_explore spec ~keep_all ~csv ~verbose (report : Chop.Explore.report) =
-  let outcome = report.Chop.Explore.outcome in
-  let verbose_tail =
-    match outcome.Chop.Search.feasible with
-    | best :: _ when verbose -> Some (Chop.Report.guideline spec best)
-    | _ -> None
-  in
-  render_explore_rows ~keep_all ~csv ~bad:report.Chop.Explore.bad
-    ~trials:outcome.Chop.Search.stats.Chop.Search.implementation_trials
-    ~verbose_tail
-    ~feasible:(List.map Chop.Search.Row.of_system outcome.Chop.Search.feasible)
-    ~explored:(List.map Chop.Search.Row.of_system outcome.Chop.Search.explored)
-    ()
 
 let render_explore_timing (report : Chop.Explore.report) =
   let st = report.Chop.Explore.outcome.Chop.Search.stats in
@@ -537,215 +519,11 @@ let render_auto_stats (o : Chop_auto.outcome) =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Distributed explore: the explore/slice wire payload and its merge.
-
-   A backend answers explore/slice with raw per-slice counters and
-   admitted/explored rows; the gateway decodes one payload per backend,
-   checks the residue classes cover the first axis exactly, and replays
-   every admission in global task order through a shared row front —
-   {!Chop.Search.Slice.merge} at {!Chop.Search.Row} granularity.  Floats
-   cross the wire as hex ([%h]) literals, so the merged rows are
-   bit-identical to the single process's and the rendered block is
-   byte-identical to [chop serve]'s. *)
-
-module Json = Chop_util.Json
-module Row = Chop.Search.Row
-
-let row_to_json (r : Row.t) =
-  Json.Array
-    [
-      Json.Int r.Row.ii_main;
-      Json.Int r.Row.delay_cycles;
-      Json.String (Row.float_to_wire r.Row.clock);
-      Json.String (Row.float_to_wire r.Row.perf_ns);
-      Json.String (Row.float_to_wire r.Row.delay_likely);
-      Json.String (Row.float_to_wire r.Row.area_likely);
-      Json.Bool r.Row.feasible;
-    ]
-
-let row_of_json = function
-  | Json.Array
-      [
-        Json.Int ii_main;
-        Json.Int delay_cycles;
-        Json.String clock;
-        Json.String perf_ns;
-        Json.String delay_likely;
-        Json.String area_likely;
-        Json.Bool feasible;
-      ] -> (
-      try
-        Ok
-          {
-            Row.ii_main;
-            delay_cycles;
-            clock = Row.float_of_wire clock;
-            perf_ns = Row.float_of_wire perf_ns;
-            delay_likely = Row.float_of_wire delay_likely;
-            area_likely = Row.float_of_wire area_likely;
-            feasible;
-          }
-      with Invalid_argument m -> Error m)
-  | _ ->
-      Error
-        "malformed row (expected \
-         [ii,delay_cycles,clock,perf,delay,area,feasible])"
-
-let bad_to_json (b : Chop.Explore.bad_stats) =
-  Json.Array
-    [
-      Json.String b.Chop.Explore.label;
-      Json.Int b.Chop.Explore.total_predictions;
-      Json.Int b.Chop.Explore.feasible_predictions;
-      Json.Int b.Chop.Explore.kept;
-    ]
-
-let bad_of_json = function
-  | Json.Array
-      [ Json.String label; Json.Int total; Json.Int feasible; Json.Int kept ] ->
-      Ok
-        {
-          Chop.Explore.label;
-          total_predictions = total;
-          feasible_predictions = feasible;
-          kept;
-        }
-  | _ -> Error "malformed bad-stats entry (expected [label,total,feasible,kept])"
-
-type slice_rows = {
-  sl_index : int;  (** global first-axis index *)
-  sl_trials : int;
-  sl_admitted : Row.t list;  (** admission order *)
-  sl_explored : Row.t list;  (** integration order *)
-}
-
-type slice_payload = {
-  sp_first_total : int;
-  sp_bad : Chop.Explore.bad_stats list;
-  sp_slices : slice_rows list;
-}
-
-let slice_payload_fields (sr : Chop.Explore.Session.slice_run) =
-  let slice_json gidx (sl : Chop.Search.Slice.t) =
-    Json.Object
-      [
-        ("i", Json.Int gidx);
-        ("trials", Json.Int sl.Chop.Search.Slice.trials);
-        ("integrations", Json.Int sl.Chop.Search.Slice.integrations);
-        ("avoided", Json.Int sl.Chop.Search.Slice.avoided);
-        ("feasible", Json.Int sl.Chop.Search.Slice.feasible);
-        ( "admitted",
-          Json.Array
-            (List.rev_map
-               (fun s -> row_to_json (Row.of_system s))
-               sl.Chop.Search.Slice.admitted_rev) );
-        ( "explored",
-          Json.Array
-            (List.rev_map
-               (fun s -> row_to_json (Row.of_system s))
-               sl.Chop.Search.Slice.explored_rev) );
-      ]
-  in
-  [
-    ("first_total", Json.Int sr.Chop.Explore.Session.first_total);
-    ( "bad",
-      Json.Array (List.map bad_to_json sr.Chop.Explore.Session.slice_bad) );
-    ( "slices",
-      Json.Array
-        (List.map2 slice_json sr.Chop.Explore.Session.slice_indices
-           sr.Chop.Explore.Session.slices) );
-  ]
-
-let int_field name j =
-  match Option.bind (Json.member name j) Json.to_int_opt with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "slice payload: missing integer %S" name)
-
-let list_field name j =
-  match Option.bind (Json.member name j) Json.to_list_opt with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "slice payload: missing array %S" name)
-
-let decode_list decode js =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | j :: tl -> (
-        match decode j with Ok v -> go (v :: acc) tl | Error _ as e -> e)
-  in
-  go [] js
-
-let slice_payload_of_result j =
-  let* first_total = int_field "first_total" j in
-  let* bad = list_field "bad" j in
-  let* bad = decode_list bad_of_json bad in
-  let* slices = list_field "slices" j in
-  let* slices =
-    decode_list
-      (fun sj ->
-        let* sl_index = int_field "i" sj in
-        let* sl_trials = int_field "trials" sj in
-        let* admitted = list_field "admitted" sj in
-        let* sl_admitted = decode_list row_of_json admitted in
-        let* explored = list_field "explored" sj in
-        let* sl_explored = decode_list row_of_json explored in
-        Ok { sl_index; sl_trials; sl_admitted; sl_explored })
-      slices
-  in
-  Ok { sp_first_total = first_total; sp_bad = bad; sp_slices = slices }
-
-type merged_explore = {
-  mx_bad : Chop.Explore.bad_stats list;
-  mx_trials : int;
-  mx_feasible : Row.t list;
-  mx_explored : Row.t list;
-}
-
-let merge_slice_payloads payloads =
-  match payloads with
-  | [] -> Error "no slice payloads to merge"
-  | first :: _ ->
-      let ft = first.sp_first_total in
-      if List.exists (fun p -> p.sp_first_total <> ft) payloads then
-        Error "backends disagree on the first-axis size"
-      else
-        let slices =
-          List.concat_map (fun p -> p.sp_slices) payloads
-          |> List.sort (fun a b -> compare a.sl_index b.sl_index)
-        in
-        if List.map (fun s -> s.sl_index) slices <> List.init ft Fun.id then
-          Error
-            (Printf.sprintf
-               "slice coverage mismatch: %d slice(s) over a %d-wide first axis"
-               (List.length slices) ft)
-        else begin
-          (* mirror of {!Chop.Search.Slice.merge}: explored is the
-             sequential accumulator (last integration first); the front
-             replays every slice's admissions in global task order *)
-          let explored =
-            List.concat (List.rev_map (fun s -> List.rev s.sl_explored) slices)
-          in
-          let front =
-            List.fold_left
-              (fun front s ->
-                List.fold_left
-                  (fun front row -> fst (Row.admit row front))
-                  front s.sl_admitted)
-              [] slices
-          in
-          Ok
-            {
-              mx_bad = first.sp_bad;
-              mx_trials =
-                List.fold_left (fun acc s -> acc + s.sl_trials) 0 slices;
-              mx_feasible = Row.finalize front;
-              mx_explored = explored;
-            }
-        end
-
-(* ------------------------------------------------------------------ *)
 (* Session inventory: one line per open session, shared by the server's
    session/list op, the gateway's fan-out of it and the repl's
    [:sessions] command. *)
+
+module Json = Chop_util.Json
 
 type session_line = {
   ses_id : string;
@@ -799,15 +577,20 @@ let session_line_of_json j =
     | Some s -> Ok s
     | None -> Error (Printf.sprintf "session line: missing string %S" name)
   in
+  let int name =
+    match Option.bind (Json.member name j) Json.to_int_opt with
+    | Some i -> Ok i
+    | None -> Error (Printf.sprintf "session line: missing integer %S" name)
+  in
   let* ses_id = str "id" in
-  let* ses_revision = int_field "revision" j in
+  let* ses_revision = int "revision" in
   let* ses_age_s =
     match Option.bind (Json.member "age_s" j) Json.to_float_opt with
     | Some f -> Ok f
     | None -> Error "session line: missing number \"age_s\""
   in
   let* ses_writer = str "writer" in
-  let* ses_observers = int_field "observers" j in
+  let* ses_observers = int "observers" in
   Ok { ses_id; ses_revision; ses_age_s; ses_writer; ses_observers }
 
 let render_sensitivity = Chop.Sensitivity.render

@@ -73,23 +73,6 @@ val engine_key : op:Protocol.op -> Protocol.params -> string
 
 (** {1 Renderers} *)
 
-val render_explore_rows :
-  keep_all:bool ->
-  csv:bool ->
-  bad:Chop.Explore.bad_stats list ->
-  trials:int ->
-  verbose_tail:string option ->
-  feasible:Chop.Search.Row.t list ->
-  explored:Chop.Search.Row.t list ->
-  unit ->
-  string
-(** The deterministic explore block over design-point rows — the single
-    renderer behind {!render_explore} and the gateway's distributed
-    merge, which is what makes the CLI, the server and the gateway
-    byte-identical.  [verbose_tail] carries the designer-guideline
-    section when the caller has full systems in hand (the gateway never
-    does: fan-out is restricted to non-verbose requests). *)
-
 val render_explore :
   Chop.Spec.t -> keep_all:bool -> csv:bool -> verbose:bool ->
   Chop.Explore.report -> string
@@ -97,7 +80,8 @@ val render_explore :
     feasible-front and explored CSV dump; with [csv], the explored dump;
     otherwise the per-partition BAD lines, the trial count and the
     feasible-implementation list (plus the designer guideline when
-    [verbose]). *)
+    [verbose]).  The CLI and the server both render through it, which is
+    what makes them byte-identical. *)
 
 val explore_feasible_count : Chop.Explore.report -> int
 
@@ -188,52 +172,6 @@ val render_auto_stats : Chop_auto.outcome -> string
 (** The [chop auto --stats] block: speculative run/round counts, the
     busy/wall split with effective parallelism, per-round averages and
     the cache counters. *)
-
-(** {1 Distributed explore (the gateway fan-out)}
-
-    A backend answers [explore/slice] with {!slice_payload_fields} — raw
-    per-slice counters and admitted/explored rows, floats as exact hex
-    literals.  The gateway decodes one payload per backend
-    ({!slice_payload_of_result}), then {!merge_slice_payloads} replays
-    every admission in global task order — {!Chop.Search.Slice.merge} at
-    {!Chop.Search.Row} granularity — so the merged block rendered by
-    {!render_explore_rows} is byte-identical to a single process's. *)
-
-val row_to_json : Chop.Search.Row.t -> Chop_util.Json.t
-val row_of_json : Chop_util.Json.t -> (Chop.Search.Row.t, string) result
-
-type slice_rows = {
-  sl_index : int;  (** global first-axis index *)
-  sl_trials : int;
-  sl_admitted : Chop.Search.Row.t list;  (** admission order *)
-  sl_explored : Chop.Search.Row.t list;  (** integration order *)
-}
-
-type slice_payload = {
-  sp_first_total : int;
-  sp_bad : Chop.Explore.bad_stats list;
-  sp_slices : slice_rows list;
-}
-
-val slice_payload_fields :
-  Chop.Explore.Session.slice_run -> (string * Chop_util.Json.t) list
-(** The [result] fields of an [explore/slice] response. *)
-
-val slice_payload_of_result :
-  Chop_util.Json.t -> (slice_payload, string) result
-(** Decodes the [result] object of an [explore/slice] response. *)
-
-type merged_explore = {
-  mx_bad : Chop.Explore.bad_stats list;
-  mx_trials : int;
-  mx_feasible : Chop.Search.Row.t list;
-  mx_explored : Chop.Search.Row.t list;
-}
-
-val merge_slice_payloads :
-  slice_payload list -> (merged_explore, string) result
-(** [Error] when the payloads' residue classes do not cover the first
-    axis exactly once, or disagree on its size. *)
 
 (** {1 Session inventory} *)
 

@@ -2,7 +2,6 @@ module Json = Chop_util.Json
 
 type op =
   | Explore
-  | Explore_slice
   | Predict
   | Advise
   | Sensitivity
@@ -23,7 +22,6 @@ type op =
 
 let op_to_string = function
   | Explore -> "explore"
-  | Explore_slice -> "explore/slice"
   | Predict -> "predict"
   | Advise -> "advise"
   | Sensitivity -> "sensitivity"
@@ -44,7 +42,7 @@ let op_to_string = function
 
 let all_ops =
   [
-    Explore; Explore_slice; Predict; Advise; Sensitivity; Stats; Ping;
+    Explore; Predict; Advise; Sensitivity; Stats; Ping;
     Session_open; Session_edit; Session_undo; Session_redo; Session_run;
     Session_optimize; Session_attach; Session_detach; Session_list;
     Session_save; Session_close; Gateway_migrate;
@@ -84,8 +82,6 @@ type params = {
   restore : bool;
       (** session/open: require a state-dir snapshot and restore from it *)
   close : bool;  (** session/save: close the session after persisting *)
-  slice_index : int;  (** explore/slice: this backend's slice residue *)
-  slice_count : int;  (** explore/slice: number of backends fanning out *)
 }
 
 let default_params =
@@ -117,8 +113,6 @@ let default_params =
     client = "";
     restore = false;
     close = false;
-    slice_index = 0;
-    slice_count = 1;
   }
 
 type request = {
@@ -210,12 +204,6 @@ let request_of_json json =
       let* client = field "client" str json ~default:d.client Result.ok in
       let* restore = field "restore" bool json ~default:d.restore Result.ok in
       let* close = field "close" bool json ~default:d.close Result.ok in
-      let* slice_index =
-        field "slice_index" int json ~default:d.slice_index Result.ok
-      in
-      let* slice_count =
-        field "slice_count" int json ~default:d.slice_count Result.ok
-      in
       Ok
         {
           id;
@@ -250,8 +238,6 @@ let request_of_json json =
               client;
               restore;
               close;
-              slice_index;
-              slice_count;
             };
         }
   | _ -> Error "request must be a JSON object"
@@ -301,8 +287,6 @@ let request_to_json r =
         ("client", Json.String p.client);
         ("restore", Json.Bool p.restore);
         ("close", Json.Bool p.close);
-        ("slice_index", Json.Int p.slice_index);
-        ("slice_count", Json.Int p.slice_count);
       ])
 
 type error_code = Overloaded | Deadline | Bad_request | Shutting_down | Internal

@@ -40,10 +40,6 @@
 
 type op =
   | Explore
-  | Explore_slice
-      (** distributed fan-out: run only the first-axis search slices
-          congruent to [slice_index] mod [slice_count] and answer with raw
-          per-slice rows for the gateway to merge *)
   | Predict
   | Advise
   | Sensitivity
@@ -118,8 +114,6 @@ type params = {
           without it, open restores opportunistically when a snapshot for
           the requested id exists *)
   close : bool;  (** session/save: close the session after persisting *)
-  slice_index : int;  (** explore/slice: this backend's residue class *)
-  slice_count : int;  (** explore/slice: total backends fanning out *)
 }
 
 val default_params : params

@@ -488,16 +488,6 @@ let exec_op t (req : Protocol.request) ~interrupt :
               ],
               Of_report report,
               verdict j.Chop.Advisor.feasible ))
-  | Protocol.Explore_slice -> (
-      let* spec = Ops.spec_of_params p in
-      let* config = Ops.config_of_params ~jobs:t.cfg.jobs p in
-      match
-        with_engine t req config spec
-          (Session.run_slice ~index:p.Protocol.slice_index
-             ~count:p.Protocol.slice_count)
-      with
-      | exception Invalid_argument m -> Error (Protocol.Bad_request, m)
-      | sr -> Ok (Ops.slice_payload_fields sr, No_timing, "-"))
   | Protocol.Sensitivity ->
       let* spec = Ops.spec_of_params p in
       (* per-point what-if probes build their own single-job engines; the

@@ -720,6 +720,48 @@ let test_cse_never_merges_memory () =
   in
   Alcotest.(check int) "reads preserved" (reads g) (reads g')
 
+(* Constants whose names hash alike stay distinct ("c10624" and "c40883"
+   share a [Hashtbl.hash] on OCaml 5.1): CSE keys a constant by its name
+   and width, and [Eval.equivalent] binds each constant to its own drawn
+   value, so merging them is caught. *)
+let test_cse_keeps_distinct_constants () =
+  let build ~merged =
+    let b = Graph.builder () in
+    let x = Graph.add_node b ~name:"x" ~op:Op.Input ~width:16 in
+    let c1 = Graph.add_node b ~name:"c10624" ~op:Op.Const ~width:16 in
+    let m1 = Graph.add_node b ~name:"m1" ~op:Op.Mult ~width:16 in
+    Graph.add_edge b ~src:x ~dst:m1;
+    Graph.add_edge b ~src:c1 ~dst:m1;
+    let m2 =
+      if merged then m1
+      else begin
+        let c2 = Graph.add_node b ~name:"c40883" ~op:Op.Const ~width:16 in
+        let m2 = Graph.add_node b ~name:"m2" ~op:Op.Mult ~width:16 in
+        Graph.add_edge b ~src:x ~dst:m2;
+        Graph.add_edge b ~src:c2 ~dst:m2;
+        m2
+      end
+    in
+    let o1 = Graph.add_node b ~name:"o1" ~op:Op.Output ~width:16 in
+    let o2 = Graph.add_node b ~name:"o2" ~op:Op.Output ~width:16 in
+    Graph.add_edge b ~src:m1 ~dst:o1;
+    Graph.add_edge b ~src:m2 ~dst:o2;
+    Graph.build b
+  in
+  let g = build ~merged:false in
+  let g' = Transform.common_subexpression_elimination g in
+  Alcotest.(check int) "both multiplications kept" 2 (Graph.op_count g');
+  let run g =
+    Eval.run ~inputs:[ ("x", 7) ] ~consts:[ ("c10624", 3); ("c40883", 5) ] g
+  in
+  Alcotest.(check (list (pair string int))) "before cse"
+    [ ("o1", 21); ("o2", 35) ] (run g);
+  Alcotest.(check (list (pair string int))) "after cse"
+    [ ("o1", 21); ("o2", 35) ] (run g');
+  Alcotest.(check bool) "behaviour preserved" true (Eval.equivalent g g');
+  Alcotest.(check bool) "a merged constant is not equivalent" false
+    (Eval.equivalent g (build ~merged:true))
+
 let test_balance_shortens_chain () =
   (* a serial accumulation: y + x*k four times gives an add chain *)
   let p =
@@ -1643,6 +1685,8 @@ let () =
           tc "cse merges duplicates" `Quick test_cse_merges_duplicates;
           tc "cse respects order" `Quick test_cse_respects_order;
           tc "cse never merges memory" `Quick test_cse_never_merges_memory;
+          tc "cse keeps distinct constants" `Quick
+            test_cse_keeps_distinct_constants;
           tc "balance shortens chains" `Quick test_balance_shortens_chain;
           tc "balance conservative" `Quick test_balance_leaves_diverse_graphs_alone;
           QCheck_alcotest.to_alcotest transforms_preserve_semantics;

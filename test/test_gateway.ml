@@ -1,9 +1,8 @@
 (* Tests for the cluster layer: the consistent-hash ring, the client's
-   deterministic retry schedule, the distributed slice-merge coverage
-   checks, the session-table eviction race regression, and the gateway
-   itself — byte-identity with a single-process serve across stateless
-   forwarding, fan-out merging, sticky sessions, migration and
-   snapshot failover. *)
+   deterministic retry schedule, the session-table eviction race
+   regression, and the gateway itself — byte-identity with a
+   single-process serve across stateless forwarding, sticky sessions,
+   migration and snapshot failover. *)
 
 module Json = Chop_util.Json
 module Protocol = Chop_server.Protocol
@@ -215,66 +214,6 @@ let test_retry_zero_is_one_shot () =
       Alcotest.(check (list (float 0.))) "never slept" [] !slept)
 
 (* ------------------------------------------------------------------ *)
-(* merge_slice_payloads: coverage validation *)
-
-let slice ~index ?(trials = 1) () =
-  { Ops.sl_index = index; sl_trials = trials; sl_admitted = []; sl_explored = [] }
-
-let payload ~first_total slices =
-  { Ops.sp_first_total = first_total; sp_bad = []; sp_slices = slices }
-
-let test_merge_coverage () =
-  (match
-     Ops.merge_slice_payloads
-       [
-         payload ~first_total:2 [ slice ~index:0 () ];
-         payload ~first_total:2 [ slice ~index:1 () ];
-       ]
-   with
-  | Ok m ->
-      Alcotest.(check int) "trials summed" 2 m.Ops.mx_trials;
-      Alcotest.(check int) "no rows" 0 (List.length m.Ops.mx_explored)
-  | Error e -> Alcotest.failf "exact cover rejected: %s" e);
-  let rejected payloads =
-    match Ops.merge_slice_payloads payloads with
-    | Ok _ -> false
-    | Error _ -> true
-  in
-  Alcotest.(check bool) "missing slice" true
-    (rejected [ payload ~first_total:2 [ slice ~index:0 () ] ]);
-  Alcotest.(check bool) "duplicate slice" true
-    (rejected
-       [
-         payload ~first_total:2 [ slice ~index:0 () ];
-         payload ~first_total:2 [ slice ~index:0 (); slice ~index:1 () ];
-       ]);
-  Alcotest.(check bool) "first_total disagreement" true
-    (rejected
-       [
-         payload ~first_total:2 [ slice ~index:0 () ];
-         payload ~first_total:3 [ slice ~index:1 () ];
-       ]);
-  Alcotest.(check bool) "no payloads" true (rejected [])
-
-let test_row_wire_roundtrip () =
-  let row =
-    {
-      Chop.Search.Row.ii_main = 3;
-      clock = 150.;
-      perf_ns = 2.5e4;
-      delay_cycles = 17;
-      delay_likely = 0.125;
-      area_likely = 1.0e8 /. 3.;
-      feasible = true;
-    }
-  in
-  match Ops.row_of_json (Ops.row_to_json row) with
-  | Ok row' ->
-      Alcotest.(check bool) "row round-trips exactly (hex floats)" true
-        (row = row')
-  | Error e -> Alcotest.failf "row decode failed: %s" e
-
-(* ------------------------------------------------------------------ *)
 (* Session_table: the drain/eviction race regression *)
 
 let make_session () =
@@ -370,10 +309,10 @@ let rm_rf dir =
 
 (* N backend serve processes (in-process, socket transport) sharing one
    state dir, plus a gateway routing across them via handle_line. *)
-let with_cluster ?(fanout = false) ?health_interval_s n f =
+let with_cluster ?health_interval_s n f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "chop-gw-%d-%d" (Unix.getpid ()) (if fanout then 1 else 0))
+      (Printf.sprintf "chop-gw-%d" (Unix.getpid ()))
   in
   rm_rf dir;
   Unix.mkdir dir 0o700;
@@ -401,7 +340,6 @@ let with_cluster ?(fanout = false) ?health_interval_s n f =
         Gateway.socket_path = None;
         backends = socks;
         vnodes = 64;
-        fanout;
         log = None;
         handle_signals = false;
         health_interval_s;
@@ -434,52 +372,48 @@ let test_gateway_stateless_parity () =
         Alcotest.(check bool) (name ^ " ok") true (ok_of got);
         Alcotest.(check string)
           (name ^ " text byte-identical to single-process serve")
-          (text_of want) (text_of got)
+          (text_of want) (text_of got);
+        List.iter
+          (fun key ->
+            let f resp = field (parse_response resp) [ "result"; key ] in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s result.%s identical" name key)
+              true
+              (f got = f want))
+          [ "feasible"; "feasible_count"; "trials" ]
       in
       check_parity "explore"
         {|{"id":"e","op":"explore","benchmark":"ar","partitions":2,"keep_all":true}|};
-      check_parity "predict"
-        {|{"id":"p","op":"predict","benchmark":"ar","partitions":2,"top":2}|};
-      check_parity "advise"
-        {|{"id":"a","op":"advise","benchmark":"ar","partitions":2}|};
-      let pong = Gateway.handle_line gw {|{"id":"pg","op":"ping"}|} in
-      Alcotest.(check bool) "gateway answers ping locally" true (ok_of pong);
-      let stats = parse_response (Gateway.handle_line gw {|{"op":"stats"}|}) in
-      Alcotest.(check bool) "stats marks the gateway" true
-        (field stats [ "result"; "gateway" ] = Some (Json.Bool true)))
-
-let test_gateway_fanout_parity () =
-  with_cluster ~fanout:true 2 (fun ~gw ~socks:_ ~servers:_ ~threads:_ ->
-      let reference = make_reference () in
-      let check_parity name line =
-        let got = Gateway.handle_line gw line in
-        let want = Server.handle_line reference line in
-        Alcotest.(check bool) (name ^ " ok") true (ok_of got);
-        Alcotest.(check string) (name ^ " merged text byte-identical")
-          (text_of want) (text_of got);
-        let f path resp = field (parse_response resp) path in
-        List.iter
-          (fun p ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s result.%s identical" name
-                 (String.concat "." p))
-              true
-              (f ("result" :: p) got = f ("result" :: p) want))
-          [ [ "feasible" ]; [ "feasible_count" ]; [ "trials" ] ]
-      in
       check_parity "enumeration"
         {|{"id":"f1","op":"explore","benchmark":"ar","partitions":2,"heuristic":"e"}|};
       check_parity "branch-bound"
         {|{"id":"f2","op":"explore","benchmark":"ar","partitions":2,"heuristic":"b"}|};
       check_parity "enumeration keep-all"
         {|{"id":"f3","op":"explore","benchmark":"ar","partitions":2,"heuristic":"e","keep_all":true}|};
+      check_parity "predict"
+        {|{"id":"p","op":"predict","benchmark":"ar","partitions":2,"top":2}|};
+      check_parity "advise"
+        {|{"id":"a","op":"advise","benchmark":"ar","partitions":2}|};
+      (* there is no per-slice explore op: both sides reject it, even for
+         a heuristic that searches in slices *)
+      let slice =
+        {|{"id":"s","op":"explore/slice","benchmark":"ar","partitions":2,"heuristic":"e"}|}
+      in
+      List.iter
+        (fun (side, resp) ->
+          Alcotest.(check (option string))
+            (side ^ " rejects the slice op")
+            (Some "bad_request")
+            (Protocol.response_error_code (parse_response resp)))
+        [
+          ("gateway", Gateway.handle_line gw slice);
+          ("serve", Server.handle_line reference slice);
+        ];
+      let pong = Gateway.handle_line gw {|{"id":"pg","op":"ping"}|} in
+      Alcotest.(check bool) "gateway answers ping locally" true (ok_of pong);
       let stats = parse_response (Gateway.handle_line gw {|{"op":"stats"}|}) in
-      Alcotest.(check bool) "explores were fanned out" true
-        (match
-           Option.bind (field stats [ "result"; "fanned_out" ]) Json.to_int_opt
-         with
-        | Some n -> n >= 3
-        | None -> false))
+      Alcotest.(check bool) "stats marks the gateway" true
+        (field stats [ "result"; "gateway" ] = Some (Json.Bool true)))
 
 let test_gateway_sessions_migrate_failover () =
   with_cluster 2 (fun ~gw ~socks ~servers ~threads ->
@@ -696,7 +630,6 @@ let test_gateway_socket_clients () =
             Gateway.socket_path = Some path;
             backends = socks;
             vnodes = 64;
-            fanout = false;
             log = None;
             handle_signals = false;
             health_interval_s = None;
@@ -779,11 +712,6 @@ let () =
             test_retry_connect_refused;
           tc "zero retries is one-shot" `Quick test_retry_zero_is_one_shot;
         ] );
-      ( "merge",
-        [
-          tc "slice coverage validation" `Quick test_merge_coverage;
-          tc "row wire round-trip" `Quick test_row_wire_roundtrip;
-        ] );
       ( "session-table",
         [
           tc "busy session never evicted (drain race)" `Quick
@@ -795,7 +723,6 @@ let () =
         [
           tc "stateless parity over 2 backends" `Quick
             test_gateway_stateless_parity;
-          tc "fan-out merge byte-identical" `Quick test_gateway_fanout_parity;
           tc "sessions: sticky, migrate, failover" `Quick
             test_gateway_sessions_migrate_failover;
           tc "health: dead-marking and preemptive failover" `Quick

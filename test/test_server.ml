@@ -65,7 +65,7 @@ let test_protocol_roundtrip () =
       Alcotest.(check bool) "request round-trips" true (req = req')
 
 let test_protocol_op_names () =
-  Alcotest.(check int) "every op listed" 19 (List.length Protocol.all_ops);
+  Alcotest.(check int) "every op listed" 18 (List.length Protocol.all_ops);
   List.iter
     (fun op ->
       let name = Protocol.op_to_string op in
