@@ -1,11 +1,12 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
    evaluation section (Tables 3-6, Figures 7-8), plus ablation benches for
-   the design choices called out in DESIGN.md and Bechamel micro-benchmarks
-   of the two search heuristics.
+   the design choices called out in DESIGN.md.
 
    Run with:  dune exec bench/main.exe
-   CPU times are wall-clock seconds on this host (the paper reports a
-   Solbourne Series 5e/900); compare shapes and ratios, not absolutes. *)
+   Where the paper reports CPU seconds (a Solbourne Series 5e/900), this
+   harness prints the work those seconds stand for: implementation trials
+   and system integrations.  It reads no clock, so its output is a pure
+   function of the code; test/data/paper_bench.golden pins it. *)
 
 open Chop_util
 
@@ -14,8 +15,8 @@ let section title =
 
 let heuristics = [ ("E", Chop.Explore.Enumeration); ("I", Chop.Explore.Iterative) ]
 
-(* Engine-based exploration with the prediction cache off, so every timed
-   run measures honest recomputation; with_engine joins the worker domains
+(* Engine-based exploration with the prediction cache off, so every run
+   recomputes its predictions; with_engine joins the worker domains
    after each run, so the hundreds of bench explorations never accumulate
    live domains.  [pre_prune] defaults to the engine default (on); the
    paper-fidelity sections that reproduce the unpruned design space pass
@@ -116,7 +117,7 @@ let search_results ~title ~rows spec_of =
     Texttable.create ~title
       [
         ("Partition Count", Texttable.Right); ("Package", Texttable.Center);
-        ("H", Texttable.Center); ("CPU Time", Texttable.Right);
+        ("H", Texttable.Center); ("Integrations", Texttable.Right);
         ("Imp. Trials", Texttable.Right); ("Feasible", Texttable.Right);
         ("Initiation Interval", Texttable.Right); ("Delay", Texttable.Right);
         ("Clock Cycle ns", Texttable.Right);
@@ -136,7 +137,7 @@ let search_results ~title ~rows spec_of =
               Texttable.add_row t
                 [
                   string_of_int k; pkg_name; hname;
-                  Printf.sprintf "%.3f" st.Chop.Search.cpu_seconds;
+                  string_of_int st.Chop.Search.integrations;
                   string_of_int st.Chop.Search.implementation_trials;
                   "0"; "-"; "-"; "-";
                 ]
@@ -144,7 +145,7 @@ let search_results ~title ~rows spec_of =
               Texttable.add_row t
                 [
                   string_of_int k; pkg_name; hname;
-                  Printf.sprintf "%.3f" st.Chop.Search.cpu_seconds;
+                  string_of_int st.Chop.Search.integrations;
                   string_of_int st.Chop.Search.implementation_trials;
                   string_of_int (List.length feas);
                   string_of_int first.Chop.Integration.ii_main;
@@ -179,19 +180,17 @@ let ascii_scatter ~title points =
 let design_space ~title ~partition_counts spec_of =
   section title;
   let all_points = ref [] in
-  let total = ref 0 and cpu = ref 0. in
+  let total = ref 0 in
   let uniq = ref 0 in
   List.iter
     (fun k ->
       let spec = spec_of k in
-      let t0 = Sys.time () in
       (* pre-pruning off: these figures reproduce the paper's *unpruned*
          design-space dumps *)
       let report =
         explore ~heuristic:Chop.Explore.Enumeration ~keep_all:true
           ~pre_prune:false spec
       in
-      cpu := !cpu +. (Sys.time () -. t0);
       let explored = report.Chop.Explore.outcome.Chop.Search.explored in
       total := !total + List.length explored;
       uniq := !uniq + Chop.Explore.unique_designs explored;
@@ -203,9 +202,8 @@ let design_space ~title ~partition_counts spec_of =
               :: !all_points)
         explored)
     partition_counts;
-  Printf.printf
-    "designs encountered without pruning: %d total (%d unique), CPU %.2f s\n\n"
-    !total !uniq !cpu;
+  Printf.printf "designs encountered without pruning: %d total (%d unique)\n\n"
+    !total !uniq;
   ascii_scatter ~title:"design-space scatter (each cell counts designs):"
     !all_points
 
@@ -217,21 +215,19 @@ let ablation_pruning () =
   let spec = Chop.Rig.experiment1 ~partitions:2 () in
   (* pre-pruning off on both sides: this ablation isolates the paper's
      own two-level pruning, not this implementation's dominance pass *)
-  let timed keep_all =
-    let t0 = Sys.time () in
+  let integrations keep_all =
     let report =
       explore ~heuristic:Chop.Explore.Enumeration ~keep_all ~pre_prune:false
         spec
     in
-    let dt = Sys.time () -. t0 in
-    (dt, report.Chop.Explore.outcome.Chop.Search.stats.Chop.Search.integrations)
+    report.Chop.Explore.outcome.Chop.Search.stats.Chop.Search.integrations
   in
-  let t_pruned, n_pruned = timed false in
-  let t_all, n_all = timed true in
+  let n_pruned = integrations false in
+  let n_all = integrations true in
   Printf.printf
-    "pruned search:   %d integrations in %.3f s\nkeep-all search: %d \
-     integrations in %.3f s\npruning speedup: %.1fx fewer integrations\n"
-    n_pruned t_pruned n_all t_all
+    "pruned search:   %d integrations\nkeep-all search: %d integrations\n\
+     pruning speedup: %.1fx fewer integrations\n"
+    n_pruned n_all
     (float_of_int n_all /. float_of_int (max 1 n_pruned))
 
 let ablation_testability () =
@@ -585,7 +581,6 @@ let ablation_heuristics () =
       [
         ("Heuristic", Texttable.Left); ("Trials", Texttable.Right);
         ("Integrations", Texttable.Right); ("Best II", Texttable.Right);
-        ("CPU s", Texttable.Right);
       ]
   in
   let spec = Chop.Rig.experiment2 ~partitions:3 () in
@@ -601,7 +596,6 @@ let ablation_heuristics () =
           (match report.Chop.Explore.outcome.Chop.Search.feasible with
           | [] -> "-"
           | s :: _ -> string_of_int s.Chop.Integration.ii_main);
-          Printf.sprintf "%.3f" st.Chop.Search.cpu_seconds;
         ])
     [
       ("E (enumeration)", Chop.Explore.Enumeration);
@@ -624,7 +618,6 @@ let ablation_scheduler () =
       [
         ("Scheduler", Texttable.Left); ("Predictions", Texttable.Right);
         ("Kept", Texttable.Right); ("Best II (k=2)", Texttable.Right);
-        ("BAD CPU s", Texttable.Right);
       ]
   in
   List.iter
@@ -638,9 +631,7 @@ let ablation_scheduler () =
           ~library:Chop_tech.Mosis.experiment_library ~clocks
           ~style:(Chop_tech.Style.both Chop_tech.Style.Single_cycle) ()
       in
-      let t0 = Sys.time () in
       let preds = Chop_bad.Predictor.predict cfg ~label:"P1" g in
-      let dt = Sys.time () -. t0 in
       let crit = Chop_bad.Feasibility.criteria ~perf:30000. ~delay:30000. () in
       let chip_area =
         Chop_tech.Chip.usable_area Chop_tech.Mosis.package_84 ~signal_pins:42
@@ -671,7 +662,7 @@ let ablation_scheduler () =
       in
       Texttable.add_row t
         [ name; string_of_int (List.length preds);
-          string_of_int (List.length kept); best_ii; Printf.sprintf "%.2f" dt ])
+          string_of_int (List.length kept); best_ii ])
     [ ("list (default)", Chop_bad.Predictor.List_based);
       ("force-directed", Chop_bad.Predictor.Force_directed) ];
   Texttable.print t;
@@ -825,9 +816,6 @@ let ablation_hwsw_codesign () =
      all-software seed is memory-starved into narrow issue; refinement\n\
      rehosts the cheap-op stage onto the embedded core and beats both —\n\
      the co-design loop the Model seam exists to close)"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks *)
 
 let ablation_system_simulation () =
   section
@@ -997,19 +985,16 @@ let scale_check () =
       ~criteria:(Chop_bad.Feasibility.criteria ~perf:100000. ~delay:100000. ())
       ()
   in
-  let t0 = Sys.time () in
   let report = explore spec in
-  let dt = Sys.time () -. t0 in
   let totals =
     Listx.sum_by (fun b -> b.Chop.Explore.total_predictions) report.Chop.Explore.bad
   in
   Printf.printf
     "120 ops, 8 partitions: %d BAD predictions, %d trials, %d feasible \
-     non-inferior designs, %.2f s end to end\n"
+     non-inferior designs\n"
     totals
     report.Chop.Explore.outcome.Chop.Search.stats.Chop.Search.implementation_trials
-    (List.length report.Chop.Explore.outcome.Chop.Search.feasible)
-    dt;
+    (List.length report.Chop.Explore.outcome.Chop.Search.feasible);
   (match report.Chop.Explore.outcome.Chop.Search.feasible with
   | s :: _ ->
       Printf.printf "best: II %d, delay %d cycles, clock %.0f ns\n"
@@ -1017,79 +1002,9 @@ let scale_check () =
         s.Chop.Integration.clock
   | [] -> print_endline "no feasible design at these constraints");
   print_endline
-    "(four times the paper's workload, eight chips, seconds end to end —\n\
-     fast enough for the interactive advising loop at modern scale)"
-
-let microbenchmarks () =
-  section "Micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let spec1 = Chop.Rig.experiment1 ~partitions:2 () in
-  let spec2 = Chop.Rig.experiment2 ~partitions:2 () in
-  let sub =
-    Chop_dfg.Partition.subgraph spec1.Chop.Spec.partitioning
-      (List.hd spec1.Chop.Spec.partitioning.Chop_dfg.Partition.parts)
-  in
-  let bad_cfg = Chop.Explore.predictor_config spec1 ~label:"P1" in
-  let per_partition, _ = bad_predictions spec1 in
-  let ctx = Chop.Integration.context spec1 in
-  let comb = List.map (fun (l, ps) -> (l, List.hd ps)) per_partition in
-  let tests =
-    Test.make_grouped ~name:"chop"
-      [
-        Test.make ~name:"bad-predict-partition"
-          (Staged.stage (fun () ->
-               ignore (Chop_bad.Predictor.predict bad_cfg ~label:"P1" sub)));
-        Test.make ~name:"system-integration"
-          (Staged.stage (fun () -> ignore (Chop.Integration.integrate ctx comb)));
-        Test.make ~name:"search-enumeration-exp1-k2"
-          (Staged.stage (fun () ->
-               ignore (explore ~heuristic:Chop.Explore.Enumeration spec1)));
-        Test.make ~name:"search-iterative-exp1-k2"
-          (Staged.stage (fun () ->
-               ignore (explore spec1)));
-        Test.make ~name:"search-enumeration-exp2-k2"
-          (Staged.stage (fun () ->
-               ignore (explore ~heuristic:Chop.Explore.Enumeration spec2)));
-        Test.make ~name:"search-iterative-exp2-k2"
-          (Staged.stage (fun () ->
-               ignore (explore spec2)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> est
-          | Some [] | None -> Float.nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let t =
-    Texttable.create
-      [ ("Benchmark", Texttable.Left); ("Time per run", Texttable.Right) ]
-  in
-  List.iter
-    (fun (name, ns) ->
-      let human =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      Texttable.add_row t [ name; human ])
-    rows;
-  Texttable.print t
+    "(four times the paper's workload on eight chips: pruning keeps the\n\
+     search to a few thousand trials, small enough for the interactive\n\
+     advising loop at modern scale)"
 
 let () =
   print_endline
@@ -1160,5 +1075,4 @@ let () =
   ablation_hwsw_codesign ();
   secondary_workload ();
   scale_check ();
-  microbenchmarks ();
   print_endline "\nDone.  See EXPERIMENTS.md for paper-vs-measured commentary."

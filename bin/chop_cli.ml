@@ -142,22 +142,36 @@ let file_arg =
         ~doc:"Load the full problem from a chopspec file (overrides the \
               graph/partition/chip options).")
 
+(* The problem a subcommand works on: the chopspec [file] when given,
+   otherwise the built-in benchmark that [build] sets up from the options.
+   A malformed file or an inconsistent spec is one [Error] line,
+   [FILE:LINE: reason] ([FILE: reason] when no line is to blame), which
+   each subcommand prints as [chop CMD: ...] before it exits 2. *)
+let load_spec file ~build =
+  let located path line reason =
+    if line > 0 then Printf.sprintf "%s:%d: %s" path line reason
+    else Printf.sprintf "%s: %s" path reason
+  in
+  match file with
+  | None -> (
+      match build () with
+      | spec -> Ok spec
+      | exception Chop.Spec.Invalid_spec reason -> Error reason)
+  | Some path -> (
+      match Chop.Specfile.load path with
+      | spec -> Ok spec
+      | exception Chop.Specfile.Parse_error (line, reason) ->
+          Error (located path line reason)
+      | exception Chop.Spec.Invalid_spec reason -> Error (located path 0 reason))
+
 let explore_cmd =
   let run graph k package perf delay multicycle heuristic strategy verbose file
       csv keep_all no_prune stats jobs impl =
     match
-      match Ops.parse_impl_bindings impl with
-      | Error _ as e -> e
-      | Ok impls -> (
-          match
-            match file with
-            | Some path -> Chop.Specfile.load path
-            | None ->
-                build_spec ~impls graph k package perf delay multicycle
-                  strategy
-          with
-          | spec -> Ok spec
-          | exception Chop.Spec.Invalid_spec reason -> Error reason)
+      Result.bind (Ops.parse_impl_bindings impl) (fun impls ->
+          load_spec file ~build:(fun () ->
+              build_spec ~impls graph k package perf delay multicycle
+                strategy))
     with
     | Error msg ->
         prerr_endline ("chop explore: " ^ msg);
@@ -216,11 +230,14 @@ let explore_cmd =
 let repl_cmd =
   let run graph k package perf delay multicycle heuristic strategy file verbose
       jobs =
-    let spec =
-      match file with
-      | Some path -> Chop.Specfile.load path
-      | None -> build_spec graph k package perf delay multicycle strategy
-    in
+    match
+      load_spec file ~build:(fun () ->
+          build_spec graph k package perf delay multicycle strategy)
+    with
+    | Error msg ->
+        prerr_endline ("chop repl: " ^ msg);
+        2
+    | Ok spec ->
     let config =
       Chop.Explore.Config.make ~heuristic ~jobs:(resolve_jobs jobs) ()
     in
@@ -370,18 +387,10 @@ let auto_cmd =
   let run graph k package perf delay multicycle strategy file seed max_moves
       time_limit coarse pins together stats jobs impl =
     match
-      match Ops.parse_impl_bindings impl with
-      | Error _ as e -> e
-      | Ok impls -> (
-          match
-            match file with
-            | Some path -> Chop.Specfile.load path
-            | None ->
-                build_spec ~impls graph k package perf delay multicycle
-                  strategy
-          with
-          | spec -> Ok spec
-          | exception Chop.Spec.Invalid_spec reason -> Error reason)
+      Result.bind (Ops.parse_impl_bindings impl) (fun impls ->
+          load_spec file ~build:(fun () ->
+              build_spec ~impls graph k package perf delay multicycle
+                strategy))
     with
     | Error msg ->
         prerr_endline ("chop auto: " ^ msg);
@@ -521,11 +530,14 @@ let autosearch_cmd =
 
 let synth_cmd =
   let run graph k package perf delay multicycle strategy file board =
-    let spec =
-      match file with
-      | Some path -> Chop.Specfile.load path
-      | None -> build_spec graph k package perf delay multicycle strategy
-    in
+    match
+      load_spec file ~build:(fun () ->
+          build_spec graph k package perf delay multicycle strategy)
+    with
+    | Error msg ->
+        prerr_endline ("chop synth: " ^ msg);
+        2
+    | Ok spec ->
     (* with_engine: the engine is closed even when synthesis raises *)
     Chop.Explore.with_engine Chop.Explore.Config.default spec @@ fun engine ->
     let ctx = Chop.Explore.Session.context engine in

@@ -23,7 +23,7 @@ let () =
         ("Partitions", Texttable.Right); ("Heuristic", Texttable.Center);
         ("Trials", Texttable.Right); ("Feasible", Texttable.Right);
         ("Best II", Texttable.Right); ("Delay", Texttable.Right);
-        ("Clock ns", Texttable.Right); ("CPU s", Texttable.Right);
+        ("Clock ns", Texttable.Right);
       ]
   in
   List.iter
@@ -50,8 +50,7 @@ let () =
                string_of_int st.Chop.Search.implementation_trials;
                string_of_int (List.length best);
              ]
-            @ cells
-            @ [ Printf.sprintf "%.3f" st.Chop.Search.cpu_seconds ]))
+            @ cells))
         [ Chop.Explore.Enumeration; Chop.Explore.Iterative ];
       Texttable.add_separator table)
     [ 1; 2; 3 ];

@@ -570,8 +570,7 @@ let refine ?(seed = 1) ?(constraints = no_constraints) ?(max_moves = 1024)
     List.iter
       (fun (p : P.t) ->
         Hashtbl.replace part_sizes p.P.label (List.length p.P.members))
-      spec.Chop.Spec.partitioning.P.parts
-    |> ignore;
+      spec.Chop.Spec.partitioning.P.parts;
     let labels =
       List.map (fun (p : P.t) -> p.P.label) spec.Chop.Spec.partitioning.P.parts
       |> List.sort String.compare

@@ -38,9 +38,6 @@ let latency_main clocks p =
 let perf_ns clocks p = float_of_int (ii_main clocks p) *. p.timing.clock_main
 let delay_ns clocks p = float_of_int (latency_main clocks p) *. p.timing.clock_main
 
-let module_of_class p cls =
-  List.find (fun c -> c.Chop_tech.Component.cls = cls) p.module_set
-
 let objectives clocks p =
   [| perf_ns clocks p; delay_ns clocks p; Chop_util.Triplet.(p.area.likely) |]
 

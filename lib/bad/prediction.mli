@@ -52,9 +52,6 @@ val perf_ns : Chop_tech.Clocking.t -> t -> Chop_util.Units.ns
 
 val delay_ns : Chop_tech.Clocking.t -> t -> Chop_util.Units.ns
 
-val module_of_class : t -> string -> Chop_tech.Component.t
-(** @raise Not_found when the class is not in the module set. *)
-
 val objectives : Chop_tech.Clocking.t -> t -> float array
 (** [| perf_ns; delay_ns; likely area |] — the inferiority (domination)
     objectives used by CHOP's pruning. *)

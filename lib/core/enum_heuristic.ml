@@ -17,7 +17,6 @@ let run ?(keep_all = false) ?(pool = Chop_util.Pool.sequential) ?metrics ctx
   let spec = Integration.spec_of ctx in
   let clocks = spec.Spec.clocks in
   let crit = spec.Spec.criteria in
-  let t0 = Sys.time () in
   let wall0 = Unix.gettimeofday () in
   let labels = Array.of_list (List.map fst per_partition) in
   let lists =
@@ -128,9 +127,7 @@ let run ?(keep_all = false) ?(pool = Chop_util.Pool.sequential) ?metrics ctx
   in
   let search_wall = Unix.gettimeofday () -. wall0 in
   let merge0 = Unix.gettimeofday () in
-  let outcome =
-    Search.Slice.merge ~keep_all ~cpu_seconds:(Sys.time () -. t0) slices
-  in
+  let outcome = Search.Slice.merge ~keep_all slices in
   Option.iter
     (fun r ->
       r :=

@@ -3,7 +3,6 @@ type stats = {
   integrations : int;
   integrations_avoided : int;
   feasible_trials : int;
-  cpu_seconds : float;
 }
 
 type outcome = {
@@ -14,7 +13,7 @@ type outcome = {
 
 let empty_stats =
   { implementation_trials = 0; integrations = 0; integrations_avoided = 0;
-    feasible_trials = 0; cpu_seconds = 0. }
+    feasible_trials = 0 }
 
 type parallel_metrics = {
   search_wall_seconds : float;
@@ -137,7 +136,7 @@ module Slice = struct
       end
     end
 
-  let merge ~keep_all ~cpu_seconds slices =
+  let merge ~keep_all slices =
     (* the sequential accumulator prepends, so it ends up with the last
        integration first: concatenating the per-slice reversed lists in
        reverse task order reproduces it exactly *)
@@ -170,7 +169,6 @@ module Slice = struct
            final front size — sum the per-slice counters to match *)
         feasible_trials =
           List.fold_left (fun acc sl -> acc + sl.feasible) 0 slices;
-        cpu_seconds;
       }
     in
     finalize ~keep_all ~feasible:front ~explored stats

@@ -9,7 +9,6 @@ type stats = {
       (** combinations rejected by {!Integration.quick_check} before any
           integration work (a subset of [implementation_trials]) *)
   feasible_trials : int;
-  cpu_seconds : float;
 }
 
 type outcome = {
@@ -100,7 +99,7 @@ module Slice : sig
   (** Count an integration, append to the explored list when [keep_all],
       and admit the system into the slice-local front when feasible. *)
 
-  val merge : keep_all:bool -> cpu_seconds:float -> t list -> outcome
+  val merge : keep_all:bool -> t list -> outcome
   (** Recombine slices (given in first-level task order) and {!finalize}.
       The explored list is the task-order concatenation reversed, matching
       the sequential accumulator; the global front is rebuilt by replaying

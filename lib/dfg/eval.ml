@@ -162,10 +162,14 @@ let equivalent ?(trials = 25) ?(seed = 0) g1 g2 =
          let drawn = draw const_names in
          (* each graph is bound only the constant names it has, so a
             transform that drops or merges a constant shows up as a
-            different output *)
+            different output.  Each graph also writes to its own memory;
+            the writes are compared sorted, because the graph orders
+            nothing between independent writes to one block *)
          let run_on g own =
            let consts = List.filter (fun (name, _) -> List.mem name own) drawn in
-           by_name (run ~inputs ~consts g)
+           let memory = constant_memory 0 in
+           let outputs = by_name (run ~inputs ~consts ~memory g) in
+           (outputs, List.sort compare memory.writes)
          in
          run_on g1 const1 = run_on g2 const2)
        (Chop_util.Listx.range 1 trials)

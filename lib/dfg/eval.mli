@@ -51,7 +51,10 @@ val run_partitioned :
 val equivalent :
   ?trials:int -> ?seed:int -> Graph.t -> Graph.t -> bool
 (** Randomized input/output equivalence: both graphs must expose the same
-    input and output names (order-insensitive) and produce identical
-    outputs on [trials] (default 25) pseudo-random stimulus vectors.  Each
-    vector also draws one value per constant name; each graph is bound
-    only the constant names it has. *)
+    input and output names (order-insensitive) and, on [trials] (default
+    25) pseudo-random stimulus vectors, produce identical outputs and
+    write the same values to each memory block.  Each vector also draws
+    one value per constant name; each graph is bound only the constant
+    names it has.  Each graph runs on its own {!constant_memory} 0, and
+    its writes are compared per block as sorted lists of values, since
+    the graph imposes no order on independent writes to one block. *)

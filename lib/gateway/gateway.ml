@@ -410,28 +410,11 @@ let list_sessions t pc (req : P.request) line =
               | _ -> [])
             resps
         in
-        let lines =
-          List.sort
-            (fun a b ->
-              (* length-then-lex: the server's numeric s<n> ids in
-                 numeric order, matching Ops.render_sessions *)
-              match
-                compare (String.length a.Ops.ses_id)
-                  (String.length b.Ops.ses_id)
-              with
-              | 0 -> compare a.Ops.ses_id b.Ops.ses_id
-              | n -> n)
-            lines
-        in
         let run_ms = (Unix.gettimeofday () -. t0) *. 1000. in
         Json.print
           (P.ok_response ~id:req.P.id ~op:P.Session_list
              ~timing:(P.no_engine_timing ~queue_ms:0. ~run_ms)
-             [
-               ("sessions",
-                Json.Array (List.map Ops.session_line_to_json lines));
-               ("text", Json.String (Ops.render_sessions lines));
-             ])
+             (Ops.session_list_result lines))
 
 (* gateway/migrate: snapshot handoff.  [session/save close:true] on the
    source persists the session and frees the slot (keeping the

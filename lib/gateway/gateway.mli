@@ -14,7 +14,9 @@
       gateway allocates session ids itself so they are unique across the
       cluster;
     - [session/list] fans out to every backend and merges the
-      inventories through the shared {!Chop_server.Ops.render_sessions};
+      inventories through the shared
+      {!Chop_server.Ops.session_list_result}, so the answer is ordered
+      as a single serve's;
     - [gateway/migrate] moves a session between backends through the
       snapshot format ([session/save close] on the source, restoring
       [session/open] on the target) — the backends must share a

@@ -194,17 +194,18 @@ let render_explore spec ~keep_all ~csv ~verbose (report : Chop.Explore.report) =
   end
 
 let render_explore_timing (report : Chop.Explore.report) =
-  let st = report.Chop.Explore.outcome.Chop.Search.stats in
   let m = report.Chop.Explore.metrics in
   let predict = m.Chop.Explore.Metrics.predict in
+  let search = m.Chop.Explore.Metrics.search in
   Printf.sprintf
     "BAD: %.3f s wall (%.3f s busy across %d job(s)), cache %d hit(s) / %d \
      miss(es)\n\
-     search: %.3f s CPU\n"
+     search: %.3f s wall (%.3f s busy)\n"
     predict.Chop.Explore.Metrics.wall_seconds
     predict.Chop.Explore.Metrics.busy_seconds report.Chop.Explore.jobs
     m.Chop.Explore.Metrics.cache_hits m.Chop.Explore.Metrics.cache_misses
-    st.Chop.Search.cpu_seconds
+    search.Chop.Explore.Metrics.wall_seconds
+    search.Chop.Explore.Metrics.busy_seconds
 
 (* Partitions bound to a software model get a tag; hardware partitions
    render exactly as before, so all-hardware output stays byte-identical. *)
@@ -544,9 +545,6 @@ let render_sessions lines =
   match lines with
   | [] -> "no open sessions\n"
   | lines ->
-      let lines =
-        List.sort (fun a b -> compare_session_id a.ses_id b.ses_id) lines
-      in
       let buf = Buffer.create 256 in
       Printf.bprintf buf "%d open session(s):\n" (List.length lines);
       List.iter
@@ -570,6 +568,15 @@ let session_line_to_json l =
       ("writer", Json.String l.ses_writer);
       ("observers", Json.Int l.ses_observers);
     ]
+
+let session_list_result lines =
+  let lines =
+    List.sort (fun a b -> compare_session_id a.ses_id b.ses_id) lines
+  in
+  [
+    ("sessions", Json.Array (List.map session_line_to_json lines));
+    ("text", Json.String (render_sessions lines));
+  ]
 
 let session_line_of_json j =
   let str name =

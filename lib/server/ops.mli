@@ -87,8 +87,8 @@ val explore_feasible_count : Chop.Explore.report -> int
 
 val render_explore_timing : Chop.Explore.report -> string
 (** The wall-clock lines [chop explore] prints after the deterministic
-    block: BAD wall/busy seconds and cache counters, search CPU
-    seconds. *)
+    block: the predict and search phases' wall/busy seconds from the
+    report's {!Chop.Explore.Metrics}, and the cache counters. *)
 
 val render_predict :
   Chop.Spec.t -> index:int -> top:int ->
@@ -184,15 +184,20 @@ type session_line = {
 }
 
 val render_sessions : session_line list -> string
-(** One line per open session (sorted by id, numerically for the
-    server's [s<n>] ids), shared by the [session/list] op, the gateway's
-    fan-out of it and the repl's [:sessions] command. *)
+(** One line per open session, in the given order: the text of
+    {!session_list_result} and of the repl's [:sessions] command. *)
+
+val session_list_result : session_line list -> (string * Chop_util.Json.t) list
+(** The result fields of a [session/list] response: the structured
+    [sessions] array and its {!render_sessions} [text], both sorted by
+    id (numerically for the server's [s<n>] ids).  Serve and the
+    gateway (over its backends' merged lines) both answer with it, so
+    their responses agree byte for byte. *)
 
 val render_session_closed : string -> string
 (** The acknowledgement text of [session/close] (and of the migration
     handoff's closing half): ["session <id> closed\n"]. *)
 
-val session_line_to_json : session_line -> Chop_util.Json.t
 val session_line_of_json :
   Chop_util.Json.t -> (session_line, string) result
 (** The structured [sessions] entries of a [session/list] response — what

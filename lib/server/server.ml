@@ -573,13 +573,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
             })
           (Session_table.entries t.sessions)
       in
-      Ok
-        ( [
-            ("sessions", Json.Array (List.map Ops.session_line_to_json lines));
-            ("text", Json.String (Ops.render_sessions lines));
-          ],
-          No_timing,
-          "-" )
+      Ok (Ops.session_list_result lines, No_timing, "-")
   | Protocol.Session_edit ->
       on_session t p Edit (fun _ session ->
           let* edits =

@@ -20,8 +20,6 @@ let frontier ~objectives xs =
       if dominated then None else Some x)
     vals
 
-let frontier_count ~objectives xs = List.length (frontier ~objectives xs)
-
 let reduce ~objectives xs =
   let arr = Array.of_list xs in
   let objs = Array.map objectives arr in

@@ -13,9 +13,6 @@ val frontier : objectives:('a -> float array) -> 'a list -> 'a list
     preserving their original order.  When two elements have identical
     objective vectors, both are kept. *)
 
-val frontier_count : objectives:('a -> float array) -> 'a list -> int
-(** Number of elements on the frontier (without building the list twice). *)
-
 val reduce : objectives:('a -> float array) -> 'a list -> 'a list * int
 (** [reduce ~objectives xs] keeps the non-dominated elements of [xs] in
     their original order, like {!frontier}, but additionally collapses

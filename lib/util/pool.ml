@@ -239,5 +239,5 @@ let run_timed t tasks =
       { worker_busy = b.busy; chunk_count = Atomic.get b.chunks_taken } )
 
 let run t tasks = fst (run_timed t tasks)
-let map_array t f xs = run t (Array.map (fun x () -> f x) xs)
-let map_list t f xs = Array.to_list (map_array t f (Array.of_list xs))
+let map_list t f xs =
+  Array.to_list (run t (Array.of_list (List.map (fun x () -> f x) xs)))

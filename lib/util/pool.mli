@@ -7,9 +7,9 @@
     chunks of [max 1 (n / (8 * jobs))] tasks drawn from a single atomic
     cursor — coarse enough to keep cursor contention negligible, fine
     enough to balance uneven task costs — and results are stored back by
-    index, so {!run}, {!map_array} and {!map_list} always return results
-    in task order regardless of which domain ran which chunk: callers get
-    deterministic output for deterministic tasks.
+    index, so {!run} and {!map_list} always return results in task order
+    regardless of which domain ran which chunk: callers get deterministic
+    output for deterministic tasks.
 
     A pool with [jobs = 1] (see {!sequential}) executes everything inline
     on the calling domain with no spawning at all.
@@ -79,9 +79,6 @@ val run : t -> (unit -> 'a) array -> 'a array
 val run_timed : t -> (unit -> 'a) array -> 'a array * run_stats
 (** {!run} plus per-participant busy times and the chunk count — the raw
     material of the engine's timing breakdown. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array t f xs] is [Array.map f xs] evaluated on the pool. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list t f xs] is [List.map f xs] evaluated on the pool. *)

@@ -39,7 +39,3 @@ let check_prob prob =
 let meets ~prob t bound =
   check_prob prob;
   Triplet.cdf t bound >= prob
-
-let meets_sum ~prob parts bound =
-  check_prob prob;
-  of_sum parts bound >= prob

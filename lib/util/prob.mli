@@ -20,6 +20,3 @@ val prob_le : Triplet.t -> float -> float
 val meets : prob:float -> Triplet.t -> float -> bool
 (** [meets ~prob t bound] holds when [P(t <= bound) >= prob].  [prob] must be
     in [[0, 1]]. *)
-
-val meets_sum : prob:float -> Triplet.t list -> float -> bool
-(** Like {!meets} for the sum of independent predictions. *)

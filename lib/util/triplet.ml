@@ -27,9 +27,6 @@ let scale k t =
   if k < 0. then invalid_arg "Triplet.scale: negative factor";
   { low = k *. t.low; likely = k *. t.likely; high = k *. t.high }
 
-let add_const c t =
-  { low = t.low +. c; likely = t.likely +. c; high = t.high +. c }
-
 let max2 a b =
   {
     low = Float.max a.low b.low;

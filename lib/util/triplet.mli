@@ -37,8 +37,6 @@ val sum : t list -> t
 val scale : float -> t -> t
 (** [scale k t] multiplies every component by [k >= 0]. *)
 
-val add_const : float -> t -> t
-
 val max2 : t -> t -> t
 (** Component-wise maximum — a conservative envelope for [max X Y]. *)
 

@@ -9,7 +9,6 @@ let mil2_of_dims ~width ~height =
 
 let pp_mil2 ppf a = Format.fprintf ppf "%.1f mil^2" a
 let pp_ns ppf d = Format.fprintf ppf "%.1f ns" d
-let pp_bits ppf b = Format.fprintf ppf "%d bits" b
 
 let ceil_div a b =
   if b <= 0 then invalid_arg "Units.ceil_div: non-positive divisor";

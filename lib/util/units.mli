@@ -21,7 +21,6 @@ val mil2_of_dims : width:mil -> height:mil -> mil2
 
 val pp_mil2 : Format.formatter -> mil2 -> unit
 val pp_ns : Format.formatter -> ns -> unit
-val pp_bits : Format.formatter -> bits -> unit
 
 val ceil_div : int -> int -> int
 (** [ceil_div a b] is [ceil (a / b)] on positive integers.

@@ -762,6 +762,38 @@ let test_cse_keeps_distinct_constants () =
   Alcotest.(check bool) "a merged constant is not equivalent" false
     (Eval.equivalent g (build ~merged:true))
 
+(* A graph that drops a memory write is not equivalent to one that
+   makes it, though their outputs agree: [Eval.equivalent] compares each
+   block's written values as well as the outputs. *)
+let test_equivalent_compares_memory_writes () =
+  let build ~write =
+    let b = Graph.builder () in
+    let x = Graph.add_node b ~name:"x" ~op:Op.Input ~width:16 in
+    let sh = Graph.add_node b ~name:"sh" ~op:Op.Shift ~width:16 in
+    Graph.add_edge b ~src:x ~dst:sh;
+    if write then begin
+      let w = Graph.add_node b ~name:"store" ~op:(Op.Mem_write "B") ~width:16 in
+      Graph.add_edge b ~src:sh ~dst:w
+    end;
+    let y = Graph.add_node b ~name:"y" ~op:Op.Output ~width:16 in
+    Graph.add_edge b ~src:sh ~dst:y;
+    Graph.build b
+  in
+  let with_write = build ~write:true and without = build ~write:false in
+  let writes g =
+    let memory = Eval.constant_memory 0 in
+    ignore (Eval.run ~inputs:[ ("x", 5) ] ~memory g);
+    memory.Eval.writes
+  in
+  Alcotest.(check (list (pair string int))) "the write is made"
+    [ ("B", 10) ] (writes with_write);
+  Alcotest.(check (list (pair string int))) "no write without it" []
+    (writes without);
+  Alcotest.(check bool) "same outputs, different writes" false
+    (Eval.equivalent with_write without);
+  Alcotest.(check bool) "a graph is equivalent to itself" true
+    (Eval.equivalent with_write with_write)
+
 let test_balance_shortens_chain () =
   (* a serial accumulation: y + x*k four times gives an add chain *)
   let p =
@@ -1687,6 +1719,8 @@ let () =
           tc "cse never merges memory" `Quick test_cse_never_merges_memory;
           tc "cse keeps distinct constants" `Quick
             test_cse_keeps_distinct_constants;
+          tc "equivalent compares memory writes" `Quick
+            test_equivalent_compares_memory_writes;
           tc "balance shortens chains" `Quick test_balance_shortens_chain;
           tc "balance conservative" `Quick test_balance_leaves_diverse_graphs_alone;
           QCheck_alcotest.to_alcotest transforms_preserve_semantics;

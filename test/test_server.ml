@@ -468,6 +468,41 @@ let test_session_lru_eviction () =
   Alcotest.(check (option string)) "newer survives" None (code s2);
   Alcotest.(check (option string)) "newest survives" None (code s3)
 
+(* session/list answers in id order, numerically for the s<n> ids, in
+   both its structured array and its text — the order the gateway's
+   merge of several backends' lists uses too *)
+let test_session_list_id_order () =
+  let server = make_server () in
+  for _ = 1 to 12 do
+    ignore
+      (Server.handle_line server
+         {|{"op":"session/open","benchmark":"ar","partitions":2}|})
+  done;
+  let listed =
+    parse_response (Server.handle_line server {|{"op":"session/list"}|})
+  in
+  let ids =
+    match field listed [ "result"; "sessions" ] with
+    | Some (Json.Array entries) ->
+        List.filter_map (fun e -> json_string e [ "id" ]) entries
+    | _ -> Alcotest.fail "no sessions array in session/list response"
+  in
+  let expected = List.init 12 (fun i -> Printf.sprintf "s%d" (i + 1)) in
+  Alcotest.(check (list string)) "sessions array in id order" expected ids;
+  let text_ids =
+    match json_string listed [ "result"; "text" ] with
+    | Some text ->
+        (* one "  <id>: revision ..." line per session *)
+        String.split_on_char '\n' text
+        |> List.filter_map (fun line ->
+               if String.starts_with ~prefix:"  " line then
+                 Some (String.trim (List.hd (String.split_on_char ':' line)))
+               else None)
+    | None -> Alcotest.fail "no text in session/list response"
+  in
+  Alcotest.(check (list string)) "text in the same order" expected text_ids;
+  Server.stop server
+
 (* ------------------------------------------------------------------ *)
 (* Client transport failures *)
 
@@ -819,6 +854,22 @@ let run_chop args =
   | Unix.WEXITED code -> (code, out)
   | _ -> Alcotest.failf "chop %s died on a signal" (String.concat " " args)
 
+(* A malformed chopspec is one stderr line and exit 2 in every
+   subcommand that takes -f, never an uncaught exception (exit 125) *)
+let test_malformed_spec_exits_2 () =
+  let path = temp_path "garbage.chop" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "garbage line\n");
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  List.iter
+    (fun cmd ->
+      let code, out = run_chop [ cmd; "-f"; path ] in
+      Alcotest.(check int) (Printf.sprintf "chop %s exits 2" cmd) 2 code;
+      Alcotest.(check string)
+        (Printf.sprintf "chop %s prints nothing on stdout" cmd)
+        "" out)
+    [ "explore"; "auto"; "repl"; "synth" ]
+
 let test_serve_process_matches_cli () =
   let sock = temp_path "serve.sock" in
   let pid =
@@ -910,6 +961,8 @@ let () =
             test_session_twin_matches_cache_off;
           Alcotest.test_case "restore from the state dir misses nothing"
             `Quick test_session_restore_from_state_dir;
+          Alcotest.test_case "session/list in id order" `Quick
+            test_session_list_id_order;
         ] );
       ( "state-dir",
         [
@@ -931,6 +984,8 @@ let () =
             test_socket_concurrent_clients;
           Alcotest.test_case "chop serve process matches the CLI" `Quick
             test_serve_process_matches_cli;
+          Alcotest.test_case "malformed chopspec exits 2" `Quick
+            test_malformed_spec_exits_2;
         ] );
       ( "listener",
         [
