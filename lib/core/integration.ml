@@ -5,10 +5,11 @@ type combination = (string * Chop_bad.Prediction.t) list
 
    A combination search integrates thousands of combinations against one
    spec.  Everything that depends only on the spec — transfer tasks, pin
-   budgets, transfer bandwidths and durations, urgency-scheduler resources
-   and data-transfer tasks, pin-mux and memory areas, bonded signal pins —
-   is computed once here and carried in the context; the per-combination
-   path below only touches what the picked predictions actually change. *)
+   budgets, transfer bandwidths and durations, the prepared urgency
+   schedule of the data-transfer and partition tasks, pin-mux and memory
+   areas, bonded signal pins — is computed once here and carried in the
+   context; the per-combination path below only touches what the picked
+   predictions actually change. *)
 
 type dtm_static = {
   ds_task : Transfer.task;
@@ -17,7 +18,6 @@ type dtm_static = {
   ds_member : bool array;  (* chip index -> chip appears in chips_of task *)
   ds_on_chip : bool array;  (* chip index -> cross-chip AND member *)
   ds_holder : int;  (* chip index holding the buffer, -1 when none *)
-  ds_urg : Chop_sched.Urgency.task;  (* the static data-transfer task *)
 }
 
 type chip_static = {
@@ -35,19 +35,22 @@ type chip_static = {
 }
 
 type statics = {
-  st_parts : string array;  (* partition labels, partitioning order *)
-  st_pu_names : string array;  (* "pu_<label>" *)
-  st_pu_deps : string list array;  (* per partition: incoming dt names *)
   st_dtm : dtm_static array;
   st_dtm_error : string option;  (* first pin-exhausted transfer, if any *)
   st_dt_ii_max : int;
   st_pin_ii_floor : int;
-  st_resources : Chop_sched.Urgency.resource list;
+  st_urgency : Chop_sched.Urgency.prepared;
+      (* the data-transfer tasks, then one "pu_<label>" task per
+         partition, over each chip's pins and each memory's ports *)
+  st_durations : int array;  (* per urgency task; partitions' left 0 *)
+  st_demands : (int * int) list array;  (* same, by resource index *)
+  st_mem_resource : (string * int) list;  (* memory block -> index *)
   st_chips : chip_static array;
 }
 
 type context = {
   spec : Spec.t;
+  labels : string array;  (* partition labels, partitioning order *)
   tasks : Transfer.task list;
   budgets : (string * Chop_tech.Chip.pin_budget) list;
   budget_errors : (string * string) list;
@@ -123,16 +126,25 @@ let on_chip_bus_bits = 128
 let mux_cell_area = Chop_tech.Mosis.mux_cell.Chop_tech.Component.area
 let register_cell_area = Chop_tech.Mosis.register_cell.Chop_tech.Component.area
 
-let check_combination spec comb =
-  let labels =
-    List.map
-      (fun p -> p.Chop_dfg.Partition.label)
-      spec.Spec.partitioning.Chop_dfg.Partition.parts
+(* The picks of a combination in partitioning order.  A combination in
+   that order, which every search builds, is checked and unpacked by
+   position; any other order is compared sorted. *)
+let picks_of ctx comb =
+  let labels = ctx.labels in
+  let n = Array.length labels in
+  let rec in_order i = function
+    | [] -> i = n
+    | (label, _) :: rest ->
+        i < n && String.equal label labels.(i) && in_order (i + 1) rest
   in
-  let given = List.map fst comb in
-  let sorted = List.sort String.compare in
-  if sorted labels <> sorted given then
-    invalid_arg "Integration.integrate: combination does not match partitioning"
+  if in_order 0 comb then Array.of_list (List.map snd comb)
+  else begin
+    let sorted = List.sort String.compare in
+    if sorted (Array.to_list labels) <> sorted (List.map fst comb) then
+      invalid_arg
+        "Integration.integrate: combination does not match partitioning";
+    Array.map (fun label -> List.assoc label comb) labels
+  end
 
 (* Paper, section 2.4: two or more pipelined partitions with different data
    rates make the global implementation infeasible (rate mismatch); faster
@@ -157,7 +169,7 @@ let rate_mismatch clocks comb =
 (* ------------------------------------------------------------------ *)
 (* Context construction *)
 
-let build_statics spec tasks budgets =
+let build_statics spec labels tasks budgets =
   let clocks = spec.Spec.clocks in
   let k_tr = clocks.Chop_tech.Clocking.transfer_ratio in
   let chips = Array.of_list spec.Spec.chips in
@@ -171,13 +183,6 @@ let build_statics spec tasks budgets =
     | Some b -> b.Chop_tech.Chip.data
     | None -> 0
   in
-  let parts =
-    Array.of_list
-      (List.map
-         (fun p -> p.Chop_dfg.Partition.label)
-         spec.Spec.partitioning.Chop_dfg.Partition.parts)
-  in
-  let pu_names = Array.map (fun l -> "pu_" ^ l) parts in
   (* transfer bandwidths and durations; the first pin-exhausted transfer
      poisons the whole context, exactly like the eager Stop used to *)
   let dtm_error = ref None in
@@ -235,24 +240,10 @@ let build_statics spec tasks budgets =
            | Some i -> i
            | None -> -1
          in
-         let demands =
-           if t.Transfer.cross_chip then
-             List.map (fun c -> ("pins:" ^ c, bandwidth)) task_chips
-           else []
-         in
-         let deps =
-           match t.Transfer.src with
-           | Transfer.Partition_end l -> [ "pu_" ^ l ]
-           | Transfer.World -> []
-         in
-         let ds_urg =
-           { Chop_sched.Urgency.tname = t.Transfer.dt_name;
-             duration = transfer_main; demands; deps }
-         in
          dtm_rev :=
            { ds_task = t; ds_bandwidth = bandwidth;
              ds_transfer_main = transfer_main; ds_member; ds_on_chip;
-             ds_holder; ds_urg }
+             ds_holder }
            :: !dtm_rev)
        tasks
    with Exit -> ());
@@ -260,10 +251,10 @@ let build_statics spec tasks budgets =
   match !dtm_error with
   | Some _ as err ->
       (* the error fires before anything downstream is consulted *)
-      { st_parts = parts; st_pu_names = pu_names;
-        st_pu_deps = Array.make (Array.length parts) [];
-        st_dtm; st_dtm_error = err; st_dt_ii_max = 1; st_pin_ii_floor = 1;
-        st_resources = []; st_chips = [||] }
+      { st_dtm; st_dtm_error = err; st_dt_ii_max = 1; st_pin_ii_floor = 1;
+        st_urgency = Chop_sched.Urgency.prepare ~resources:[] [];
+        st_durations = [||]; st_demands = [||]; st_mem_resource = [];
+        st_chips = [||] }
   | None ->
       let st_dt_ii_max =
         Array.fold_left
@@ -293,7 +284,7 @@ let build_statics spec tasks budgets =
               max acc (Chop_util.Units.ceil_div bits_per_instance pins * k_tr))
           1 spec.Spec.chips
       in
-      let st_resources =
+      let resources =
         List.map
           (fun ci ->
             { Chop_sched.Urgency.rname = "pins:" ^ ci.Spec.chip_name;
@@ -305,19 +296,71 @@ let build_statics spec tasks budgets =
                 capacity = m.Chop_tech.Memory.ports })
             spec.Spec.memories
       in
-      let st_pu_deps =
-        Array.map
-          (fun label ->
-            Array.to_list st_dtm
-            |> List.filter_map (fun d ->
-                   match d.ds_task.Transfer.dst with
-                   | Transfer.Partition_end l when l = label ->
-                       Some d.ds_task.Transfer.dt_name
-                   | Transfer.Partition_end _ | Transfer.World -> None))
-          parts
+      let dt_tasks =
+        Array.to_list
+          (Array.map
+             (fun d ->
+               let t = d.ds_task in
+               {
+                 Chop_sched.Urgency.tname = t.Transfer.dt_name;
+                 duration = d.ds_transfer_main;
+                 demands =
+                   (if t.Transfer.cross_chip then
+                      List.map
+                        (fun c -> ("pins:" ^ c, d.ds_bandwidth))
+                        (Transfer.chips_of t)
+                    else []);
+                 deps =
+                   (match t.Transfer.src with
+                   | Transfer.Partition_end l -> [ "pu_" ^ l ]
+                   | Transfer.World -> []);
+               })
+             st_dtm)
       in
-      let part_idx = Hashtbl.create (Array.length parts) in
-      Array.iteri (fun i l -> Hashtbl.replace part_idx l i) parts;
+      (* a partition's duration and memory demands come with its pick *)
+      let pu_tasks =
+        Array.to_list
+          (Array.map
+             (fun label ->
+               {
+                 Chop_sched.Urgency.tname = "pu_" ^ label;
+                 duration = 0;
+                 demands = [];
+                 deps =
+                   Array.to_list st_dtm
+                   |> List.filter_map (fun d ->
+                          match d.ds_task.Transfer.dst with
+                          | Transfer.Partition_end l when l = label ->
+                              Some d.ds_task.Transfer.dt_name
+                          | Transfer.Partition_end _ | Transfer.World -> None);
+               })
+             labels)
+      in
+      let urgency_tasks = dt_tasks @ pu_tasks in
+      let st_urgency = Chop_sched.Urgency.prepare ~resources urgency_tasks in
+      let resource_index = Chop_sched.Urgency.resource_index st_urgency in
+      let st_durations =
+        Array.of_list
+          (List.map (fun t -> t.Chop_sched.Urgency.duration) urgency_tasks)
+      in
+      let st_demands =
+        Array.of_list
+          (List.map
+             (fun t ->
+               List.map
+                 (fun (r, units) -> (resource_index r, units))
+                 t.Chop_sched.Urgency.demands)
+             urgency_tasks)
+      in
+      let st_mem_resource =
+        List.map
+          (fun m ->
+            let block = m.Chop_tech.Memory.mname in
+            (block, resource_index ("mem:" ^ block)))
+          spec.Spec.memories
+      in
+      let part_idx = Hashtbl.create (Array.length labels) in
+      Array.iteri (fun i l -> Hashtbl.replace part_idx l i) labels;
       let st_chips =
         Array.map
           (fun ci ->
@@ -412,11 +455,16 @@ let build_statics spec tasks budgets =
                 })
           chips
       in
-      { st_parts = parts; st_pu_names = pu_names; st_pu_deps; st_dtm;
-        st_dtm_error = None; st_dt_ii_max; st_pin_ii_floor; st_resources;
-        st_chips }
+      { st_dtm; st_dtm_error = None; st_dt_ii_max; st_pin_ii_floor;
+        st_urgency; st_durations; st_demands; st_mem_resource; st_chips }
 
 let context spec =
+  let labels =
+    Array.of_list
+      (List.map
+         (fun p -> p.Chop_dfg.Partition.label)
+         spec.Spec.partitioning.Chop_dfg.Partition.parts)
+  in
   let tasks = Transfer.create spec in
   let budgets, budget_errors =
     List.fold_left
@@ -451,10 +499,10 @@ let context spec =
   in
   let statics =
     match budget_errors with
-    | [] -> Some (build_statics spec tasks budgets)
+    | [] -> Some (build_statics spec labels tasks budgets)
     | _ :: _ -> None
   in
-  { spec; tasks; budgets; budget_errors; statics }
+  { spec; labels; tasks; budgets; budget_errors; statics }
 
 (* ------------------------------------------------------------------ *)
 (* Per-search memoization.
@@ -520,7 +568,7 @@ type cache = {
 let cache ctx =
   let nparts, nchips =
     match ctx.statics with
-    | Some st -> (Array.length st.st_parts, Array.length st.st_chips)
+    | Some st -> (Array.length ctx.labels, Array.length st.st_chips)
     | None -> (0, 0)
   in
   {
@@ -590,7 +638,7 @@ let delay_spread = Chop_util.Triplet.make ~low:0.95 ~likely:1.0 ~high:1.08
 let integrate_cached cache ?ii_target comb =
   let ctx = cache.c_ctx in
   let spec = ctx.spec in
-  check_combination spec comb;
+  let picks = picks_of ctx comb in
   let clocks = spec.Spec.clocks in
   let crit = spec.Spec.criteria in
   try
@@ -619,8 +667,6 @@ let integrate_cached cache ?ii_target comb =
     (match st.st_dtm_error with
     | Some reason -> raise (Stop (Structural reason, reason))
     | None -> ());
-    let prediction_of label = List.assoc label comb in
-    let picks = Array.map prediction_of st.st_parts in
     (* --- candidate initiation interval --- *)
     let part_ii_max =
       List.fold_left
@@ -715,36 +761,25 @@ let integrate_cached cache ?ii_target comb =
       | None ->
           cache.c_sched_misses <- cache.c_sched_misses + 1;
           let nchips = Array.length st.st_chips in
-          let pu_tasks =
-            Array.to_list
-              (Array.mapi
-                 (fun i (p : Chop_bad.Prediction.t) ->
-                   let duration = Chop_bad.Prediction.latency_main clocks p in
-                   let demands =
-                     List.filter_map
-                       (fun (block, peak) ->
-                         if peak <= 0 then None
-                         else Some ("mem:" ^ block, peak))
-                       p.Chop_bad.Prediction.mem_bandwidth
-                   in
-                   { Chop_sched.Urgency.tname = st.st_pu_names.(i); duration;
-                     demands; deps = st.st_pu_deps.(i) })
-                 picks)
-          in
-          let tasks =
-            Array.to_list (Array.map (fun d -> d.ds_urg) st.st_dtm) @ pu_tasks
-          in
+          let ndtm = Array.length st.st_dtm in
+          let durations = Array.copy st.st_durations in
+          let demands = Array.copy st.st_demands in
+          Array.iteri
+            (fun i (latency, peaks) ->
+              durations.(ndtm + i) <- latency;
+              demands.(ndtm + i) <-
+                List.map
+                  (fun (block, peak) ->
+                    (List.assoc block st.st_mem_resource, peak))
+                  peaks)
+            skey;
           let e =
-            match Chop_sched.Urgency.run ~resources:st.st_resources tasks with
+            match
+              Chop_sched.Urgency.schedule st.st_urgency ~durations ~demands
+            with
             | exception Chop_sched.Urgency.Unschedulable reason -> Error reason
-            | sched_result ->
-                let ss_waits =
-                  Array.map
-                    (fun d ->
-                      Chop_sched.Urgency.wait_of sched_result
-                        d.ds_task.Transfer.dt_name)
-                    st.st_dtm
-                in
+            | sched_result, waits ->
+                let ss_waits = Array.sub waits 0 ndtm in
                 let ss_shapes =
                   Array.mapi
                     (fun j d ->

@@ -45,38 +45,46 @@ let compare_rank a b =
   | 0 -> Float.compare (delay_likely a) (delay_likely b)
   | n -> n
 
-let csv_line s =
-  Printf.sprintf "%d,%.1f,%.1f,%d,%.1f,%.1f,%b\n" s.Integration.ii_main
-    s.Integration.clock s.Integration.perf_ns s.Integration.delay_cycles
-    (delay_likely s) (area_likely s) (Integration.feasible s)
+(* the primitive behind Printf's %.1f, without the format interpreter *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let csv_row buf ii clock perf delay_cycles delay area feasible =
+  let field s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf ','
+  in
+  field (string_of_int ii);
+  field (format_float "%.1f" clock);
+  field (format_float "%.1f" perf);
+  field (string_of_int delay_cycles);
+  field (format_float "%.1f" delay);
+  field (format_float "%.1f" area);
+  Buffer.add_string buf (string_of_bool feasible);
+  Buffer.add_char buf '\n'
 
 let to_csv systems =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     "ii_main,clock_ns,perf_ns,delay_cycles,delay_likely_ns,area_likely,feasible\n";
-  List.iter (fun s -> Buffer.add_string buf (csv_line s)) systems;
+  List.iter
+    (fun s ->
+      csv_row buf s.Integration.ii_main s.Integration.clock
+        s.Integration.perf_ns s.Integration.delay_cycles (delay_likely s)
+        (area_likely s) (Integration.feasible s))
+    systems;
   Buffer.contents buf
 
-let admit system front =
-  let objs = Integration.objectives system in
-  let dominated =
-    List.exists
-      (fun s -> Chop_util.Pareto.dominates (Integration.objectives s) objs)
-      front
-  in
-  if dominated then (front, false)
-  else
-    ( system
-      :: List.filter
-           (fun s ->
-             not (Chop_util.Pareto.dominates objs (Integration.objectives s)))
-           front,
-      true )
+(* A front member keeps the objective vector it was admitted with, so
+   every later comparison reads two arrays. *)
+type member = { objectives : float array; system : Integration.system }
 
-let finalize ~keep_all ~feasible ~explored stats =
-  let non_inferior =
-    Chop_util.Pareto.frontier ~objectives:Integration.objectives feasible
-  in
+let admit m front =
+  let dominates a b = Chop_util.Pareto.dominates a.objectives b.objectives in
+  if List.exists (fun f -> dominates f m) front then (front, false)
+  else (m :: List.filter (fun f -> not (dominates m f)) front, true)
+
+(* the outcome of a non-dominated feasible list *)
+let outcome ~keep_all ~non_inferior ~explored stats =
   (* collapse distinct combinations that predict the same design point *)
   let non_inferior =
     let seen = Hashtbl.create 16 in
@@ -96,6 +104,12 @@ let finalize ~keep_all ~feasible ~explored stats =
     stats;
   }
 
+let finalize ~keep_all ~feasible ~explored stats =
+  outcome ~keep_all
+    ~non_inferior:
+      (Chop_util.Pareto.frontier ~objectives:Integration.objectives feasible)
+    ~explored stats
+
 module Slice = struct
   type t = {
     mutable trials : int;
@@ -103,8 +117,8 @@ module Slice = struct
     mutable avoided : int;
     mutable cache_hits : int;
     mutable feasible : int;
-    mutable front : Integration.system list;
-    mutable admitted_rev : Integration.system list;
+    mutable front : member list;
+    mutable admitted_rev : member list;
     mutable explored_rev : Integration.system list;
   }
 
@@ -129,10 +143,11 @@ module Slice = struct
     if keep_all then sl.explored_rev <- system :: sl.explored_rev;
     if Integration.feasible system then begin
       sl.feasible <- sl.feasible + 1;
-      let front, admitted = admit system sl.front in
+      let m = { objectives = Integration.objectives system; system } in
+      let front, admitted = admit m sl.front in
       if admitted then begin
         sl.front <- front;
-        sl.admitted_rev <- system :: sl.admitted_rev
+        sl.admitted_rev <- m :: sl.admitted_rev
       end
     end
 
@@ -152,7 +167,7 @@ module Slice = struct
       List.fold_left
         (fun front sl ->
           List.fold_left
-            (fun front system -> fst (admit system front))
+            (fun front m -> fst (admit m front))
             front
             (List.rev sl.admitted_rev))
         [] slices
@@ -171,5 +186,9 @@ module Slice = struct
           List.fold_left (fun acc sl -> acc + sl.feasible) 0 slices;
       }
     in
-    finalize ~keep_all ~feasible:front ~explored stats
+    (* the replayed front is already non-dominated: [finalize]'s
+       frontier would keep all of it, in order *)
+    outcome ~keep_all
+      ~non_inferior:(List.map (fun m -> m.system) front)
+      ~explored stats
 end

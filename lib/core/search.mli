@@ -46,6 +46,12 @@ val to_csv : Integration.system list -> string
     ([ii_main,clock_ns,perf_ns,delay_cycles,delay_likely_ns,area_likely,feasible])
     for external plotting of Figures 7/8-style scatters. *)
 
+val csv_row :
+  Buffer.t -> int -> float -> float -> int -> float -> float -> bool -> unit
+(** [csv_row buf ii clock perf delay_cycles delay area feasible] appends
+    one {!to_csv} line: the bytes of
+    [Printf.sprintf "%d,%.1f,%.1f,%d,%.1f,%.1f,%b\n"] of the same fields. *)
+
 val finalize :
   keep_all:bool ->
   feasible:Integration.system list ->
@@ -54,16 +60,6 @@ val finalize :
   outcome
 (** Sorts feasible systems by (performance, delay) and prunes inferior ones
     (unless [keep_all] asked for the raw space). *)
-
-val admit :
-  Integration.system ->
-  Integration.system list ->
-  Integration.system list * bool
-(** [admit system front] inserts a system into a running non-dominated
-    front (paper, section 2.1: inferior designs are discarded immediately
-    upon detection).  Returns the updated front — unchanged when [system]
-    is dominated by a member, otherwise [system] prepended with the members
-    it dominates evicted — and whether the system was admitted. *)
 
 (** {1 Parallel search slices}
 
@@ -97,14 +93,21 @@ module Slice : sig
 
   val record : keep_all:bool -> t -> Integration.system -> unit
   (** Count an integration, append to the explored list when [keep_all],
-      and admit the system into the slice-local front when feasible. *)
+      and admit the system into the slice-local front when feasible
+      (paper, section 2.1: inferior designs are discarded immediately upon
+      detection).  A feasible system's {!Integration.objectives} are
+      computed here, once, and kept with it: the front compares stored
+      vectors.  The front is unchanged when a member dominates the system;
+      otherwise the system is prepended and the members it dominates are
+      evicted. *)
 
   val merge : keep_all:bool -> t list -> outcome
-  (** Recombine slices (given in first-level task order) and {!finalize}.
-      The explored list is the task-order concatenation reversed, matching
-      the sequential accumulator; the global front is rebuilt by replaying
-      each slice's admissions through {!admit} in order — sound because
-      Pareto dominance makes local eviction imply global eviction.
+  (** Recombine slices (given in first-level task order) into what
+      {!finalize} returns.  The explored list is the task-order
+      concatenation reversed, matching the sequential accumulator; the
+      global front is rebuilt by replaying each slice's admissions, with
+      their stored vectors, in order — sound because Pareto dominance
+      makes local eviction imply global eviction.
       [stats.feasible_trials] is the sum of the per-slice [feasible]
       counters, i.e. the number of feasible integrations, exactly as the
       sequential searches count it. *)

@@ -199,10 +199,45 @@ let health_loop t interval =
 let line_json line =
   match Json.parse line with Ok j -> Some j | Error _ -> None
 
+(* [Protocol.ok_response] and [error_response] lead with
+   [{"id":<string>,"ok":<bool>]: read the verdict off that prefix when
+   the id has no escape and the line ends its object, so a 200 KB explore
+   answer is not parsed to log one word.  [None] for any other shape. *)
+let leading_ok line =
+  let prefix = {|{"id":"|} and sep = {|,"ok":|} in
+  let n = String.length line in
+  let rec id_end i =
+    if i >= n then None
+    else
+      match line.[i] with
+      | '"' -> Some i
+      | '\\' -> None
+      | c when Char.code c < 0x20 -> None
+      | _ -> id_end (i + 1)
+  in
+  let at i s =
+    i + String.length s <= n && String.sub line i (String.length s) = s
+  in
+  let closes i = i < n && (line.[i] = ',' || line.[i] = '}') in
+  if not (String.starts_with ~prefix line && String.ends_with ~suffix:"}" line)
+  then None
+  else
+    match id_end (String.length prefix) with
+    | None -> None
+    | Some q ->
+        let v = q + 1 + String.length sep in
+        if not (at (q + 1) sep) then None
+        else if at v "true" && closes (v + 4) then Some true
+        else if at v "false" && closes (v + 5) then Some false
+        else None
+
 let line_ok line =
-  match line_json line with
-  | Some j -> P.response_ok j = Some true
-  | None -> false
+  match leading_ok line with
+  | Some ok -> ok
+  | None -> (
+      match line_json line with
+      | Some j -> P.response_ok j = Some true
+      | None -> false)
 
 let line_error_message line =
   match

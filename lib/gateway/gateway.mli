@@ -70,6 +70,18 @@ val handle_line : t -> string -> string
     harness's transport, routing exactly as a socket request would
     (backend connections are cached on [t] across calls). *)
 
+val line_ok : string -> bool
+(** Whether a response line answers ["ok":true], as
+    {!Chop_server.Protocol.response_ok} reads it from the parsed line: the
+    gateway logs it and steers session bookkeeping by it.  Read off the
+    {!leading_ok} prefix when there is one, by a full parse otherwise. *)
+
+val leading_ok : string -> bool option
+(** The [ok] of a line that starts [{"id":"<id>","ok":<bool>] with an id
+    free of escapes and ends in [}], the shape every
+    {!Chop_server.Protocol.ok_response} and [error_response] prints,
+    without parsing the rest; [None] for any other shape. *)
+
 val check_health : t -> string list
 (** One synchronous health sweep: ping every backend, update the dead
     set, and return the backends currently marked dead (sorted).  What

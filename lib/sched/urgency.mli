@@ -35,11 +35,47 @@ type result = {
 exception Unschedulable of string
 
 val run : resources:resource list -> task list -> result
-(** @raise Unschedulable when a task demands more units than a resource's
+(** [fst (schedule (prepare ~resources tasks) ~durations ~demands)], with
+    each task's own duration and demands.
+    @raise Unschedulable when a task demands more units than a resource's
     capacity, references an unknown resource or dependency, or the
     dependency graph is cyclic.
     @raise Invalid_argument on negative durations/demands or duplicate
     names. *)
+
+(** {1 Prepared schedules}
+
+    A combination search schedules the same tasks over the same resources
+    thousands of times, with only the durations and demands changing.
+    {!prepare} does once what does not read them. *)
+
+type prepared
+(** Tasks and resources under dense indexes (list order), with their
+    dependency arrays, the checks on names, dependencies and cycles, and
+    the order urgencies are summed in.  Immutable. *)
+
+val prepare : resources:resource list -> task list -> prepared
+(** Reads only the names and dependencies of the tasks.  Never raises: a
+    duplicate name, an unknown dependency or a cycle is raised by every
+    {!schedule}, at the point {!run} raises it. *)
+
+val resource_index : prepared -> string -> int
+(** The index of the named resource, its position in [resources].
+    @raise Not_found for an unknown name. *)
+
+val schedule :
+  prepared ->
+  durations:int array ->
+  demands:(int * int) list array ->
+  result * int array
+(** [schedule p ~durations ~demands] schedules task [i] (the [i]th task
+    given to {!prepare}) with duration [durations.(i)], holding
+    [(resource index, units)] for each pair of [demands.(i)].  Returns
+    what {!run} returns for the same tasks, the placed tasks carrying
+    these durations and demands, and each task's {!wait_of} by index.
+    @raise Unschedulable and [Invalid_argument] as {!run} does, with the
+    same messages, and [Invalid_argument] when an array's length is not
+    the number of tasks or a resource index is out of range. *)
 
 val wait_of : result -> string -> int
 (** [start - ready] of the named task: how long its input data sat in a

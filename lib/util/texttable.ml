@@ -29,7 +29,13 @@ let pad align width s =
         String.make l ' ' ^ s ^ String.make (fill - l) ' '
 
 let render t =
-  let lines = List.rev t.lines in
+  (* the bottom rule below closes the table: a separator after the last
+     row would double it *)
+  let rec drop_trailing_seps = function
+    | Sep :: rest -> drop_trailing_seps rest
+    | lines -> lines
+  in
+  let lines = List.rev (drop_trailing_seps t.lines) in
   let ncols = List.length t.headers in
   let widths = Array.make ncols 0 in
   let measure row =

@@ -14,7 +14,8 @@ val add_row : t -> string list -> unit
 (** @raise Invalid_argument when the row width differs from the header. *)
 
 val add_separator : t -> unit
-(** Insert a horizontal rule between row groups. *)
+(** Insert a horizontal rule between row groups.  Separators after the
+    last row render as nothing: the bottom rule closes the table. *)
 
 val render : t -> string
 val print : t -> unit

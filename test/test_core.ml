@@ -244,6 +244,26 @@ let test_integration_rejects_wrong_combination () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "partial combination accepted"
 
+(* Searches pass combinations in partitioning order, which integration
+   unpacks by position; any other order must integrate the same. *)
+let test_integration_combination_order () =
+  let spec = exp1 3 in
+  let per_partition, _ = explore_predictions spec in
+  let ctx = Integration.context spec in
+  let comb = List.map (fun (l, ps) -> (l, List.hd ps)) per_partition in
+  let system c = { (Integration.integrate ctx c) with combination = [] } in
+  Alcotest.(check bool) "reversed order integrates the same" true
+    (system comb = system (List.rev comb));
+  let first = List.hd comb and last = List.nth comb 2 in
+  List.iter
+    (fun (what, c) ->
+      match Integration.integrate ctx c with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [ ("unknown labels", List.map (fun (l, p) -> (l ^ "x", p)) comb);
+      ("a repeated label", comb @ [ first ]);
+      ("a repeated label out of order", [ last; first; first ]) ]
+
 let test_integration_rate_mismatch_detected () =
   let spec = exp1 2 in
   let per_partition, _ = explore_predictions spec in
@@ -549,6 +569,42 @@ let test_keep_all_explodes_space () =
   Alcotest.(check string) "pre-pruning preserves the feasible front"
     (Search.to_csv all.Explore.outcome.Search.feasible)
     (Search.to_csv defaulted.Explore.outcome.Search.feasible)
+
+(* [Search.csv_row] writes each field itself; Printf is the contract *)
+let csv_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ 0.; -0.; infinity; neg_infinity; nan; Float.neg nan; 0.05; -0.05;
+            0.25; -2.5; 1e-300; -1e300; Float.max_float; Float.min_float ];
+        (* x.x5: the halfway cases of %.1f, none exact in binary *)
+        map
+          (fun k -> (float_of_int k +. 0.5) /. 10.)
+          (int_range (-100000) 100000);
+        map2
+          (fun m e -> m *. (10. ** float_of_int e))
+          (float_range (-10.) 10.) (int_range (-300) 300);
+        float;
+      ])
+
+let csv_row_matches_printf =
+  let fields =
+    QCheck.Gen.(
+      pair
+        (triple int (pair csv_float csv_float) int)
+        (pair (pair csv_float csv_float) bool))
+  in
+  let line ((ii, (clock, perf), cycles), ((delay, area), feasible)) =
+    Printf.sprintf "%d,%.1f,%.1f,%d,%.1f,%.1f,%b\n" ii clock perf cycles delay
+      area feasible
+  in
+  QCheck.Test.make ~name:"csv_row prints what Printf prints" ~count:3000
+    (QCheck.make ~print:line fields)
+    (fun (((ii, (clock, perf), cycles), ((delay, area), feasible)) as f) ->
+      let buf = Buffer.create 64 in
+      Search.csv_row buf ii clock perf cycles delay area feasible;
+      Buffer.contents buf = line f)
 
 let test_candidate_intervals_within_constraint () =
   let spec = exp1 2 in
@@ -1164,6 +1220,7 @@ let () =
         [
           tc "feasible combo" `Quick test_integration_feasible_combo;
           tc "rejects wrong combination" `Quick test_integration_rejects_wrong_combination;
+          tc "combination order" `Quick test_integration_combination_order;
           tc "rate mismatch" `Quick test_integration_rate_mismatch_detected;
           tc "buffer formula" `Quick test_integration_buffer_formula;
           tc "dtm on both chips" `Quick test_integration_dtm_on_both_chips;
@@ -1186,6 +1243,7 @@ let () =
           tc "keep-all explodes space" `Quick test_keep_all_explodes_space;
           tc "candidate intervals" `Quick test_candidate_intervals_within_constraint;
           tc "feasible sorted" `Quick test_feasible_sorted_fastest_first;
+          QCheck_alcotest.to_alcotest csv_row_matches_printf;
         ] );
       ( "report",
         [

@@ -415,6 +415,46 @@ let test_gateway_stateless_parity () =
       Alcotest.(check bool) "stats marks the gateway" true
         (field stats [ "result"; "gateway" ] = Some (Json.Bool true)))
 
+(* The gateway reads [ok] off a response's leading bytes; on every line
+   it must agree with the full parse, and serve's own answers must take
+   the fast read. *)
+let test_gateway_line_ok_agrees_with_parse () =
+  let parsed line =
+    match Json.parse line with
+    | Ok j -> Protocol.response_ok j = Some true
+    | Error _ -> false
+  in
+  let reference = make_reference () in
+  let served =
+    List.map (Server.handle_line reference)
+      [ {|{"id":"p","op":"ping"}|}; {|{"op":"stats"}|};
+        {|{"id":"e","op":"explore","benchmark":"ar","partitions":2,"keep_all":true}|};
+        {|{"id":"u","op":"explore","benchmark":"nope"}|};
+        {|{"id":"r","op":"session/run","session":"s9"}|}; {|not json|};
+        {|{"id":"q\"uote","op":"ping"}|}; {|{"id":"tab\t","op":"frob"}|} ]
+  in
+  List.iter
+    (fun line ->
+      let fast = Gateway.leading_ok line in
+      if (not (String.contains line '\\')) && fast = None then
+        Alcotest.failf "serve's answer skipped the fast read: %s" line;
+      Alcotest.(check bool) ("fast read of " ^ line) true
+        (Option.fold ~none:true ~some:(Bool.equal (parsed line)) fast))
+    served;
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("line_ok of " ^ line) (parsed line)
+        (Gateway.line_ok line))
+    (served
+    @ [ {|{ "id":"a","ok":true}|}; {|{"id" : "a", "ok" : false }|};
+        {|{"id":"a","ok":true }|}; {|{"id":"a","ok":true} |};
+        {|{"ok":true,"id":"a"}|}; {|{"ok":false,"id":"a","result":{}}|};
+        {|{"id":"a\"b","ok":true}|}; {|{"id":"a\u0041","ok":false}|};
+        {|{"id":"a\\","ok":true,"op":"ping"}|}; {|{"id":1,"ok":true}|};
+        {|{"id":"a","ok":"true"}|}; {|{"id":"a","ok":truex}|};
+        {|{"id":"a","ok":null}|}; {|{"id":"a"}|}; {|{"id":"a","ok":tr|};
+        {|{"id":"a","ok":false,"ok":true}|}; {|[]|}; {||} ])
+
 let test_gateway_sessions_migrate_failover () =
   with_cluster 2 (fun ~gw ~socks ~servers ~threads ->
       let reference = make_reference () in
@@ -723,6 +763,8 @@ let () =
         [
           tc "stateless parity over 2 backends" `Quick
             test_gateway_stateless_parity;
+          tc "fast ok read agrees with the parse" `Quick
+            test_gateway_line_ok_agrees_with_parse;
           tc "sessions: sticky, migrate, failover" `Quick
             test_gateway_sessions_migrate_failover;
           tc "health: dead-marking and preemptive failover" `Quick

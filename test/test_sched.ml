@@ -504,6 +504,307 @@ let urgency_schedule_is_consistent =
           done;
           !ok))
 
+(* The list-based urgency scheduler as it was before [Urgency] split into
+   a prepared part and an array schedule: the oracle the new [run] and
+   [schedule] must reproduce placed list for placed list, wait for wait
+   and exception for exception. *)
+module Reference_urgency = struct
+  open Urgency
+
+  let fail fmt = Printf.ksprintf (fun s -> raise (Unschedulable s)) fmt
+
+  let validate ~resources tasks =
+    let names = List.map (fun t -> t.tname) tasks in
+    if List.length (List.sort_uniq String.compare names) <> List.length names
+    then invalid_arg "Urgency.run: duplicate task name";
+    let rnames = List.map (fun r -> r.rname) resources in
+    if List.length (List.sort_uniq String.compare rnames) <> List.length rnames
+    then invalid_arg "Urgency.run: duplicate resource name";
+    List.iter
+      (fun t ->
+        if t.duration < 0 then invalid_arg "Urgency.run: negative duration";
+        List.iter
+          (fun (r, units) ->
+            if units < 0 then invalid_arg "Urgency.run: negative demand";
+            match List.find_opt (fun res -> res.rname = r) resources with
+            | None -> fail "task %s demands unknown resource %s" t.tname r
+            | Some res ->
+                if units > res.capacity then
+                  fail "task %s demands %d of %s (capacity %d)" t.tname units r
+                    res.capacity)
+          t.demands;
+        List.iter
+          (fun d ->
+            if not (List.mem d names) then
+              fail "task %s depends on unknown task %s" t.tname d)
+          t.deps)
+      tasks
+
+  let urgencies tasks =
+    let tbl = Hashtbl.create 16 in
+    let by_name = Hashtbl.create 16 in
+    List.iter (fun t -> Hashtbl.replace by_name t.tname t) tasks;
+    let succs = Hashtbl.create 16 in
+    List.iter
+      (fun t ->
+        List.iter
+          (fun d ->
+            Hashtbl.replace succs d
+              (t.tname :: Option.value ~default:[] (Hashtbl.find_opt succs d)))
+          t.deps)
+      tasks;
+    let visiting = Hashtbl.create 16 in
+    let rec urgency name =
+      match Hashtbl.find_opt tbl name with
+      | Some u -> u
+      | None ->
+          if Hashtbl.mem visiting name then
+            fail "cyclic task dependencies at %s" name;
+          Hashtbl.replace visiting name ();
+          let t = Hashtbl.find by_name name in
+          let downstream =
+            List.fold_left
+              (fun acc s -> max acc (urgency s))
+              0
+              (Option.value ~default:[] (Hashtbl.find_opt succs name))
+          in
+          Hashtbl.remove visiting name;
+          let u = t.duration + downstream in
+          Hashtbl.replace tbl name u;
+          u
+    in
+    List.iter (fun t -> ignore (urgency t.tname)) tasks;
+    tbl
+
+  let run ~resources tasks =
+    validate ~resources tasks;
+    let urg = urgencies tasks in
+    let finished = Hashtbl.create 16 in
+    let placed = ref [] in
+    let held = Hashtbl.create 8 in
+    List.iter (fun r -> Hashtbl.replace held r.rname []) resources;
+    let capacity r =
+      (List.find (fun res -> res.rname = r) resources).capacity
+    in
+    let in_use r step =
+      List.fold_left
+        (fun acc (f, units) -> if f > step then acc + units else acc)
+        0 (Hashtbl.find held r)
+    in
+    let remaining = ref tasks in
+    let step = ref 0 in
+    let guard = ref 0 in
+    while !remaining <> [] do
+      incr guard;
+      if !guard > 2_000_000 then fail "no progress (internal)";
+      let ready, blocked =
+        List.partition
+          (fun t ->
+            List.for_all
+              (fun d ->
+                match Hashtbl.find_opt finished d with
+                | Some f -> f <= !step
+                | None -> false)
+              t.deps)
+          !remaining
+      in
+      let ready =
+        List.sort
+          (fun a b ->
+            Int.compare (Hashtbl.find urg b.tname) (Hashtbl.find urg a.tname))
+          ready
+      in
+      let still_waiting = ref [] in
+      List.iter
+        (fun t ->
+          let fits =
+            List.for_all
+              (fun (r, units) -> in_use r !step + units <= capacity r)
+              t.demands
+          in
+          if fits then begin
+            List.iter
+              (fun (r, units) ->
+                Hashtbl.replace held r
+                  ((!step + t.duration, units) :: Hashtbl.find held r))
+              t.demands;
+            let ready_at =
+              List.fold_left
+                (fun acc d -> max acc (Hashtbl.find finished d))
+                0 t.deps
+            in
+            Hashtbl.replace finished t.tname (!step + t.duration);
+            placed :=
+              { task = t; ready = ready_at; start_step = !step;
+                finish_step = !step + t.duration }
+              :: !placed
+          end
+          else still_waiting := t :: !still_waiting)
+        ready;
+      remaining := List.rev_append !still_waiting blocked;
+      if !remaining <> [] then begin
+        let next =
+          Hashtbl.fold
+            (fun _ holds acc ->
+              List.fold_left
+                (fun acc (f, _) -> if f > !step then min acc f else acc)
+                acc holds)
+            held max_int
+        in
+        let next =
+          Hashtbl.fold
+            (fun _ f acc -> if f > !step then min acc f else acc)
+            finished next
+        in
+        if next = max_int then incr step else step := next
+      end
+    done;
+    let placed = List.rev !placed in
+    let makespan =
+      List.fold_left (fun acc p -> max acc p.finish_step) 0 placed
+    in
+    { placed; makespan }
+end
+
+(* Random task sets for the oracle: zero durations, random dependency
+   DAGs and capacities from 0, plus faults, each drawn for one case in
+   eight and placed at random: a duplicate task or resource name, a
+   negative duration or demand, a demand on an unknown resource or over
+   capacity, a dependency on an unknown task, and a cycle. *)
+let random_urgency_case rng =
+  let int = Random.State.int rng in
+  let fault () = int 8 = 0 in
+  let nres = int 4 in
+  let capacity = Array.init nres (fun _ -> int 5) in
+  let rnames = Array.init nres (Printf.sprintf "r%d") in
+  if nres > 1 && fault () then rnames.(1 + int (nres - 1)) <- "r0";
+  let n = int 11 in
+  let names = Array.init n (Printf.sprintf "t%d") in
+  if n > 1 && fault () then names.(1 + int (n - 1)) <- names.(0);
+  let durations = Array.init n (fun _ -> max 0 (int 6 - 1)) in
+  let deps =
+    Array.init n (fun i ->
+        List.filter (fun _ -> int 3 = 0) (List.init i Fun.id))
+  in
+  let demands =
+    Array.init n (fun _ ->
+        if nres = 0 then []
+        else
+          List.init (int 3) (fun _ ->
+              let r = int nres in
+              (r, int (capacity.(r) + 1))))
+  in
+  let demand_names =
+    Array.map (List.map (fun (r, u) -> (rnames.(r), u))) demands
+  in
+  let at () = int n in
+  if n > 0 then begin
+    if fault () then durations.(at ()) <- -1;
+    if fault () then begin
+      let i = at () in
+      demand_names.(i) <- demand_names.(i) @ [ ("r0", -1) ]
+    end;
+    if fault () then begin
+      let i = at () in
+      demand_names.(i) <- ("r9", 1) :: demand_names.(i)
+    end;
+    if nres > 0 && fault () then begin
+      let i = at () and r = int nres in
+      demand_names.(i) <- demand_names.(i) @ [ (rnames.(r), capacity.(r) + 1) ]
+    end;
+    if fault () then begin
+      let i = at () in
+      deps.(i) <- deps.(i) @ [ -1 ]
+    end;
+    if fault () then begin
+      (* i and j depend on each other: a cycle, a self-loop when i = j *)
+      let i = at () and j = at () in
+      deps.(i) <- j :: deps.(i);
+      deps.(j) <- deps.(j) @ [ i ]
+    end
+  end;
+  let resources =
+    List.init nres (fun r ->
+        { Urgency.rname = rnames.(r); capacity = capacity.(r) })
+  in
+  let tasks =
+    List.init n (fun i ->
+        { Urgency.tname = names.(i);
+          duration = durations.(i);
+          demands = demand_names.(i);
+          deps =
+            List.map (fun j -> if j < 0 then "ghost" else names.(j)) deps.(i) })
+  in
+  (resources, tasks)
+
+let urgency_outcome f =
+  match f () with
+  | v -> Ok v
+  | exception (Urgency.Unschedulable _ as e) -> Error e
+  | exception (Invalid_argument _ as e) -> Error e
+
+let urgency_matches_reference =
+  QCheck.Test.make ~name:"run and schedule reproduce the list-based scheduler"
+    ~count:2000 QCheck.(0 -- 1_000_000)
+    (fun seed ->
+      let resources, tasks =
+        random_urgency_case (Random.State.make [| seed |])
+      in
+      let expected =
+        urgency_outcome (fun () -> Reference_urgency.run ~resources tasks)
+      in
+      let waits r =
+        List.map (fun t -> Urgency.wait_of r t.Urgency.tname) tasks
+      in
+      let same got =
+        match (expected, got) with
+        | Ok e, Ok (g, gw) -> e = g && waits e = gw
+        | Error e, Error g -> e = g
+        | Ok _, Error _ | Error _, Ok _ -> false
+      in
+      let by_run =
+        urgency_outcome (fun () ->
+            let r = Urgency.run ~resources tasks in
+            (r, waits r))
+      in
+      (* the index path, wherever every demand names a resource, prepared
+         from tasks whose durations and demands differ at random: only
+         the values a schedule is given may count *)
+      let rng = Random.State.make [| seed; 1 |] in
+      let skeleton =
+        List.map
+          (fun t ->
+            match Random.State.int rng 3 with
+            | 0 -> t
+            | 1 -> { t with Urgency.duration = 0; demands = [] }
+            | _ -> { t with Urgency.duration = t.Urgency.duration + 1 })
+          tasks
+      in
+      let p = Urgency.prepare ~resources skeleton in
+      let by_index =
+        match
+          List.map
+            (fun t ->
+              List.map
+                (fun (r, u) -> (Urgency.resource_index p r, u))
+                t.Urgency.demands)
+            tasks
+        with
+        | exception Not_found -> None
+        | demands ->
+            Some
+              (urgency_outcome (fun () ->
+                   let r, w =
+                     Urgency.schedule p
+                       ~durations:
+                         (Array.of_list
+                            (List.map (fun t -> t.Urgency.duration) tasks))
+                       ~demands:(Array.of_list demands)
+                   in
+                   (r, Array.to_list w)))
+      in
+      same by_run && Option.fold ~none:true ~some:same by_index)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "chop_sched"
@@ -572,5 +873,6 @@ let () =
           tc "rejects cycle" `Quick test_urgency_rejects_cycle;
           tc "rejects duplicates" `Quick test_urgency_rejects_duplicates;
           QCheck_alcotest.to_alcotest urgency_schedule_is_consistent;
+          QCheck_alcotest.to_alcotest urgency_matches_reference;
         ] );
     ]

@@ -269,6 +269,45 @@ let expected_explore_text () =
   let report = Chop.Explore.with_engine config spec Chop.Explore.Session.run in
   Ops.render_explore spec ~keep_all:true ~csv:false ~verbose:false report
 
+(* Rendered explores, multi-cycle at perf 20000 and delay 100000, whose
+   MD5 digests were recorded before the search front kept its objective
+   vectors, the urgency schedule moved onto prepared arrays and the
+   keep-all CSV stopped going through Printf: a mismatch means some
+   rendered byte changed.  pcm_pwm k=4 enumeration keep-all is the
+   explore-gateway workload's costliest key; the verbose render prints the
+   best system's urgency timeline; the iterative one runs through
+   [Search.finalize]. *)
+let pinned_renders =
+  [
+    ("pcm_pwm", 4, "e", true, false, "acaa1641e52184d43ba5d55cae9e1194");
+    ("ewf", 3, "b", true, false, "05e28bac7287353f10ba959e011dec7a");
+    ("ar", 2, "e", true, false, "c50f661e8d49b4440e90f14cfaeeeb86");
+    ("pcm_pwm", 4, "e", false, false, "cb48a217ac6123208b9286b1ea8f307c");
+    ("ewf", 3, "e", false, true, "344e69dfe4e0fc1d240d9998c9c56279");
+    ("diffeq", 3, "i", true, false, "cad1e530aacdf31c992a2249fbada148");
+  ]
+
+let test_pinned_render_digests () =
+  List.iter
+    (fun (benchmark, partitions, heuristic, keep_all, verbose, expected) ->
+      let params =
+        { Protocol.default_params with benchmark; partitions; heuristic;
+          multicycle = true; perf = 20000.; delay = 100000.; keep_all }
+      in
+      let spec = Result.get_ok (Ops.spec_of_params params) in
+      let config = Result.get_ok (Ops.config_of_params ~jobs:1 params) in
+      let report =
+        Chop.Explore.with_engine config spec Chop.Explore.Session.run
+      in
+      let text = Ops.render_explore spec ~keep_all ~csv:false ~verbose report in
+      Alcotest.(check string)
+        (Printf.sprintf "%s k=%d %s%s%s" benchmark partitions heuristic
+           (if keep_all then " keep-all" else "")
+           (if verbose then " verbose" else ""))
+        expected
+        (Digest.to_hex (Digest.string text)))
+    pinned_renders
+
 let test_handle_line_matches_direct_render () =
   let server = make_server () in
   let text id =
@@ -948,6 +987,8 @@ let () =
             test_handle_line_bad_requests;
           Alcotest.test_case "expired deadline is structured" `Quick
             test_handle_line_deadline;
+          Alcotest.test_case "pinned render digests" `Quick
+            test_pinned_render_digests;
           Alcotest.test_case "matches the direct render" `Quick
             test_handle_line_matches_direct_render;
         ] );

@@ -197,6 +197,44 @@ let frontier_is_subset_and_undominated =
           && not (List.exists (fun p -> Pareto.dominates (objectives p) (objectives f)) pts))
         front)
 
+(* The quadratic definition [Pareto.frontier] replaced: a point survives
+   unless some point of the input dominates it. *)
+let frontier_oracle ~objectives xs =
+  let vals = List.map (fun x -> (x, objectives x)) xs in
+  List.filter_map
+    (fun (x, v) ->
+      if List.exists (fun (_, v') -> Pareto.dominates v' v) vals then None
+      else Some x)
+    vals
+
+(* Vectors of one random length drawn from a few values, infinities and
+   both zeros among them: duplicates and ties on every coordinate. *)
+let frontier_matches_oracle =
+  let value =
+    QCheck.Gen.oneofl [ 0.; -0.; 1.; 2.; 2.5; 3.; infinity; neg_infinity ]
+  in
+  let points =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun d ->
+      list_size (int_range 0 40) (array_size (return d) value))
+  in
+  let print vs =
+    String.concat " "
+      (List.map
+         (fun v ->
+           "["
+           ^ String.concat ";" (Array.to_list (Array.map string_of_float v))
+           ^ "]")
+         vs)
+  in
+  QCheck.Test.make ~name:"frontier equals the quadratic definition"
+    ~count:500
+    (QCheck.make ~print points)
+    (fun vs ->
+      let tagged = List.mapi (fun i v -> (i, v)) vs in
+      List.map fst (Pareto.frontier ~objectives:snd tagged)
+      = List.map fst (frontier_oracle ~objectives:snd tagged))
+
 (* ------------------------------------------------------------------ *)
 (* Units *)
 
@@ -298,6 +336,23 @@ let test_texttable_renders () =
   Alcotest.(check bool) "has title" true (String.length s > 0 && s.[0] = 'T');
   Alcotest.(check bool) "has cell" true
     (String.split_on_char '\n' s |> List.exists (fun l -> String.length l > 0))
+
+(* the bottom rule closes the table: a separator after the last row adds
+   nothing, one between rows stays *)
+let test_texttable_trailing_separator () =
+  let table ~trailing =
+    let t = Texttable.create [ ("a", Texttable.Left) ] in
+    Texttable.add_row t [ "x" ];
+    Texttable.add_separator t;
+    Texttable.add_row t [ "y" ];
+    if trailing then Texttable.add_separator t;
+    Texttable.render t
+  in
+  let rendered = table ~trailing:true in
+  Alcotest.(check string) "same as without it" (table ~trailing:false)
+    rendered;
+  Alcotest.(check string) "one rule between the rows, one at the bottom"
+    "+---+\n| a |\n+---+\n| x |\n+---+\n| y |\n+---+\n" rendered
 
 let test_texttable_row_width_checked () =
   let t = Texttable.create [ ("a", Texttable.Left) ] in
@@ -561,6 +616,7 @@ let () =
           tc "frontier duplicates" `Quick test_frontier_duplicates_kept;
           tc "frontier empty" `Quick test_frontier_empty;
           QCheck_alcotest.to_alcotest frontier_is_subset_and_undominated;
+          QCheck_alcotest.to_alcotest frontier_matches_oracle;
         ] );
       ( "units",
         [
@@ -607,6 +663,7 @@ let () =
       ( "texttable",
         [
           tc "renders" `Quick test_texttable_renders;
+          tc "trailing separator" `Quick test_texttable_trailing_separator;
           tc "row width checked" `Quick test_texttable_row_width_checked;
           tc "cells" `Quick test_texttable_cells;
         ] );
