@@ -224,7 +224,7 @@ let explore_cmd =
                        per phase (predict, search, merge), per-worker busy \
                        time, chunk counts, cache hits/misses, and the \
                        search-side counters (implementations pre-pruned, \
-                       integrations avoided, chip-report cache hits).")
+                       integrations avoided).")
       $ jobs_arg $ impl_arg)
 
 let repl_cmd =

@@ -2,7 +2,7 @@
    admissible performance and per-chip area lower bounds.  The tree is
    split at the root — one independent slice per implementation of the
    first partition — so a domain pool can search subtrees concurrently;
-   each slice gets private bound-bookkeeping arrays and Search.Slice.merge
+   each slice gets private bound-bookkeeping arrays and Search.Slice.run
    recombines the results into exactly the sequential outcome.
 
    All per-node bookkeeping is int-indexed: partitions and chips are
@@ -17,10 +17,8 @@ let run ?(keep_all = false) ?(pool = Chop_util.Pool.sequential) ?metrics ctx
   let spec = Integration.spec_of ctx in
   let clocks = spec.Spec.clocks in
   let crit = spec.Spec.criteria in
-  let wall0 = Unix.gettimeofday () in
   let order = Array.of_list per_partition in
   let n = Array.length order in
-  let session = Integration.session ctx in
   (* dense chip indexes, in spec order *)
   let chips = Array.of_list spec.Spec.chips in
   let nchips = Array.length chips in
@@ -111,62 +109,25 @@ let run ?(keep_all = false) ?(pool = Chop_util.Pool.sequential) ?metrics ctx
       unchosen_low.(chip) <- unchosen_low.(chip) +. min_area_of.(i)
     end
   in
-  let with_cache_counted slice f =
-    let cache = Integration.domain_cache session in
-    let hits0 = Integration.chip_cache_hits cache in
-    f cache;
-    Search.Slice.set_cache_hits slice
-      (Integration.chip_cache_hits cache - hits0);
-    slice
-  in
-  let slices, pool_stats =
-    if n = 0 then begin
+  let tasks =
+    if n = 0 then
       (* degenerate: integrate the empty combination, as the sequential
          search did *)
-      let slice = Search.Slice.create () in
-      let slice =
-        with_cache_counted slice (fun cache ->
-            let committed, unchosen_low = fresh_tables () in
-            dfs slice cache ~committed ~unchosen_low 0 [] ~ii_bound:1
-              ~clock_bound:clocks.Chop_tech.Clocking.main)
-      in
-      ([ slice ], { Chop_util.Pool.worker_busy = [||]; chunk_count = 0 })
-    end
+      [| (fun slice cache ->
+           let committed, unchosen_low = fresh_tables () in
+           dfs slice cache ~committed ~unchosen_low 0 [] ~ii_bound:1
+             ~clock_bound:clocks.Chop_tech.Clocking.main) |]
     else begin
       let _, preds0 = order.(0) in
       let chip0 = chip_of_level.(0) in
-      let tasks =
-        Array.of_list
-          (List.map
-             (fun p () ->
-               let slice = Search.Slice.create () in
-               with_cache_counted slice (fun cache ->
-                   let committed, unchosen_low = fresh_tables () in
-                   unchosen_low.(chip0) <-
-                     unchosen_low.(chip0) -. min_area_of.(0);
-                   branch slice cache ~committed ~unchosen_low 0 []
-                     ~ii_bound:1 ~clock_bound:clocks.Chop_tech.Clocking.main
-                     ~chip:chip0 p))
-             preds0)
-      in
-      let slices, stats = Chop_util.Pool.run_timed pool tasks in
-      (Array.to_list slices, stats)
+      Array.of_list
+        (List.map
+           (fun p slice cache ->
+             let committed, unchosen_low = fresh_tables () in
+             unchosen_low.(chip0) <- unchosen_low.(chip0) -. min_area_of.(0);
+             branch slice cache ~committed ~unchosen_low 0 [] ~ii_bound:1
+               ~clock_bound:clocks.Chop_tech.Clocking.main ~chip:chip0 p)
+           preds0)
     end
   in
-  let search_wall = Unix.gettimeofday () -. wall0 in
-  let merge0 = Unix.gettimeofday () in
-  let outcome = Search.Slice.merge ~keep_all slices in
-  Option.iter
-    (fun r ->
-      r :=
-        {
-          Search.search_wall_seconds = search_wall;
-          search_busy_seconds =
-            Array.fold_left ( +. ) 0. pool_stats.Chop_util.Pool.worker_busy;
-          merge_wall_seconds = Unix.gettimeofday () -. merge0;
-          worker_busy_seconds = pool_stats.Chop_util.Pool.worker_busy;
-          chunk_count = pool_stats.Chop_util.Pool.chunk_count;
-          chip_cache_hits = Search.Slice.cache_hit_total slices;
-        })
-    metrics;
-  outcome
+  Search.Slice.run ~keep_all ~pool ?metrics ctx tasks

@@ -45,7 +45,6 @@ module Metrics = struct
     cache_evictions : int;
     pruned_impls : int;
     integrations_avoided : int;
-    chip_cache_hits : int;
   }
 
   let zero_phase = { wall_seconds = 0.; busy_seconds = 0. }
@@ -54,7 +53,7 @@ module Metrics = struct
     { predict = zero_phase; search = zero_phase; merge_wall_seconds = 0.;
       worker_busy_seconds = [||]; chunk_count = 0; cache_hits = 0;
       cache_misses = 0; cache_evictions = 0; pruned_impls = 0;
-      integrations_avoided = 0; chip_cache_hits = 0 }
+      integrations_avoided = 0 }
 
   (* elementwise sum, padding the shorter array with zeros *)
   let add_worker_busy a b =
@@ -84,10 +83,8 @@ module Metrics = struct
                (Array.map (Printf.sprintf "%.3f") m.worker_busy_seconds)))
          m.chunk_count m.cache_hits m.cache_misses m.cache_evictions);
     Buffer.add_string buf
-      (Printf.sprintf
-         "search: %d impl(s) pre-pruned, %d integration(s) avoided, %d \
-          chip-report cache hit(s)\n"
-         m.pruned_impls m.integrations_avoided m.chip_cache_hits);
+      (Printf.sprintf "search: %d impl(s) pre-pruned, %d integration(s) avoided\n"
+         m.pruned_impls m.integrations_avoided);
     Buffer.contents buf
 end
 
@@ -450,8 +447,7 @@ module Session = struct
           Enum_heuristic.run ~keep_all ~pool:e.pool ~metrics:search_metrics
             e.ctx search_lists
       | Iterative ->
-          Iter_heuristic.run ~keep_all ~metrics:search_metrics e.ctx
-            search_lists
+          Iter_heuristic.run ~keep_all e.ctx search_lists
       | Branch_bound ->
           Bb_heuristic.run ~keep_all ~pool:e.pool ~metrics:search_metrics
             e.ctx search_lists
@@ -487,7 +483,6 @@ module Session = struct
         pruned_impls;
         integrations_avoided =
           outcome.Search.stats.Search.integrations_avoided;
-        chip_cache_hits = sm.Search.chip_cache_hits;
       }
     in
     e.pending <- [];

@@ -103,7 +103,7 @@ module Metrics : sig
         (** the combination search (enumeration / B&B slices, or the
             sequential iterative scan, whose busy equals its wall) *)
     merge_wall_seconds : float;
-        (** deterministic slice recombination ({!Search.Slice.merge}) *)
+        (** deterministic slice recombination ({!Search.Slice.run}) *)
     worker_busy_seconds : float array;
         (** per-participant busy seconds across both parallel phases;
             index 0 is the calling domain *)
@@ -124,9 +124,6 @@ module Metrics : sig
     integrations_avoided : int;
         (** combinations rejected by {!Integration.quick_check} without
             any integration work *)
-    chip_cache_hits : int;
-        (** per-chip report fragments served by the staged integration
-            cache; varies with [jobs] (each domain fills its own cache) *)
   }
 
   val zero : t

@@ -507,23 +507,24 @@ let context spec =
 (* ------------------------------------------------------------------ *)
 (* Per-search memoization.
 
-   The per-combination cost decomposes into stages keyed by progressively
-   more of the picks:
+   Two stages of the per-combination cost are shared by many
+   combinations, and a cache keeps them:
 
    - the urgency schedule (and everything derived from it alone: DTM
      waits, controller shapes and areas, the transfer overhead, the
      makespan) depends only on each partition's (latency, memory-demand)
      pair — thousands of combinations share a handful of these vectors;
-   - DTM buffer sizes add the initiation interval;
-   - a chip's report adds only the picks landing on that chip, so sibling
-     combinations differing on other chips share the fragment.
+   - DTM buffer sizes add the initiation interval.
+
+   A chip's report is a few adds and one area probability over its picks,
+   so it is computed afresh for every combination.
 
    A cache is single-domain mutable state: use one per worker (the
    heuristics create one per slice via {!domain_cache}, which reuses the
    calling domain's cache across its slices). *)
 
 type sched_stage = {
-  ss_id : int;  (* cache-local identity, used in downstream keys *)
+  ss_id : int;  (* cache-local identity, used in the buffer key *)
   ss_result : Chop_sched.Urgency.result;
   ss_waits : int array;  (* per dtm *)
   ss_shapes : Chop_tech.Pla.shape array;  (* per dtm *)
@@ -537,19 +538,6 @@ type ii_stage = {
   is_buffer_area : float array;  (* per chip *)
 }
 
-(* Pick identities for chip-fragment keys: predictions are interned by
-   physical equality per partition (the search reuses the same list
-   objects across combinations).  Structurally equal but physically
-   distinct picks get distinct ids — never wrong, only slower. *)
-type reg = { mutable r_items : Chop_bad.Prediction.t array; mutable r_len : int }
-
-type cache_stats = {
-  sched_hits : int;
-  sched_misses : int;
-  chip_hits : int;
-  chip_misses : int;
-}
-
 type cache = {
   c_ctx : context;
   c_sched :
@@ -557,60 +545,11 @@ type cache = {
     Hashtbl.t;
   mutable c_next_sched : int;
   c_ii : (int * int, ii_stage) Hashtbl.t;
-  c_chip : (int * int * int list, chip_report) Hashtbl.t array;
-  c_regs : reg array;
-  mutable c_sched_hits : int;
-  mutable c_sched_misses : int;
-  mutable c_chip_hits : int;
-  mutable c_chip_misses : int;
 }
 
 let cache ctx =
-  let nparts, nchips =
-    match ctx.statics with
-    | Some st -> (Array.length ctx.labels, Array.length st.st_chips)
-    | None -> (0, 0)
-  in
-  {
-    c_ctx = ctx;
-    c_sched = Hashtbl.create 64;
-    c_next_sched = 0;
-    c_ii = Hashtbl.create 64;
-    c_chip = Array.init nchips (fun _ -> Hashtbl.create 256);
-    c_regs = Array.init nparts (fun _ -> { r_items = [||]; r_len = 0 });
-    c_sched_hits = 0;
-    c_sched_misses = 0;
-    c_chip_hits = 0;
-    c_chip_misses = 0;
-  }
-
-let context_of_cache c = c.c_ctx
-
-let cache_stats c =
-  { sched_hits = c.c_sched_hits; sched_misses = c.c_sched_misses;
-    chip_hits = c.c_chip_hits; chip_misses = c.c_chip_misses }
-
-let chip_cache_hits c = c.c_chip_hits
-
-let pred_id reg p =
-  let rec find i =
-    if i >= reg.r_len then -1
-    else if reg.r_items.(i) == p then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  if i >= 0 then i
-  else begin
-    let cap = Array.length reg.r_items in
-    if reg.r_len = cap then begin
-      let grown = Array.make (max 16 (2 * cap)) p in
-      Array.blit reg.r_items 0 grown 0 reg.r_len;
-      reg.r_items <- grown
-    end;
-    reg.r_items.(reg.r_len) <- p;
-    reg.r_len <- reg.r_len + 1;
-    reg.r_len - 1
-  end
+  { c_ctx = ctx; c_sched = Hashtbl.create 64; c_next_sched = 0;
+    c_ii = Hashtbl.create 64 }
 
 (* one cache per domain, shared across that domain's slices of one search *)
 type session = { sn_ctx : context; sn_token : int }
@@ -755,11 +694,8 @@ let integrate_cached cache ?ii_target comb =
     in
     let sched_entry =
       match Hashtbl.find_opt cache.c_sched skey with
-      | Some e ->
-          cache.c_sched_hits <- cache.c_sched_hits + 1;
-          e
+      | Some e -> e
       | None ->
-          cache.c_sched_misses <- cache.c_sched_misses + 1;
           let nchips = Array.length st.st_chips in
           let ndtm = Array.length st.st_dtm in
           let durations = Array.copy st.st_durations in
@@ -890,63 +826,44 @@ let integrate_cached cache ?ii_target comb =
     let delay =
       Chop_util.Triplet.scale (float_of_int delay_cycles *. clock) delay_spread
     in
-    (* --- per-chip reports (memoized per picks-on-chip fragment) --- *)
+    (* --- per-chip reports --- *)
     let chip_reports =
       Array.to_list
         (Array.mapi
            (fun c (cs : chip_static) ->
-             let ids =
-               Array.fold_right
-                 (fun pi acc -> pred_id cache.c_regs.(pi) picks.(pi) :: acc)
-                 cs.cs_label_idxs []
+             let dtm_area = ss.ss_dtm_area.(c) in
+             let buffer_area = istage.is_buffer_area.(c) in
+             let part_areas =
+               Array.to_list
+                 (Array.map
+                    (fun pi -> picks.(pi).Chop_bad.Prediction.area)
+                    cs.cs_label_idxs)
              in
-             let ckey = (ss.ss_id, ii_main, ids) in
-             match Hashtbl.find_opt cache.c_chip.(c) ckey with
-             | Some cr ->
-                 cache.c_chip_hits <- cache.c_chip_hits + 1;
-                 cr
-             | None ->
-                 cache.c_chip_misses <- cache.c_chip_misses + 1;
-                 let dtm_area = ss.ss_dtm_area.(c) in
-                 let buffer_area = istage.is_buffer_area.(c) in
-                 let part_areas =
-                   Array.to_list
-                     (Array.map
-                        (fun pi -> picks.(pi).Chop_bad.Prediction.area)
-                        cs.cs_label_idxs)
-                 in
-                 let fixed =
-                   cs.cs_pin_mux_area +. dtm_area +. buffer_area
-                   +. cs.cs_memory_area
-                 in
-                 let area_parts = Chop_util.Triplet.exact fixed :: part_areas in
-                 let area_verdict =
-                   Chop_bad.Feasibility.check_area crit
-                     ~available:cs.cs_available area_parts
-                 in
-                 let power =
-                   Array.fold_left
-                     (fun acc pi ->
-                       acc +. picks.(pi).Chop_bad.Prediction.power)
-                     0. cs.cs_label_idxs
-                 in
-                 let cr =
-                   {
-                     instance = cs.cs_instance;
-                     partition_labels = cs.cs_labels;
-                     signal_pins = cs.cs_signal_pins;
-                     pin_mux_area = cs.cs_pin_mux_area;
-                     dtm_area;
-                     buffer_area;
-                     memory_area = cs.cs_memory_area;
-                     area_parts;
-                     available = cs.cs_available;
-                     area_verdict;
-                     power;
-                   }
-                 in
-                 Hashtbl.replace cache.c_chip.(c) ckey cr;
-                 cr)
+             let fixed =
+               cs.cs_pin_mux_area +. dtm_area +. buffer_area
+               +. cs.cs_memory_area
+             in
+             let area_parts = Chop_util.Triplet.exact fixed :: part_areas in
+             let power =
+               Array.fold_left
+                 (fun acc pi -> acc +. picks.(pi).Chop_bad.Prediction.power)
+                 0. cs.cs_label_idxs
+             in
+             {
+               instance = cs.cs_instance;
+               partition_labels = cs.cs_labels;
+               signal_pins = cs.cs_signal_pins;
+               pin_mux_area = cs.cs_pin_mux_area;
+               dtm_area;
+               buffer_area;
+               memory_area = cs.cs_memory_area;
+               area_parts;
+               available = cs.cs_available;
+               area_verdict =
+                 Chop_bad.Feasibility.check_area crit
+                   ~available:cs.cs_available area_parts;
+               power;
+             })
            st.st_chips)
     in
     (* --- overall verdict --- *)

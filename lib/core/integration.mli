@@ -13,8 +13,8 @@
     areas, bonded pins) is computed once when the {!context} is built;
     per-combination work that many combinations share (the urgency
     schedule and everything derived from it, buffer sizes at a given
-    interval, per-chip reports for the picks landing on that chip) is
-    memoized in a {!cache}. *)
+    interval) is memoized in a {!cache}.  Each chip's report is computed
+    afresh for every combination. *)
 
 type combination = (string * Chop_bad.Prediction.t) list
 (** One chosen prediction per partition label. *)
@@ -101,10 +101,9 @@ val total_area : system -> Chop_util.Triplet.t
 
 (** {1 Memoized integration}
 
-    A cache memoizes the stages of the integration that combinations
+    A cache memoizes the two stages of the integration that combinations
     share: the urgency schedule (keyed by each partition's latency and
-    memory demands), buffer sizing (schedule x interval) and per-chip
-    reports (schedule x interval x the picks on that chip).  Results are
+    memory demands) and buffer sizing (schedule x interval).  Results are
     bit-identical to {!integrate}.  A cache is single-domain mutable
     state — do not share one across domains; see {!session}. *)
 
@@ -112,8 +111,6 @@ type cache
 
 val cache : context -> cache
 (** A fresh, empty cache for this context. *)
-
-val context_of_cache : cache -> context
 
 val integrate_cached : cache -> ?ii_target:int -> combination -> system
 (** As {!integrate}, reusing and filling [cache]. *)
@@ -126,18 +123,6 @@ val quick_check : cache -> combination -> bool
     the optimistic (low) areas of its picks.  Sound only for the default
     interval derivation — never consult it when forcing [ii_target].
     [false] means the full integration must decide. *)
-
-type cache_stats = {
-  sched_hits : int;
-  sched_misses : int;
-  chip_hits : int;
-  chip_misses : int;
-}
-
-val cache_stats : cache -> cache_stats
-
-val chip_cache_hits : cache -> int
-(** [= (cache_stats c).chip_hits]: per-chip report fragments reused. *)
 
 (** {2 Per-domain caches}
 

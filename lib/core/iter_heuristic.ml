@@ -27,8 +27,7 @@ let violated_partitions system =
   | Integration.Delay_exceeded | Integration.Structural _ ->
       []
 
-let run ?(keep_all = false) ?metrics ctx per_partition =
-  let wall0 = Unix.gettimeofday () in
+let run ?(keep_all = false) ctx per_partition =
   let spec = Integration.spec_of ctx in
   let clocks = spec.Spec.clocks in
   let trials = ref 0 and integrations = ref 0 in
@@ -36,7 +35,7 @@ let run ?(keep_all = false) ?metrics ctx per_partition =
   (* one cache across every interval and serialization step: the walk
      revisits near-identical combinations constantly (each tentative
      serialization changes a single pick), so the staged integration
-     shares the schedule and sibling-chip work.  quick_check is NOT
+     shares the schedule and buffer sizing.  quick_check is NOT
      consulted: the interval is forced here ([ii_target]), for which the
      early exit is unsound. *)
   let cache = Integration.cache ctx in
@@ -125,17 +124,4 @@ let run ?(keep_all = false) ?metrics ctx per_partition =
       feasible_trials = List.length !feasible;
     }
   in
-  let wall = Unix.gettimeofday () -. wall0 in
-  Option.iter
-    (fun r ->
-      r :=
-        {
-          Search.search_wall_seconds = wall;
-          search_busy_seconds = wall;
-          merge_wall_seconds = 0.;
-          worker_busy_seconds = [||];
-          chunk_count = 0;
-          chip_cache_hits = Integration.chip_cache_hits cache;
-        })
-    metrics;
   Search.finalize ~keep_all ~feasible:!feasible ~explored:!explored stats

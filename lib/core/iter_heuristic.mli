@@ -17,11 +17,9 @@ val candidate_intervals :
 
 val run :
   ?keep_all:bool ->
-  ?metrics:Search.parallel_metrics ref ->
   Integration.context ->
   (string * Chop_bad.Prediction.t list) list ->
   Search.outcome
 (** Sequential; one integration cache is reused across the whole walk
     (each serialization step changes a single pick, so the staged
-    integration shares nearly everything).  [metrics], when given,
-    receives the wall clock (busy = wall) and the cache-hit count. *)
+    integration shares nearly everything). *)

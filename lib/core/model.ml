@@ -24,11 +24,6 @@ let of_spec spec ~label =
   | None -> Hardware
   | Some p -> Software p
 
-let of_chip spec ~chip =
-  match Spec.processor_of_chip spec chip with
-  | None -> Hardware
-  | Some p -> Software p
-
 (* The capacity the area screen checks a partition's predictions against:
    usable die area for hardware (half the package pins assumed bonded, as
    always), the processor's memory budget in bytes for software.  Same
@@ -42,8 +37,6 @@ let capacity t spec ~label =
       Chop_tech.Chip.usable_area pkg
         ~signal_pins:(pkg.Chop_tech.Chip.pins / 2)
   | Software p -> p.Chop_model_sw.Processor.memory_budget_bytes
-
-let resource_unit = function Hardware -> "mil^2" | Software _ -> "bytes"
 
 let predict t (cfg : Chop_bad.Predictor.config) ~label sub =
   match t with

@@ -29,16 +29,9 @@ val equal : t -> t -> bool
 val of_spec : Spec.t -> label:string -> t
 (** The model the spec binds the partition to. *)
 
-val of_chip : Spec.t -> chip:string -> t
-(** The model of every partition on the chip ([Spec.make] enforces there is
-    only one); [Hardware] for empty chips. *)
-
 val capacity : t -> Spec.t -> label:string -> float
 (** Usable die area (mil^2) for hardware, memory budget (bytes) for
     software. *)
-
-val resource_unit : t -> string
-(** Unit label for report rendering: ["mil^2"] or ["bytes"]. *)
 
 val predict :
   t ->

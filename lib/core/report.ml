@@ -65,6 +65,3 @@ let timeline (system : Integration.system) =
           sched.Chop_sched.Urgency.placed
       in
       Chop_util.Gantt.render bars
-
-let pp_system spec ppf system =
-  Format.pp_print_string ppf (guideline spec system)

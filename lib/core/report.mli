@@ -20,5 +20,3 @@ val timeline : Integration.system -> string
 (** ASCII Gantt chart of the urgency-scheduled tasks (processing units and
     data transfers), in main-clock cycles; empty systems render a
     placeholder. *)
-
-val pp_system : Spec.t -> Format.formatter -> Integration.system -> unit

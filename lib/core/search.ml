@@ -21,13 +21,11 @@ type parallel_metrics = {
   merge_wall_seconds : float;
   worker_busy_seconds : float array;
   chunk_count : int;
-  chip_cache_hits : int;
 }
 
 let no_parallel_metrics =
   { search_wall_seconds = 0.; search_busy_seconds = 0.;
-    merge_wall_seconds = 0.; worker_busy_seconds = [||]; chunk_count = 0;
-    chip_cache_hits = 0 }
+    merge_wall_seconds = 0.; worker_busy_seconds = [||]; chunk_count = 0 }
 
 let delay_likely s = Chop_util.Triplet.(s.Integration.delay.likely)
 let area_likely s = Chop_util.Triplet.((Integration.total_area s).likely)
@@ -115,7 +113,6 @@ module Slice = struct
     mutable trials : int;
     mutable integrations : int;
     mutable avoided : int;
-    mutable cache_hits : int;
     mutable feasible : int;
     mutable front : member list;
     mutable admitted_rev : member list;
@@ -123,19 +120,14 @@ module Slice = struct
   }
 
   let create () =
-    { trials = 0; integrations = 0; avoided = 0; cache_hits = 0; feasible = 0;
-      front = []; admitted_rev = []; explored_rev = [] }
+    { trials = 0; integrations = 0; avoided = 0; feasible = 0; front = [];
+      admitted_rev = []; explored_rev = [] }
 
   let step sl = sl.trials <- sl.trials + 1
 
   let avoid sl =
     sl.trials <- sl.trials + 1;
     sl.avoided <- sl.avoided + 1
-
-  let set_cache_hits sl n = sl.cache_hits <- n
-
-  let cache_hit_total slices =
-    List.fold_left (fun acc sl -> acc + sl.cache_hits) 0 slices
 
   let record ~keep_all sl system =
     sl.trials <- sl.trials + 1;
@@ -191,4 +183,33 @@ module Slice = struct
     outcome ~keep_all
       ~non_inferior:(List.map (fun m -> m.system) front)
       ~explored stats
+
+  let run ~keep_all ~pool ?metrics ctx tasks =
+    let wall0 = Unix.gettimeofday () in
+    let session = Integration.session ctx in
+    let slices, pool_stats =
+      Chop_util.Pool.run_timed pool
+        (Array.map
+           (fun task () ->
+             let slice = create () in
+             task slice (Integration.domain_cache session);
+             slice)
+           tasks)
+    in
+    let search_wall = Unix.gettimeofday () -. wall0 in
+    let merge0 = Unix.gettimeofday () in
+    let outcome = merge ~keep_all (Array.to_list slices) in
+    Option.iter
+      (fun r ->
+        r :=
+          {
+            search_wall_seconds = search_wall;
+            search_busy_seconds =
+              Array.fold_left ( +. ) 0. pool_stats.Chop_util.Pool.worker_busy;
+            merge_wall_seconds = Unix.gettimeofday () -. merge0;
+            worker_busy_seconds = pool_stats.Chop_util.Pool.worker_busy;
+            chunk_count = pool_stats.Chop_util.Pool.chunk_count;
+          })
+      metrics;
+    outcome
 end

@@ -21,9 +21,8 @@ type outcome = {
 
 val empty_stats : stats
 
-(** Timing breakdown of one parallel search, filled in by the enumeration
-    and branch-and-bound heuristics when the caller asks for it (the
-    engine's {i metrics} report). *)
+(** Timing breakdown of one parallel search, filled in by {!Slice.run}
+    when the caller asks for it (the engine's {i metrics} report). *)
 type parallel_metrics = {
   search_wall_seconds : float;  (** wall clock of the slice fan-out *)
   search_busy_seconds : float;
@@ -33,9 +32,6 @@ type parallel_metrics = {
   worker_busy_seconds : float array;
       (** per-participant busy seconds (index 0 = calling domain) *)
   chunk_count : int;  (** pool chunks handed out during the search *)
-  chip_cache_hits : int;
-      (** per-chip report fragments served from the integration cache;
-          depends on how slices land on domains, so it varies with [jobs] *)
 }
 
 val no_parallel_metrics : parallel_metrics
@@ -65,18 +61,15 @@ val finalize :
 
     Both exhaustive heuristics (enumeration and branch-and-bound) split
     their search space into independent slices, one per first-level
-    implementation choice, so a {!Chop_util.Pool} can run them on separate
-    domains.  Each slice accumulates results privately; {!Slice.merge}
-    recombines them in task order into exactly the lists the sequential
-    search would have produced, making parallel runs bit-identical to
-    sequential ones. *)
+    implementation choice, and hand them to {!Slice.run}, which runs them
+    on a {!Chop_util.Pool} and recombines them in task order into exactly
+    the lists the sequential search would have produced, making parallel
+    runs bit-identical to sequential ones. *)
 
 module Slice : sig
   type t
   (** One slice's private counters, local non-dominated front, and
       admitted and explored systems in the order it met them. *)
-
-  val create : unit -> t
 
   val step : t -> unit
   (** Count a considered combination (or pruned stem) without integrating. *)
@@ -84,12 +77,6 @@ module Slice : sig
   val avoid : t -> unit
   (** Count a combination rejected by {!Integration.quick_check}: a trial,
       but neither an integration nor an explored design. *)
-
-  val set_cache_hits : t -> int -> unit
-  (** Attribute integration-cache chip hits to this slice (the delta of
-      {!Integration.chip_cache_hits} across the slice's run). *)
-
-  val cache_hit_total : t list -> int
 
   val record : keep_all:bool -> t -> Integration.system -> unit
   (** Count an integration, append to the explored list when [keep_all],
@@ -101,14 +88,25 @@ module Slice : sig
       otherwise the system is prepended and the members it dominates are
       evicted. *)
 
-  val merge : keep_all:bool -> t list -> outcome
-  (** Recombine slices (given in first-level task order) into what
-      {!finalize} returns.  The explored list is the task-order
-      concatenation reversed, matching the sequential accumulator; the
-      global front is rebuilt by replaying each slice's admissions, with
-      their stored vectors, in order — sound because Pareto dominance
-      makes local eviction imply global eviction.
-      [stats.feasible_trials] is the sum of the per-slice [feasible]
-      counters, i.e. the number of feasible integrations, exactly as the
-      sequential searches count it. *)
+  val run :
+    keep_all:bool ->
+    pool:Chop_util.Pool.t ->
+    ?metrics:parallel_metrics ref ->
+    Integration.context ->
+    (t -> Integration.cache -> unit) array ->
+    outcome
+  (** [run ~keep_all ~pool ctx tasks] runs every task on [pool], each
+      against a fresh slice and the running domain's
+      {!Integration.domain_cache} for one new {!Integration.session} of
+      [ctx], then merges the slices, in task order, into what {!finalize}
+      returns.  The explored list is the task-order concatenation
+      reversed, matching the sequential accumulator; the global front is
+      rebuilt by replaying each slice's admissions, with their stored
+      vectors, in order — sound because Pareto dominance makes local
+      eviction imply global eviction.  [stats.feasible_trials] is the sum
+      of the per-slice [feasible] counters, i.e. the number of feasible
+      integrations, exactly as the sequential searches count it.
+      [metrics], when given, receives the wall clock and summed busy time
+      of the tasks, the wall clock of the merge, per-participant busy
+      seconds and the chunk count. *)
 end

@@ -475,6 +475,127 @@ let test_integration_shared_remote_memory () =
   Alcotest.(check (list string)) "both partitions access M" [ "P1"; "P2" ]
     (Spec.partitions_accessing spec "M")
 
+(* One cache reused over every combination of a product, with the
+   interval derived and forced to each candidate, must answer exactly as a
+   fresh integration: its memo keys must carry everything a stage reads. *)
+
+let multi_cycle_clocks =
+  Chop_tech.Clocking.make ~main:300. ~datapath_ratio:1 ~transfer_ratio:1
+
+(* two chips, each hosting one of the memories both levels touch *)
+let memory_levels_spec () =
+  let g = Chop_dfg.Benchmarks.memory_pipeline ~blocks:("A", "B") () in
+  let mem name =
+    Chop_tech.Memory.make ~name ~words:64 ~word_width:16 ~ports:1 ~access:120.
+      ~placement:(Chop_tech.Memory.On_chip 4000.)
+  in
+  Rig.custom ~graph:g
+    ~partitioning:(Chop_dfg.Partition.by_levels g ~k:2)
+    ~memories:[ mem "A"; mem "B" ]
+    ~memory_hosts:[ ("A", "chip1"); ("B", "chip2") ]
+    ~package:Chop_tech.Mosis.package_84 ~clocks:multi_cycle_clocks
+    ~style:(Chop_tech.Style.both Chop_tech.Style.Multi_cycle)
+    ~criteria:(Chop_bad.Feasibility.criteria ~perf:50000. ~delay:50000. ())
+    ()
+
+(* Two chips contend for memory M's two ports.  Each partition reads M at
+   two addresses, one a product and one a product plus a constant, and
+   sums the words.  Unpruned, a partition has implementations of equal
+   latency that start one or two reads in a step, so the urgency schedule
+   must be keyed by the memory demands as well as by the latencies. *)
+let memory_contended_spec () =
+  let b = Chop_dfg.Graph.builder ~name:"mem_contended" () in
+  let node name op preds =
+    let id = Chop_dfg.Graph.add_node b ~name ~op ~width:16 in
+    List.iter (fun src -> Chop_dfg.Graph.add_edge b ~src ~dst:id) preds;
+    id
+  in
+  let part tag =
+    (* a read of M and the operations computing its address *)
+    let read i ~offset =
+      let x = node (tag ^ "x" ^ i) Chop_dfg.Op.Input [] in
+      let c = node (tag ^ "c" ^ i) Chop_dfg.Op.Const [] in
+      let m = node (tag ^ "m" ^ i) Chop_dfg.Op.Mult [ x; c ] in
+      let addr = if offset then node (tag ^ "d" ^ i) Chop_dfg.Op.Add [ m; c ] else m in
+      let r = node (tag ^ "r" ^ i) (Chop_dfg.Op.Mem_read "M") [ addr ] in
+      (List.sort_uniq compare [ m; addr; r ], r)
+    in
+    let ops1, r1 = read "1" ~offset:true in
+    let ops2, r2 = read "2" ~offset:false in
+    let sum = node (tag ^ "s") Chop_dfg.Op.Add [ r1; r2 ] in
+    ignore (node (tag ^ "y") Chop_dfg.Op.Output [ sum ]);
+    ops1 @ ops2 @ [ sum ]
+  in
+  let p1 = part "p" in
+  let p2 = part "q" in
+  let g = Chop_dfg.Graph.build b in
+  Rig.custom ~graph:g
+    ~partitioning:
+      (Chop_dfg.Partition.partitioning g
+         [ Chop_dfg.Partition.make ~label:"P1" p1;
+           Chop_dfg.Partition.make ~label:"P2" p2 ])
+    ~memories:
+      [ Chop_tech.Memory.make ~name:"M" ~words:64 ~word_width:16 ~ports:2
+          ~access:120. ~placement:(Chop_tech.Memory.On_chip 4000.) ]
+    ~memory_hosts:[ ("M", "chip1") ]
+    ~params:{ Spec.default_params with discard_inferior = false }
+    ~package:Chop_tech.Mosis.package_84
+    ~clocks:
+      (Chop_tech.Clocking.make ~main:300. ~datapath_ratio:10 ~transfer_ratio:1)
+    ~style:(Chop_tech.Style.both Chop_tech.Style.Single_cycle)
+    ~criteria:(Chop_bad.Feasibility.criteria ~perf:50000. ~delay:50000. ())
+    ()
+
+(* the AR filter's second level runs in software *)
+let software_chip_spec () =
+  let g = Chop_dfg.Benchmarks.ar_lattice_filter () in
+  let cpu =
+    Chop_model_sw.Processor.make ~name:"cpu" ~issue_slots:2 ~cycle_ns:300.
+      ~code_bytes_per_op:4 ~data_bytes_per_value:2 ~memory_budget_bytes:4096.
+      ~bus_bits:16
+  in
+  Rig.custom ~graph:g
+    ~partitioning:(Chop_dfg.Partition.by_levels g ~k:2)
+    ~package:Chop_tech.Mosis.package_84 ~clocks:multi_cycle_clocks
+    ~style:(Chop_tech.Style.both Chop_tech.Style.Multi_cycle)
+    ~criteria:(Chop_bad.Feasibility.criteria ~perf:20000. ~delay:20000. ())
+    ~processors:[ cpu ] ~impls:[ ("P2", "cpu") ] ()
+
+let test_reused_cache_matches_fresh () =
+  List.iter
+    (fun (name, spec) ->
+      let per_partition, _ = explore_predictions spec in
+      let ctx = Integration.context spec in
+      let cache = Integration.cache ctx in
+      let targets =
+        None
+        :: List.map Option.some
+             (Iter_heuristic.candidate_intervals ctx per_partition)
+      in
+      let labels = List.map fst per_partition in
+      let checked, differ =
+        Chop_util.Listx.fold_cartesian
+          (fun acc picks ->
+            let comb = List.combine labels picks in
+            List.fold_left
+              (fun (checked, differ) ii_target ->
+                let cached = Integration.integrate_cached cache ?ii_target comb in
+                let fresh = Integration.integrate ctx ?ii_target comb in
+                ( checked + 1,
+                  if compare cached fresh = 0 then differ else differ + 1 ))
+              acc targets)
+          (0, 0) (List.map snd per_partition)
+      in
+      Alcotest.(check bool) (name ^ ": integrated") true (checked > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: of %d, differing from a fresh integration" name
+           checked)
+        0 differ)
+    [ ("experiment1 k=2", exp1 2); ("experiment1 k=3", exp1 3);
+      ("memory_pipeline by levels", memory_levels_spec ());
+      ("memory-contended, unpruned", memory_contended_spec ());
+      ("software chip", software_chip_spec ()) ]
+
 (* ------------------------------------------------------------------ *)
 (* Heuristics + Explore *)
 
@@ -1230,6 +1351,7 @@ let () =
           tc "failure kinds" `Quick test_integration_failure_kinds;
           tc "structural pin exhaustion" `Quick test_integration_structural_pin_exhaustion;
           tc "shared remote memory" `Quick test_integration_shared_remote_memory;
+          tc "reused cache matches fresh" `Quick test_reused_cache_matches_fresh;
         ] );
       ( "search",
         [

@@ -422,6 +422,38 @@ let test_metrics_breakdown () =
   Alcotest.(check bool) "summary renders" true
     (String.length (Explore.Metrics.summary m) > 0)
 
+(* Every counter [chop explore --stats] prints, and the search's own
+   stats, read the same at any jobs value.  Each run starts on an empty
+   prediction cache, as a CLI process does. *)
+let test_metrics_counters_jobs_independent () =
+  List.iter
+    (fun (benchmark, heuristic) ->
+      let spec =
+        Result.get_ok
+          (Chop_server.Ops.spec_of_params
+             { Chop_server.Protocol.default_params with benchmark;
+               partitions = 3; multicycle = true; perf = 20000.;
+               delay = 100000. })
+      in
+      let counters jobs =
+        let r =
+          run_with ~cache:(Explore.Config.Custom (Pred_cache.create ()))
+            ~heuristic ~jobs spec
+        in
+        let m = r.Explore.metrics and s = r.Explore.outcome.Search.stats in
+        Explore.Metrics.
+          [ m.cache_hits; m.cache_misses; m.pruned_impls;
+            m.integrations_avoided ]
+        @ Search.
+            [ s.implementation_trials; s.integrations; s.integrations_avoided;
+              s.feasible_trials ]
+      in
+      Alcotest.(check (list int))
+        (Format.asprintf "%s k=3 %a" benchmark Explore.pp_heuristic heuristic)
+        (counters 1) (counters 4))
+    [ ("ewf", Explore.Enumeration); ("ewf", Explore.Branch_bound);
+      ("pcm_pwm", Explore.Enumeration); ("pcm_pwm", Explore.Branch_bound) ]
+
 let test_metrics_iterative_sequential () =
   (* the iterative scan is sequential: its busy time is its wall time *)
   let r = run_with ~heuristic:Explore.Iterative ~jobs:1 (ar_spec ()) in
@@ -676,6 +708,8 @@ let () =
           tc "validation" `Quick test_config_validation;
           tc "report timing fields" `Quick test_report_timing_fields;
           tc "metrics breakdown" `Quick test_metrics_breakdown;
+          tc "counters independent of jobs" `Quick
+            test_metrics_counters_jobs_independent;
           tc "iterative search is sequential" `Quick
             test_metrics_iterative_sequential;
           tc "cache evictions metric" `Quick test_metrics_cache_evictions;

@@ -164,28 +164,32 @@ let test_agreement_branch_bound () =
    genuinely integrate to an infeasible system *)
 
 let test_quick_check_sound () =
-  let spec = Rig.experiment1 ~partitions:2 () in
-  let per_partition, _ = engine_predictions spec in
-  let ctx = Integration.context spec in
-  let cache = Integration.cache ctx in
   let rejected = ref 0 in
-  let rec walk acc = function
-    | [] ->
-        let comb = List.rev acc in
-        if Integration.quick_check cache comb then begin
-          incr rejected;
-          Alcotest.(check bool) "quick_check rejection is infeasible" false
-            (Integration.feasible (Integration.integrate_cached cache comb))
-        end
-    | (label, preds) :: rest ->
-        (* sample the head/middle/last picks to keep the walk small *)
-        let n = List.length preds in
-        List.iter
-          (fun i -> walk ((label, List.nth preds i) :: acc) rest)
-          (List.sort_uniq compare [ 0; n / 2; n - 1 ])
-  in
-  walk [] per_partition;
-  Alcotest.(check bool) "exercised at least one rejection" true (!rejected >= 0)
+  (* the 2-partition walk rejects nothing; the 3-partition one does *)
+  List.iter
+    (fun partitions ->
+      let spec = Rig.experiment1 ~partitions () in
+      let per_partition, _ = engine_predictions spec in
+      let ctx = Integration.context spec in
+      let cache = Integration.cache ctx in
+      let rec walk acc = function
+        | [] ->
+            let comb = List.rev acc in
+            if Integration.quick_check cache comb then begin
+              incr rejected;
+              Alcotest.(check bool) "quick_check rejection is infeasible" false
+                (Integration.feasible (Integration.integrate_cached cache comb))
+            end
+        | (label, preds) :: rest ->
+            (* sample the head/middle/last picks to keep the walk small *)
+            let n = List.length preds in
+            List.iter
+              (fun i -> walk ((label, List.nth preds i) :: acc) rest)
+              (List.sort_uniq compare [ 0; n / 2; n - 1 ])
+      in
+      walk [] per_partition)
+    [ 2; 3 ];
+  Alcotest.(check bool) "exercised at least one rejection" true (!rejected > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Randomized property: on generated specs, pre-pruning changes neither
