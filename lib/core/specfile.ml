@@ -406,6 +406,10 @@ let op_to_string = function
 let print (spec : Spec.t) =
   let buf = Buffer.create 2048 in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  (* every float in its shortest exact form, so parse reads back the
+     same value (an acknowledged [criteria 4029.273 …] edit stays
+     4029.273 through a snapshot) *)
+  let num = Chop_util.Json.shortest_float in
   let g = spec.Spec.graph in
   let width =
     List.fold_left (fun acc n -> max acc n.Chop_dfg.Graph.width) 1
@@ -425,26 +429,26 @@ let print (spec : Spec.t) =
   List.iter
     (fun ci ->
       let p = ci.Spec.package in
-      addf "chip %s pins=%d die=%gx%g pad_delay=%g pad_area=%g\n"
-        ci.Spec.chip_name p.Chop_tech.Chip.pins p.Chop_tech.Chip.width
-        p.Chop_tech.Chip.height p.Chop_tech.Chip.pad_delay
-        p.Chop_tech.Chip.pad_area)
+      addf "chip %s pins=%d die=%sx%s pad_delay=%s pad_area=%s\n"
+        ci.Spec.chip_name p.Chop_tech.Chip.pins (num p.Chop_tech.Chip.width)
+        (num p.Chop_tech.Chip.height) (num p.Chop_tech.Chip.pad_delay)
+        (num p.Chop_tech.Chip.pad_area))
     spec.Spec.chips;
   List.iter
     (fun m ->
       let placement =
         match m.Chop_tech.Memory.placement with
         | Chop_tech.Memory.On_chip a ->
-            Printf.sprintf "on_chip=%g host=%s" a
+            Printf.sprintf "on_chip=%s host=%s" (num a)
               (Option.value ~default:"?"
                  (Spec.memory_host spec m.Chop_tech.Memory.mname))
         | Chop_tech.Memory.Off_chip_package p ->
             Printf.sprintf "off_chip_pins=%d" p
       in
-      addf "memory %s words=%d width=%d ports=%d access=%g %s\n"
+      addf "memory %s words=%d width=%d ports=%d access=%s %s\n"
         m.Chop_tech.Memory.mname m.Chop_tech.Memory.words
         m.Chop_tech.Memory.word_width m.Chop_tech.Memory.ports
-        m.Chop_tech.Memory.access placement)
+        (num m.Chop_tech.Memory.access) placement)
     spec.Spec.memories;
   List.iter
     (fun p ->
@@ -456,24 +460,24 @@ let print (spec : Spec.t) =
   addf "library none\n";
   List.iter
     (fun c ->
-      addf "component %s class=%s width=%d area=%g delay=%g\n"
+      addf "component %s class=%s width=%d area=%s delay=%s\n"
         c.Chop_tech.Component.cname c.Chop_tech.Component.cls
-        c.Chop_tech.Component.width c.Chop_tech.Component.area
-        c.Chop_tech.Component.delay)
+        c.Chop_tech.Component.width (num c.Chop_tech.Component.area)
+        (num c.Chop_tech.Component.delay))
     spec.Spec.library;
   List.iter
     (fun p ->
-      addf "processor %s issue=%d cycle=%g code=%d data=%d mem=%g bus=%d\n"
+      addf "processor %s issue=%d cycle=%s code=%d data=%d mem=%s bus=%d\n"
         p.Chop_model_sw.Processor.pname p.Chop_model_sw.Processor.issue_slots
-        p.Chop_model_sw.Processor.cycle_ns
+        (num p.Chop_model_sw.Processor.cycle_ns)
         p.Chop_model_sw.Processor.code_bytes_per_op
         p.Chop_model_sw.Processor.data_bytes_per_value
-        p.Chop_model_sw.Processor.memory_budget_bytes
+        (num p.Chop_model_sw.Processor.memory_budget_bytes)
         p.Chop_model_sw.Processor.bus_bits)
     spec.Spec.processors;
   List.iter (fun (l, m) -> addf "impl %s %s\n" l m) spec.Spec.impls;
-  addf "clock main=%g datapath=%d transfer=%d\n"
-    spec.Spec.clocks.Chop_tech.Clocking.main
+  addf "clock main=%s datapath=%d transfer=%d\n"
+    (num spec.Spec.clocks.Chop_tech.Clocking.main)
     spec.Spec.clocks.Chop_tech.Clocking.datapath_ratio
     spec.Spec.clocks.Chop_tech.Clocking.transfer_ratio;
   addf "style %s\n"
@@ -481,14 +485,16 @@ let print (spec : Spec.t) =
     | Chop_tech.Style.Single_cycle -> "single_cycle"
     | Chop_tech.Style.Multi_cycle -> "multi_cycle");
   let c = spec.Spec.criteria in
-  addf "criteria perf=%g delay=%g perf_prob=%g area_prob=%g delay_prob=%g%s\n"
-    c.Chop_bad.Feasibility.perf_constraint c.Chop_bad.Feasibility.delay_constraint
-    c.Chop_bad.Feasibility.perf_prob c.Chop_bad.Feasibility.area_prob
-    c.Chop_bad.Feasibility.delay_prob
+  addf "criteria perf=%s delay=%s perf_prob=%s area_prob=%s delay_prob=%s%s\n"
+    (num c.Chop_bad.Feasibility.perf_constraint)
+    (num c.Chop_bad.Feasibility.delay_constraint)
+    (num c.Chop_bad.Feasibility.perf_prob)
+    (num c.Chop_bad.Feasibility.area_prob)
+    (num c.Chop_bad.Feasibility.delay_prob)
     (match c.Chop_bad.Feasibility.power_budget with
-    | Some b -> Printf.sprintf " power_budget=%g" b
+    | Some b -> " power_budget=" ^ num b
     | None -> "");
-  addf "params alloc_cap=%d max_iis=%d testability=%g\n"
+  addf "params alloc_cap=%d max_iis=%d testability=%s\n"
     spec.Spec.params.Spec.alloc_cap spec.Spec.params.Spec.max_pipelined_iis
-    spec.Spec.params.Spec.testability_overhead;
+    (num spec.Spec.params.Spec.testability_overhead);
   Buffer.contents buf

@@ -199,7 +199,8 @@ let health_loop t interval =
 let line_json line =
   match Json.parse line with Ok j -> Some j | Error _ -> None
 
-(* [Protocol.ok_response] and [error_response] lead with
+(* A line of [Protocol.ok_pieces] (a backend's, or the gateway's own)
+   and one of [error_response] both lead with
    [{"id":<string>,"ok":<bool>]: read the verdict off that prefix when
    the id has no escape and the line ends its object, so a 200 KB explore
    answer is not parsed to log one word.  [None] for any other shape. *)
@@ -230,6 +231,14 @@ let leading_ok line =
         else if at v "true" && closes (v + 4) then Some true
         else if at v "false" && closes (v + 5) then Some false
         else None
+
+(* One of the gateway's own ok answers: small, so its pieces are joined
+   into the one line [answer] returns. *)
+let ok_line ~id ~op ~run_ms fields =
+  String.concat ""
+    (P.ok_pieces ~id ~op
+       ~timing:(P.no_engine_timing ~queue_ms:0. ~run_ms)
+       (Json.print (Json.Object fields)))
 
 let line_ok line =
   match leading_ok line with
@@ -446,10 +455,8 @@ let list_sessions t pc (req : P.request) line =
             resps
         in
         let run_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        Json.print
-          (P.ok_response ~id:req.P.id ~op:P.Session_list
-             ~timing:(P.no_engine_timing ~queue_ms:0. ~run_ms)
-             (Ops.session_list_result lines))
+        ok_line ~id:req.P.id ~op:P.Session_list ~run_ms
+          (Ops.session_list_result lines)
 
 (* gateway/migrate: snapshot handoff.  [session/save close:true] on the
    source persists the session and frees the slot (keeping the
@@ -510,18 +517,16 @@ let migrate_session t pc (req : P.request) =
                 counted t (fun c -> c.migrations <- c.migrations + 1);
                 logf t "session %s migrated %s -> %s" sid source target;
                 let run_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-                Json.print
-                  (P.ok_response ~id:req.P.id ~op:P.Gateway_migrate
-                     ~timing:(P.no_engine_timing ~queue_ms:0. ~run_ms)
-                     [
-                       ("session", Json.String sid);
-                       ("from", Json.String source);
-                       ("to", Json.String target);
-                       ("text",
-                        Json.String
-                          (Printf.sprintf "session %s migrated: %s -> %s\n"
-                             sid source target));
-                     ])))
+                ok_line ~id:req.P.id ~op:P.Gateway_migrate ~run_ms
+                  [
+                    ("session", Json.String sid);
+                    ("from", Json.String source);
+                    ("to", Json.String target);
+                    ("text",
+                     Json.String
+                       (Printf.sprintf "session %s migrated: %s -> %s\n" sid
+                          source target));
+                  ]))
 
 (* ------------------------------------------------------------------ *)
 (* Local ops                                                           *)
@@ -547,24 +552,22 @@ let stats_response t (req : P.request) =
     backends;
   Printf.bprintf buf "forwarded %d, migrations %d, failovers %d, errors %d\n"
     forwarded migrations failovers errors;
-  Json.print
-    (P.ok_response ~id:req.P.id ~op:P.Stats
-       ~timing:(P.no_engine_timing ~queue_ms:0. ~run_ms:0.)
-       [
-         ("gateway", Json.Bool true);
-         ("backends", Json.Array (List.map (fun b -> Json.String b) backends));
-         ("dead",
-          Json.Array
-            (List.filter_map
-               (fun b -> if is_dead t b then Some (Json.String b) else None)
-               backends));
-         ("sessions", Json.Int sessions);
-         ("forwarded", Json.Int forwarded);
-         ("migrations", Json.Int migrations);
-         ("failovers", Json.Int failovers);
-         ("errors", Json.Int errors);
-         ("text", Json.String (Buffer.contents buf));
-       ])
+  ok_line ~id:req.P.id ~op:P.Stats ~run_ms:0.
+    [
+      ("gateway", Json.Bool true);
+      ("backends", Json.Array (List.map (fun b -> Json.String b) backends));
+      ("dead",
+       Json.Array
+         (List.filter_map
+            (fun b -> if is_dead t b then Some (Json.String b) else None)
+            backends));
+      ("sessions", Json.Int sessions);
+      ("forwarded", Json.Int forwarded);
+      ("migrations", Json.Int migrations);
+      ("failovers", Json.Int failovers);
+      ("errors", Json.Int errors);
+      ("text", Json.String (Buffer.contents buf));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -578,10 +581,8 @@ let answer t pc line =
       let resp =
         match req.P.op with
         | P.Ping ->
-            Json.print
-              (P.ok_response ~id:req.P.id ~op:P.Ping
-                 ~timing:(P.no_engine_timing ~queue_ms:0. ~run_ms:0.)
-                 [ ("pong", Json.Bool true) ])
+            ok_line ~id:req.P.id ~op:P.Ping ~run_ms:0.
+              [ ("pong", Json.Bool true) ]
         | P.Stats -> stats_response t req
         | P.Gateway_migrate -> migrate_session t pc req
         | P.Session_open -> open_session t pc req
@@ -630,7 +631,7 @@ let serve t =
      connections, closed with it *)
   Listener.run ~signals:t.cfg.handle_signals t.listener (fun ~send ->
       let pc : pconn = Hashtbl.create 4 in
-      ((fun line -> send (answer t pc line)), fun () -> close_pconn pc));
+      ((fun line -> send [ answer t pc line ]), fun () -> close_pconn pc));
   Listener.close t.listener;
   Option.iter Thread.join prober;
   Mutex.lock t.test_mu;

@@ -78,8 +78,8 @@ val line_ok : string -> bool
 
 val leading_ok : string -> bool option
 (** The [ok] of a line that starts [{"id":"<id>","ok":<bool>] with an id
-    free of escapes and ends in [}], the shape every
-    {!Chop_server.Protocol.ok_response} and [error_response] prints,
+    free of escapes and ends in [}], the shape of every line that
+    {!Chop_server.Protocol.ok_pieces} and [error_response] print,
     without parsing the rest; [None] for any other shape. *)
 
 val check_health : t -> string list

@@ -1,11 +1,12 @@
 (* The one transport behind chop serve and chop gateway.  See
    listener.mli for the contract.  The points that matter: every send
-   takes its connection's mutex and drops the line once the connection
-   is closed, and only the connection's reading thread closes the
-   descriptor, once, under that same mutex, when its loop ends — so a
-   response finishing after its client left can never reach the next
-   client handed the same descriptor number, and [close] never pulls a
-   descriptor out from under a thread still blocked reading it. *)
+   takes its connection's mutex for the whole line (all its pieces) and
+   drops the line once the connection is closed, and only the
+   connection's reading thread closes the descriptor, once, under that
+   same mutex, when its loop ends — so a response finishing after its
+   client left can never reach the next client handed the same
+   descriptor number, and [close] never pulls a descriptor out from
+   under a thread still blocked reading it. *)
 
 type conn = {
   fd : Unix.file_descr option;  (* None on stdio: stdout is never closed *)
@@ -24,7 +25,7 @@ type t = {
   mutable conns : conn list;
 }
 
-type handler = send:(string -> unit) -> (string -> unit) * (unit -> unit)
+type handler = send:(string list -> unit) -> (string -> unit) * (unit -> unit)
 
 let bind path =
   (match Unix.lstat path with
@@ -84,11 +85,13 @@ let logf t fmt = Printf.ksprintf (log t) fmt
 (* ------------------------------------------------------------------ *)
 (* Connections                                                         *)
 
-let send c line =
+(* one line from its pieces, written in turn under one hold of the
+   mutex: never joined, never interleaved with another send's *)
+let send c pieces =
   Mutex.lock c.mu;
   (if not c.closed then
      try
-       output_string c.oc line;
+       List.iter (output_string c.oc) pieces;
        output_char c.oc '\n';
        flush c.oc
      with Sys_error _ | Unix.Unix_error _ -> ());

@@ -10,16 +10,18 @@
 
 type t
 
-type handler = send:(string -> unit) -> (string -> unit) * (unit -> unit)
+type handler = send:(string list -> unit) -> (string -> unit) * (unit -> unit)
 (** Called once per accepted connection, or once for stdin/stdout, with
     that connection's [send]; returns the callback for each request line
     and the hook run once the connection's input ends.  Both run on the
-    connection's reading thread.  [send] writes one response line and
-    may be called from any thread, at any time: writes to one connection
-    are serialized, and once the connection is closed (the peer hung up,
-    or {!close}) the line is dropped — never written to whatever client
-    later receives the same descriptor number.  A socket connection is
-    already closed when its hook runs. *)
+    connection's reading thread.  [send pieces] writes one response
+    line: the pieces one after another, never joined into a new string,
+    then the newline.  It may be called from any thread, at any time:
+    one connection's lines are serialized whole — no piece of another
+    line comes between two pieces of one — and once the connection is
+    closed (the peer hung up, or {!close}) the line is dropped, never
+    written to whatever client later receives the same descriptor
+    number.  A socket connection is already closed when its hook runs. *)
 
 val create : socket_path:string option -> log:out_channel option -> t
 (** Binds and listens on [socket_path] when given, so clients may

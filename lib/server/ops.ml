@@ -136,9 +136,13 @@ let engine_key ~op (p : Protocol.params) =
     | Protocol.Gateway_migrate ->
         "explore"
   in
-  Printf.sprintf "%s|%s|k=%d|p=%d|perf=%g|delay=%g|mc=%b|h=%s|s=%s|ka=%b|np=%b"
+  (* each float in its shortest exact form: two constraints that differ
+     only past six digits must not share an engine *)
+  Printf.sprintf "%s|%s|k=%d|p=%d|perf=%s|delay=%s|mc=%b|h=%s|s=%s|ka=%b|np=%b"
     family p.Protocol.benchmark p.Protocol.partitions p.Protocol.package
-    p.Protocol.perf p.Protocol.delay p.Protocol.multicycle
+    (Chop_util.Json.shortest_float p.Protocol.perf)
+    (Chop_util.Json.shortest_float p.Protocol.delay)
+    p.Protocol.multicycle
     (match family with "predict" -> "-" | _ -> p.Protocol.heuristic)
     p.Protocol.strategy
     (p.Protocol.keep_all || p.Protocol.csv)

@@ -69,7 +69,11 @@ val engine_key : op:Protocol.op -> Protocol.params -> string
     (explore-family ops can share an engine; predict has its own
     configuration).  Rendering-only parameters ([verbose], [index],
     [top], sensitivity fields) are excluded, so requests differing only
-    in presentation reuse the same engine. *)
+    in presentation reuse the same engine.  Injective on those
+    parameters: [perf] and [delay] print in their shortest exact form
+    ({!Chop_util.Json.shortest_float}), so two requests share a key only
+    when they would build the same spec and configuration — a server
+    renders a request against the spec its engine was created from. *)
 
 (** {1 Renderers} *)
 

@@ -386,18 +386,19 @@ let timing_to_json t =
       ("jobs", Json.Int t.jobs);
     ]
 
-let ok_response ~id ~op ?timing fields =
-  Json.Object
-    ([
-       ("id", Json.String id);
-       ("ok", Json.Bool true);
-       ("op", Json.String (op_to_string op));
-       ("result", Json.Object fields);
-     ]
-    @
-    match timing with
-    | None -> []
-    | Some t -> [ ("timing", timing_to_json t) ])
+let ok_pieces ~id ~op ~timing result =
+  [
+    String.concat ""
+      [
+        {|{"id":|};
+        Json.print (Json.String id);
+        {|,"ok":true,"op":|};
+        Json.print (Json.String (op_to_string op));
+        {|,"result":|};
+      ];
+    result;
+    {|,"timing":|} ^ Json.print (timing_to_json timing) ^ "}";
+  ]
 
 let error_response ~id ~code message =
   Json.Object

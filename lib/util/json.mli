@@ -40,6 +40,15 @@ val print_hum : t -> string
 (** Two-space-indented rendering, for logs and files meant for people.
     @raise Invalid_argument on a non-finite {!Float}. *)
 
+val shortest_float : float -> string
+(** The shortest of [%.15g], [%.16g] and [%.17g] that reads back to the
+    identical float, with nothing appended: ["0.1"], ["20000"],
+    ["4029.273"].  {!print} writes a {!Float} this way, adding [".0"]
+    when there is neither a fraction nor an exponent.  Also the number
+    format of the keys and text files that must not merge or lose
+    distinct values (a warm engine's key, a chopspec).  Total: non-finite
+    values print as [%g] does. *)
+
 (** {1 Parsing} *)
 
 val parse : string -> (t, string) result

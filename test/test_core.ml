@@ -947,20 +947,107 @@ let test_specfile_parse () =
   Alcotest.(check bool) "explorable" true
     (report.Explore.outcome.Search.feasible <> [])
 
+(* every float field a chopspec carries, by name *)
+let spec_floats (s : Spec.t) =
+  let c = s.Spec.criteria in
+  List.concat_map
+    (fun ci ->
+      let p = ci.Spec.package and n = ci.Spec.chip_name in
+      [
+        (n ^ ".width", p.Chop_tech.Chip.width);
+        (n ^ ".height", p.Chop_tech.Chip.height);
+        (n ^ ".pad_delay", p.Chop_tech.Chip.pad_delay);
+        (n ^ ".pad_area", p.Chop_tech.Chip.pad_area);
+      ])
+    s.Spec.chips
+  @ List.concat_map
+      (fun m ->
+        (m.Chop_tech.Memory.mname ^ ".access", m.Chop_tech.Memory.access)
+        ::
+        (match m.Chop_tech.Memory.placement with
+        | Chop_tech.Memory.On_chip a -> [ (m.Chop_tech.Memory.mname ^ ".area", a) ]
+        | Chop_tech.Memory.Off_chip_package _ -> []))
+      s.Spec.memories
+  @ List.concat_map
+      (fun k ->
+        [
+          (k.Chop_tech.Component.cname ^ ".area", k.Chop_tech.Component.area);
+          (k.Chop_tech.Component.cname ^ ".delay", k.Chop_tech.Component.delay);
+        ])
+      s.Spec.library
+  @ List.concat_map
+      (fun p ->
+        [
+          (p.Chop_model_sw.Processor.pname ^ ".cycle",
+           p.Chop_model_sw.Processor.cycle_ns);
+          (p.Chop_model_sw.Processor.pname ^ ".mem",
+           p.Chop_model_sw.Processor.memory_budget_bytes);
+        ])
+      s.Spec.processors
+  @ [
+      ("clock.main", s.Spec.clocks.Chop_tech.Clocking.main);
+      ("perf", c.Chop_bad.Feasibility.perf_constraint);
+      ("delay", c.Chop_bad.Feasibility.delay_constraint);
+      ("perf_prob", c.Chop_bad.Feasibility.perf_prob);
+      ("area_prob", c.Chop_bad.Feasibility.area_prob);
+      ("delay_prob", c.Chop_bad.Feasibility.delay_prob);
+      ("power_budget",
+       Option.value ~default:Float.nan c.Chop_bad.Feasibility.power_budget);
+      ("testability", s.Spec.params.Spec.testability_overhead);
+    ]
+
+(* the demo with a fractional value, past six significant digits, in
+   every float field *)
+let fractional_spec_text = {chop|
+graph frac width=16
+node x input
+node k const
+node m mult x k
+node a add m x
+node y output a
+
+chip chip1 pins=84 die=311.0236220472441x362.2047244094488 pad_delay=25.000000001 pad_area=297.61234567
+chip chip2 pins=64 die=311.02x362.20 pad_delay=25 pad_area=297.6
+memory M words=64 width=16 ports=1 access=120.33333333333333 off_chip_pins=28
+memory N words=32 width=16 ports=1 access=40.1234567 on_chip=1234.5678901234 host=chip1
+partition P1 = m
+partition P2 = a
+assign P1 chip1
+assign P2 chip2
+library extended
+component mulx class=mult width=16 area=9800.123456789 delay=2950.0000001
+processor cpu issue=4 cycle=300.1234567891 code=4 data=2 mem=176.77777777777777 bus=16
+clock main=300.00000001 datapath=1 transfer=1
+style multi_cycle
+criteria perf=4029.273 delay=100000.5 perf_prob=0.9876543219 area_prob=0.95 delay_prob=0.8123456789 power_budget=1234.56789012
+params alloc_cap=4 max_iis=4 testability=0.0123456789
+|chop}
+
 let test_specfile_roundtrip () =
-  let spec = Specfile.parse demo_spec_text in
-  let reparsed = Specfile.parse (Specfile.print spec) in
-  Alcotest.(check int) "chips" (List.length spec.Spec.chips)
-    (List.length reparsed.Spec.chips);
-  Alcotest.(check int) "ops" (Chop_dfg.Graph.op_count spec.Spec.graph)
-    (Chop_dfg.Graph.op_count reparsed.Spec.graph);
-  Alcotest.(check int) "library size" (List.length spec.Spec.library)
-    (List.length reparsed.Spec.library);
-  Alcotest.(check int) "memories" 1 (List.length reparsed.Spec.memories);
-  (* behaviourally identical graphs *)
-  Alcotest.(check bool) "graphs equivalent" true
-    (let g1 = spec.Spec.graph and g2 = reparsed.Spec.graph in
-     Chop_dfg.Graph.op_profile g1 = Chop_dfg.Graph.op_profile g2)
+  List.iter
+    (fun text ->
+      let spec = Specfile.parse text in
+      let reparsed = Specfile.parse (Specfile.print spec) in
+      Alcotest.(check int) "chips" (List.length spec.Spec.chips)
+        (List.length reparsed.Spec.chips);
+      Alcotest.(check int) "ops" (Chop_dfg.Graph.op_count spec.Spec.graph)
+        (Chop_dfg.Graph.op_count reparsed.Spec.graph);
+      Alcotest.(check int) "library size" (List.length spec.Spec.library)
+        (List.length reparsed.Spec.library);
+      Alcotest.(check int) "memories" (List.length spec.Spec.memories)
+        (List.length reparsed.Spec.memories);
+      (* behaviourally identical graphs *)
+      Alcotest.(check bool) "graphs equivalent" true
+        (let g1 = spec.Spec.graph and g2 = reparsed.Spec.graph in
+         Chop_dfg.Graph.op_profile g1 = Chop_dfg.Graph.op_profile g2);
+      (* every float bit-equal after parse . print *)
+      let bits fields =
+        List.map (fun (n, f) -> (n, Int64.bits_of_float f)) fields
+      in
+      Alcotest.(check (list (pair string int64))) "float fields"
+        (bits (spec_floats spec))
+        (bits (spec_floats reparsed)))
+    [ demo_spec_text; fractional_spec_text ]
 
 let test_specfile_roundtrip_experiment () =
   let spec = exp1 2 in

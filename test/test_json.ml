@@ -54,7 +54,24 @@ let test_print_floats () =
         (Invalid_argument
            "Json.print: non-finite floats have no JSON representation")
         (fun () -> ignore (Json.print (Json.Float f))))
-    [ Float.nan; Float.infinity; Float.neg_infinity ]
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* the bare form keys warm engines and prints chopspecs: a value of at
+     most six significant digits below 10^6 prints as %g did, and past
+     six digits nothing is lost *)
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "as %g" (Printf.sprintf "%g" f)
+        (Json.shortest_float f))
+    [ 0.; 1.; 0.8; 25.; 297.6; 311.02; 20000.; 30000.; 100000.; 999999. ];
+  Alcotest.(check string) "past six digits" "4029.273"
+    (Json.shortest_float 4029.273);
+  Alcotest.(check string) "no suffix" "1000000" (Json.shortest_float 1e6)
+
+let shortest_float_reads_back =
+  QCheck.Test.make ~name:"float_of_string (shortest_float f) = f" ~count:1000
+    QCheck.float (fun f ->
+      QCheck.assume (Float.is_finite f);
+      float_of_string (Json.shortest_float f) = f)
 
 let test_print_containers () =
   Alcotest.(check string) "empty array" "[]" (Json.print (Json.Array []));
@@ -262,5 +279,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest roundtrip_compact;
           QCheck_alcotest.to_alcotest roundtrip_hum;
+          QCheck_alcotest.to_alcotest shortest_float_reads_back;
         ] );
     ]

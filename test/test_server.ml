@@ -324,6 +324,286 @@ let test_handle_line_matches_direct_render () =
     (Option.bind (field stats [ "result"; "engines" ]) Json.to_int_opt = Some 1)
 
 (* ------------------------------------------------------------------ *)
+(* Warm-engine answers *)
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
+  in
+  nn = 0 || go 0
+
+(* explore-gateway's constraints: multi-cycle, perf 20000, delay 100000 *)
+let relaxed benchmark partitions heuristic =
+  { Protocol.default_params with benchmark; partitions; heuristic;
+    multicycle = true; perf = 20000.; delay = 100000. }
+
+let request_line ?(id = "q") op params =
+  Json.print
+    (Protocol.request_to_json { Protocol.id; op; deadline_ms = None; params })
+
+let ok_line server line =
+  let resp = parse_response (Server.handle_line server line) in
+  if Protocol.response_ok resp <> Some true then
+    Alcotest.failf "not ok: %s" (Json.print resp);
+  resp
+
+let timing_jobs resp =
+  Option.get (Option.bind (field resp [ "timing"; "jobs" ]) Json.to_int_opt)
+
+let result_bytes resp = Json.print (Option.get (field resp [ "result" ]))
+
+(* a cache-off run: what a fresh [chop explore] process computes *)
+let fresh_report (p : Protocol.params) =
+  let spec = Result.get_ok (Ops.spec_of_params p) in
+  let config = Result.get_ok (Ops.config_of_params ~jobs:1 p) in
+  let config =
+    { config with Chop.Explore.Config.cache = Chop.Explore.Config.Off }
+  in
+  (spec, Chop.Explore.with_engine config spec Chop.Explore.Session.run)
+
+let fresh_render (p : Protocol.params) =
+  let spec, report = fresh_report p in
+  Ops.render_explore spec ~keep_all:p.Protocol.keep_all ~csv:p.Protocol.csv
+    ~verbose:p.Protocol.verbose report
+
+(* perf 4029.271 and 4029.273 differ past six significant digits; at
+   4029.273 ewf k=3 has one feasible design, at 4029.271 none.  Sharing
+   one engine answered the second request from the first's spec. *)
+let test_engine_key_fractional () =
+  let p1 = { (relaxed "ewf" 3 "e") with perf = 4029.271 } in
+  let p2 = { p1 with perf = 4029.273 } in
+  let key = Ops.engine_key ~op:Protocol.Explore in
+  Alcotest.(check bool) "distinct engine keys" true (key p1 <> key p2);
+  Alcotest.(check string) "integral constraints key as before"
+    "explore|ewf|k=3|p=84|perf=20000|delay=100000|mc=true|h=e|s=levels|ka=false|np=false"
+    (key (relaxed "ewf" 3 "e"));
+  let server = make_server () in
+  let text p =
+    Option.get
+      (Protocol.response_text (ok_line server (request_line Protocol.Explore p)))
+  in
+  Alcotest.(check string) "perf 4029.271 = fresh render" (fresh_render p1)
+    (text p1);
+  let second = text p2 in
+  Alcotest.(check string) "perf 4029.273 = fresh render" (fresh_render p2)
+    second;
+  Alcotest.(check bool) "perf 4029.273 finds its design" true
+    (contains second "1 feasible non-inferior")
+
+(* A repeat gets the stored answer without running; any other request on
+   the same engine (other render parameters, another op) gets its own. *)
+let test_repeat_reuses_answer () =
+  let server = make_server () in
+  let p = { (relaxed "pcm_pwm" 3 "e") with keep_all = true } in
+  let explore p = ok_line server (request_line Protocol.Explore p) in
+  let first = explore p in
+  let again = explore p in
+  Alcotest.(check string) "the repeat's result is the first's"
+    (result_bytes first) (result_bytes again);
+  let expected = fresh_render p in
+  Alcotest.(check (option string)) "first = cache-off render" (Some expected)
+    (Protocol.response_text first);
+  Alcotest.(check (option string)) "repeat = cache-off render"
+    (Some expected) (Protocol.response_text again);
+  Alcotest.(check bool) "the first ran the engine" true (timing_jobs first >= 1);
+  Alcotest.(check int) "the repeat ran no engine" 0 (timing_jobs again);
+  Alcotest.(check (option (float 0.))) "the repeat searched nothing" (Some 0.)
+    (Option.bind (field again [ "timing"; "search_ms" ]) Json.to_float_opt);
+  let own what p' =
+    let resp = explore p' in
+    Alcotest.(check bool) (what ^ " ran the engine") true (timing_jobs resp >= 1);
+    Alcotest.(check (option string)) (what ^ " = its render")
+      (Some (fresh_render p')) (Protocol.response_text resp);
+    resp
+  in
+  ignore (own "verbose" { p with verbose = true });
+  Alcotest.(check string) "verbose off again: the first bytes"
+    (result_bytes first)
+    (result_bytes (own "verbose off" p));
+  ignore (own "csv" { p with keep_all = false; csv = true });
+  let advice = ok_line server (request_line Protocol.Advise p) in
+  let spec, report = fresh_report p in
+  Alcotest.(check (option string)) "advise answers the advice"
+    (Some (Ops.render_advice (Chop.Advisor.judge spec report)))
+    (Protocol.response_text advice);
+  let predictions =
+    Chop.Explore.with_engine
+      (Chop.Explore.Config.make ~jobs:1 ())
+      spec Chop.Explore.Session.predictions
+  in
+  List.iter
+    (fun top ->
+      let resp =
+        ok_line server (request_line Protocol.Predict { p with top })
+      in
+      let per_partition, stats = predictions in
+      Alcotest.(check (option string))
+        (Printf.sprintf "predict top %d" top)
+        (Some (Ops.render_predict spec ~index:(-1) ~top per_partition stats))
+        (Protocol.response_text resp))
+    [ 1; 3 ];
+  let stats = parse_response (Server.handle_line server {|{"op":"stats"}|}) in
+  Alcotest.(check (option int)) "explore and predict engines" (Some 2)
+    (Option.bind (field stats [ "result"; "engines" ]) Json.to_int_opt)
+
+(* The memo's contract, with runs that cancel, raise or fail on demand:
+   only a completed run is stored, and only its op and params repeat it. *)
+let test_reuse_stores_completed_runs () =
+  let req =
+    { Protocol.id = "r"; op = Protocol.Explore; deadline_ms = None;
+      params = relaxed "ewf" 3 "e" }
+  in
+  let last = ref None and runs = ref 0 in
+  let answer result () =
+    incr runs;
+    Ok (result, (), "feasible")
+  in
+  let reused ?(req = req) run = Server.reuse last req run in
+  (match reused (fun () -> raise Chop.Explore.Cancelled) with
+  | exception Chop.Explore.Cancelled -> ()
+  | _ -> Alcotest.fail "a cancelled run answered");
+  (match reused (fun () -> failwith "worker exception") with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "a raising run answered");
+  (match reused (fun () -> Error "deadline exceeded during the run") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a failed run answered");
+  let check what expected got =
+    Alcotest.(check (result (triple string (option unit) string) string))
+      what (Ok expected) got
+  in
+  check "nothing stored: the first completed run answers"
+    ({|{"n":1}|}, Some (), "feasible")
+    (reused (answer {|{"n":1}|}));
+  check "the repeat: stored bytes, no run" ({|{"n":1}|}, None, "feasible")
+    (reused (answer {|{"n":2}|}));
+  Alcotest.(check int) "one run so far" 1 !runs;
+  check "other params run" ({|{"n":3}|}, Some (), "feasible")
+    (reused
+       ~req:{ req with params = { req.Protocol.params with verbose = true } }
+       (answer {|{"n":3}|}));
+  let advise = { req with op = Protocol.Advise } in
+  check "another op runs" ({|{"n":4}|}, Some (), "feasible")
+    (reused ~req:advise (answer {|{"n":4}|}));
+  (match reused (fun () -> raise Chop.Explore.Cancelled) with
+  | exception Chop.Explore.Cancelled -> ()
+  | _ -> Alcotest.fail "a cancelled run answered");
+  check "a cancelled run keeps the last answer" ({|{"n":4}|}, None, "feasible")
+    (reused ~req:advise (answer {|{"n":5}|}));
+  Alcotest.(check int) "three runs" 3 !runs
+
+(* ------------------------------------------------------------------ *)
+(* Response pieces *)
+
+(* ids and keys with quotes, backslashes, control bytes and UTF-8 *)
+let awkward_string =
+  let open QCheck.Gen in
+  map (String.concat "")
+    (list_size (0 -- 6)
+       (oneof
+          [
+            oneofl
+              [ "\""; "\\"; "\n"; "\t"; "\x00"; "\x01"; "\x1f"; "\x7f";
+                "/"; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80" ];
+            string_size (0 -- 4) ~gen:printable;
+            string_size (1 -- 2) ~gen:char;
+          ]))
+
+let finite = QCheck.Gen.map (fun f -> if Float.is_finite f then f else 0.) QCheck.Gen.float
+
+let json_value =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) finite;
+        map (fun s -> Json.String s) awkward_string;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun vs -> Json.Array vs) (list_size (0 -- 4) (self (n / 2))));
+               ( 1,
+                 map
+                   (fun fields -> Json.Object fields)
+                   (list_size (0 -- 4) (pair awkward_string (self (n / 2)))) );
+             ])
+
+let timing_gen =
+  let open QCheck.Gen in
+  let* queue_ms = finite and* run_ms = finite and* predict_ms = finite
+  and* search_ms = finite and* merge_ms = finite and* cache_hits = int
+  and* cache_misses = int and* cache_evictions = int and* moves_tried = int
+  and* moves_accepted = int and* speculative_runs = int
+  and* batch_rounds = int and* spec_busy_ms = finite
+  and* spec_wall_ms = finite and* jobs = int in
+  return
+    { Protocol.queue_ms; run_ms; predict_ms; search_ms; merge_ms; cache_hits;
+      cache_misses; cache_evictions; moves_tried; moves_accepted;
+      speculative_runs; batch_rounds; spec_busy_ms; spec_wall_ms; jobs }
+
+(* the reference: the whole response as one tree *)
+let response_tree ~id ~op ~(timing : Protocol.timing) result =
+  let f x = Json.Float x and i x = Json.Int x in
+  Json.Object
+    [
+      ("id", Json.String id);
+      ("ok", Json.Bool true);
+      ("op", Json.String (Protocol.op_to_string op));
+      ("result", result);
+      ( "timing",
+        Json.Object
+          [
+            ("queue_ms", f timing.Protocol.queue_ms);
+            ("run_ms", f timing.Protocol.run_ms);
+            ("predict_ms", f timing.Protocol.predict_ms);
+            ("search_ms", f timing.Protocol.search_ms);
+            ("merge_ms", f timing.Protocol.merge_ms);
+            ("cache_hits", i timing.Protocol.cache_hits);
+            ("cache_misses", i timing.Protocol.cache_misses);
+            ("cache_evictions", i timing.Protocol.cache_evictions);
+            ("moves_tried", i timing.Protocol.moves_tried);
+            ("moves_accepted", i timing.Protocol.moves_accepted);
+            ("speculative_runs", i timing.Protocol.speculative_runs);
+            ("batch_rounds", i timing.Protocol.batch_rounds);
+            ("spec_busy_ms", f timing.Protocol.spec_busy_ms);
+            ("spec_wall_ms", f timing.Protocol.spec_wall_ms);
+            ("jobs", i timing.Protocol.jobs);
+          ] );
+    ]
+
+let pieces_are_the_line =
+  let gen =
+    QCheck.Gen.(
+      quad awkward_string (oneofl Protocol.all_ops) timing_gen
+        (map
+           (fun fields -> Json.Object fields)
+           (list_size (0 -- 5) (pair awkward_string json_value))))
+  in
+  QCheck.Test.make ~name:"ok_pieces concatenate to the printed response"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (id, op, timing, result) ->
+         Json.print (response_tree ~id ~op ~timing result))
+       gen)
+    (fun (id, op, timing, result) ->
+      let printed = Json.print result in
+      let pieces = Protocol.ok_pieces ~id ~op ~timing printed in
+      List.length pieces = 3
+      && List.nth pieces 1 == printed
+      && String.concat "" pieces
+         = Json.print (response_tree ~id ~op ~timing result))
+
+(* ------------------------------------------------------------------ *)
 (* Socket transport: concurrent clients *)
 
 (* ------------------------------------------------------------------ *)
@@ -675,7 +955,7 @@ let test_listener_late_send_dropped () =
   let kept = Atomic.make None and closed = Atomic.make 0 in
   let handler ~send =
     ignore (Atomic.compare_and_set kept None (Some send));
-    ((fun line -> send ("echo " ^ line)), fun () -> Atomic.incr closed)
+    ((fun line -> send [ "echo " ^ line ]), fun () -> Atomic.incr closed)
   in
   let th = Thread.create (fun () -> Listener.run ~signals:false listener handler) () in
   let exchange conn line =
@@ -691,7 +971,7 @@ let test_listener_late_send_dropped () =
   let c2 = Client.connect path in
   exchange c2 "two";
   (match Atomic.get kept with
-  | Some send -> send "late reply for connection 1"
+  | Some send -> send [ "late reply for connection 1" ]
   | None -> Alcotest.fail "connection 1's send was never kept");
   exchange c2 "three";
   Client.close c2;
@@ -724,6 +1004,52 @@ let test_listener_close_wakes_idle_reader () =
   Alcotest.(check bool) "close hook ran within 1 s, client still connected"
     true
     (until ~timeout:1. (fun () -> Atomic.get closed))
+
+(* Two threads send 200 three-piece lines each, ~100 KB in the middle,
+   on one connection: every line the client reads is one of the two,
+   whole. *)
+let test_listener_pieces_stay_whole () =
+  let path = temp_path "pieces.sock" in
+  let listener = Listener.create ~socket_path:(Some path) ~log:None in
+  let line c =
+    [ Printf.sprintf {|{"from":"%c","body":"|} c; String.make 100_000 c; {|"}|} ]
+  in
+  let lines = [ line 'a'; line 'b' ] in
+  let senders = Atomic.make [] in
+  let handler ~send =
+    ( (fun _ ->
+        Atomic.set senders
+          (List.map
+             (fun pieces ->
+               Thread.create
+                 (fun () ->
+                   for _ = 1 to 200 do
+                     send pieces
+                   done)
+                 ())
+             lines)),
+      ignore )
+  in
+  let th = Thread.create (fun () -> Listener.run ~signals:false listener handler) () in
+  let client = Client.connect path in
+  Client.send_line client "go";
+  let whole = List.map (String.concat "") lines in
+  let counts = Array.make 2 0 and torn = ref 0 in
+  for _ = 1 to 400 do
+    match Client.recv_line client with
+    | None -> incr torn
+    | Some l -> (
+        match List.find_index (String.equal l) whole with
+        | Some k -> counts.(k) <- counts.(k) + 1
+        | None -> incr torn)
+  done;
+  Client.close client;
+  List.iter Thread.join (Atomic.get senders);
+  Listener.stop listener;
+  Thread.join th;
+  Listener.close listener;
+  Alcotest.(check int) "no torn or missing line" 0 !torn;
+  Alcotest.(check (array int)) "200 of each" [| 200; 200 |] counts
 
 let test_listener_socket_path () =
   let path = temp_path "notes.txt" in
@@ -880,6 +1206,38 @@ let test_session_restore_from_state_dir () =
   Alcotest.(check string) "the restored run renders as before the save"
     before after
 
+(* A criteria edit to perf 4029.273 finds ewf k=3's one design; the
+   snapshot must carry 4029.273 itself, not a six-digit 4029.27 (at which
+   there is none), through a save and a restore. *)
+let test_restore_keeps_fractional_criteria () =
+  let dir = temp_path "state-fractional" in
+  rm_rf dir;
+  let server = Server.create (state_config dir) in
+  Fun.protect
+    ~finally:(fun () ->
+      shut server;
+      rm_rf dir)
+  @@ fun () ->
+  let p = relaxed "ewf" 3 "e" in
+  let sid =
+    Option.get
+      (json_string
+         (ok_line server (request_line Protocol.Session_open p))
+         [ "result"; "session" ])
+  in
+  let p = { p with session = sid } in
+  let op o p = ok_line server (request_line o p) in
+  ignore
+    (op Protocol.Session_edit { p with edits = [ "criteria 4029.273 100000" ] });
+  let run () = Option.get (Protocol.response_text (op Protocol.Session_run p)) in
+  let before = run () in
+  Alcotest.(check bool) "the edit finds the design" true
+    (contains before "1 feasible non-inferior");
+  ignore (op Protocol.Session_save { p with close = true });
+  ignore (op Protocol.Session_open { p with restore = true });
+  Alcotest.(check string) "the restored session renders as before the save"
+    before (run ())
+
 (* ------------------------------------------------------------------ *)
 (* The chop binary: serve on a socket, driven by chop request *)
 
@@ -992,6 +1350,16 @@ let () =
           Alcotest.test_case "matches the direct render" `Quick
             test_handle_line_matches_direct_render;
         ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "fractional constraints get their own engine"
+            `Quick test_engine_key_fractional;
+          Alcotest.test_case "a repeat reuses only its own answer" `Quick
+            test_repeat_reuses_answer;
+          Alcotest.test_case "only completed runs are stored" `Quick
+            test_reuse_stores_completed_runs;
+          QCheck_alcotest.to_alcotest pieces_are_the_line;
+        ] );
       ( "sessions",
         [
           Alcotest.test_case "open/edit/run/close pipeline" `Quick
@@ -1004,6 +1372,8 @@ let () =
             `Quick test_session_restore_from_state_dir;
           Alcotest.test_case "session/list in id order" `Quick
             test_session_list_id_order;
+          Alcotest.test_case "restore keeps a fractional criteria edit"
+            `Quick test_restore_keeps_fractional_criteria;
         ] );
       ( "state-dir",
         [
@@ -1037,5 +1407,7 @@ let () =
           Alcotest.test_case "only a stale socket is replaced" `Quick
             test_listener_socket_path;
           Alcotest.test_case "log timestamp" `Quick test_listener_timestamp;
+          Alcotest.test_case "a line's pieces stay whole across threads"
+            `Quick test_listener_pieces_stay_whole;
         ] );
     ]
