@@ -45,19 +45,20 @@ let start_index t key =
   in
   bsearch 0 n mod n
 
+(* clockwise from the key, each backend at its first point; the walk
+   ends once every backend has been met, which with a few backends is a
+   handful of points, not all of them *)
 let spread t key =
-  let n = Array.length t.points in
+  let n = Array.length t.points and count = List.length t.order in
   let start = start_index t key in
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    let _, node = t.points.((start + i) mod n) in
-    if not (Hashtbl.mem seen node) then begin
-      Hashtbl.add seen node ();
-      acc := node :: !acc
-    end
-  done;
-  List.rev !acc
+  let rec walk i met acc =
+    if met = count then List.rev acc
+    else
+      let _, node = t.points.((start + i) mod n) in
+      if List.exists (String.equal node) acc then walk (i + 1) met acc
+      else walk (i + 1) (met + 1) (node :: acc)
+  in
+  walk 0 0 []
 
 let lookup ?(avoid = []) t key =
   List.find_opt (fun node -> not (List.mem node avoid)) (spread t key)

@@ -35,22 +35,34 @@ let send_line t line =
   output_char t.oc '\n';
   flush t.oc
 
-let recv_line t =
+(* One line, told apart from a peer that stopped sending: [input_line]
+   also returns a last line that no newline ends, so the line is whole
+   only when the channel moved past its newline too.  [pos_in] is O(1),
+   and the newline scan stays the channel's own. *)
+let read_line t =
+  let before = pos_in t.ic in
   match input_line t.ic with
-  | line -> Some line
-  | exception (End_of_file | Sys_error _) -> None
+  | line when pos_in t.ic - before > String.length line -> `Line line
+  | _ -> `Torn
+  | exception (End_of_file | Sys_error _) ->
+      if pos_in t.ic > before then `Torn else `Closed
+
+let recv_line t =
+  match read_line t with `Line line -> Some line | `Torn | `Closed -> None
 
 let send t json = send_line t (Chop_util.Json.print json)
 
+let closed_early = "connection closed before a response arrived"
+let closed_mid_response = "connection closed in the middle of a response"
+
 let recv t =
-  match input_line t.ic with
-  | line -> (
+  match read_line t with
+  | `Line line -> (
       match Chop_util.Json.parse line with
       | Ok json -> Ok (Some json)
       | Error msg -> Error (Printf.sprintf "malformed response: %s" msg))
-  | exception (End_of_file | Sys_error _) -> Ok None
-
-let closed_early = "connection closed before a response arrived"
+  | `Torn -> Error closed_mid_response
+  | `Closed -> Ok None
 
 let rpc t json =
   match send t json with
@@ -67,8 +79,9 @@ let rpc t json =
    one seed behave identically; the sleeping is injected for the same
    reason.  Retried conditions: the structured [overloaded] rejection and
    transient transport failures (nobody listening yet, peer restarting).
-   Everything else — bad requests, deadline errors, malformed replies —
-   returns immediately, so exit codes match the unretried client. *)
+   Everything else — bad requests, deadline errors, malformed replies, a
+   response cut off after the request ran — returns immediately, so exit
+   codes match the unretried client. *)
 
 let backoff_delays ~seed ~attempts =
   let state = ref (seed land 0x3FFFFFFF) in

@@ -29,17 +29,21 @@ val send_line : t -> string -> unit
 
 val recv_line : t -> string option
 (** Reads one raw response line without parsing it; [None] on a closed
-    connection.  The verbatim counterpart of {!recv}. *)
+    connection, and when the peer closed it partway through a line — a
+    line is whole only with its newline.  The verbatim counterpart of
+    {!recv}. *)
 
 val recv : t -> (Chop_util.Json.t option, string) result
 (** Reads one response line.  [Ok None] on a cleanly closed connection;
-    [Error] when the peer sent bytes that are not valid JSON — a
+    [Error] when the peer sent bytes that are not valid JSON, or closed
+    the connection partway through a line (["connection closed in the
+    middle of a response"], whatever the bytes so far parse to) — a
     transport failure the caller reports structurally (the [chop request]
     CLI exits 2), never an exception. *)
 
 val rpc : t -> Chop_util.Json.t -> (Chop_util.Json.t, string) result
 (** [send] then [recv]: one request, its response.  [Error] on a closed
-    connection or an unparseable reply. *)
+    connection, a response cut off partway, or an unparseable reply. *)
 
 (** {1 Retries} *)
 
@@ -60,7 +64,8 @@ val rpc_retrying :
     the structured [overloaded] rejection and on transient transport
     failures (connection refused, socket file missing, peer closing
     before answering — a backend restarting).  Permanent failures and
-    every other response return immediately, and when the budget runs
-    out the last outcome is returned as-is — so callers' exit-code
+    every other response return immediately — a response cut off partway
+    among them, since the request it answers ran — and when the budget
+    runs out the last outcome is returned as-is — so callers' exit-code
     mapping is unchanged by retrying.  [sleep] (default [Unix.sleepf])
     is injected for fake-clock tests. *)

@@ -80,7 +80,12 @@ let log t line =
        with Sys_error _ -> ());
       Mutex.unlock t.log_mu
 
-let logf t fmt = Printf.ksprintf (log t) fmt
+(* with no log the message is never formatted: its arguments are taken
+   and dropped *)
+let logf t fmt =
+  match t.log_oc with
+  | None -> Printf.ikfprintf ignore () fmt
+  | Some _ -> Printf.ksprintf (log t) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Connections                                                         *)

@@ -54,7 +54,9 @@ val close : t -> unit
 
 val logf : t -> ('a, unit, string, unit) format4 -> 'a
 (** Writes one ["TIMESTAMP message"] line to the log and flushes it;
-    lines from concurrent threads never interleave. *)
+    lines from concurrent threads never interleave.  Without a log it
+    formats nothing (no [%a] printer runs), so a quiet process pays only
+    for computing the arguments. *)
 
 val timestamp : float -> string
 (** UTC ISO-8601 with whole milliseconds, truncated:

@@ -12,13 +12,21 @@ type t =
 
 (* Shortest decimal form that reads back to the identical float.  %.17g
    always round-trips a binary64; try the two shorter precisions first so
-   common values print as "0.1" rather than "0.1000000000000000056". *)
+   common values print as "0.1" rather than "0.1000000000000000056".
+   Integral values below 10^15 skip the trials: %.15g prints them in
+   fixed notation, digit for digit as [string_of_int] does, and they read
+   back exactly.  -0.0 is left to the trials, which print it "-0". *)
 let shortest_float f =
-  let s15 = Printf.sprintf "%.15g" f in
-  if float_of_string s15 = f then s15
+  if
+    Float.is_integer f && Float.abs f < 1e15
+    && not (f = 0. && Float.sign_bit f)
+  then string_of_int (int_of_float f)
   else
-    let s16 = Printf.sprintf "%.16g" f in
-    if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
 
 let float_repr f =
   if not (Float.is_finite f) then
@@ -29,11 +37,56 @@ let float_repr f =
     shortest
   else shortest ^ ".0"
 
+(* The bytes a JSON string cannot hold raw are the quote, the backslash
+   and the control bytes; the others are plain.  [plain_word] tests eight
+   bytes at once, with the zero-byte test [(x - 0x01..) land lnot x land
+   0x80..] on the word xor-ed with each of the two characters, and its
+   below-0x20 form on the word itself.  A test may flag a plain byte next
+   to a flagged one, but never flags a word of plain bytes, so a word it
+   passes is plain.  Byte order does not matter. *)
+let[@inline] has_below x k = Int64.logand (Int64.sub x k) (Int64.lognot x)
+
+let[@inline] plain_word s i =
+  let w = String.get_int64_ne s i in
+  let q = Int64.logxor w 0x2222222222222222L
+  and b = Int64.logxor w 0x5C5C5C5C5C5C5C5CL in
+  Int64.logand
+    (Int64.logor
+       (has_below w 0x2020202020202020L)
+       (Int64.logor
+          (has_below q 0x0101010101010101L)
+          (has_below b 0x0101010101010101L)))
+    0x8080808080808080L
+  = 0L
+
+(* The end of the run of plain bytes in [s] from [i]: the index of the
+   first byte that is not plain, or [n].  Word by word, then byte by byte
+   from the word that holds it.  Both directions work run by run from
+   here.  The byte test is written out in the loop, where the compiler
+   keeps it inline. *)
+let plain_end s i n =
+  let i = ref i in
+  while !i + 8 <= n && plain_word s !i do
+    i := !i + 8
+  done;
+  while
+    !i < n
+    &&
+    let c = String.unsafe_get s !i in
+    c <> '"' && c <> '\\' && Char.code c >= 0x20
+  do
+    incr i
+  done;
+  !i
+
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let rec go start =
+    let stop = plain_end s start n in
+    Buffer.add_substring buf s start (stop - start);
+    if stop < n then begin
+      (match s.[stop] with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -41,10 +94,11 @@ let escape_string buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      go (stop + 1)
+    end
+  in
+  go 0;
   Buffer.add_char buf '"'
 
 let rec print_to buf = function
@@ -184,57 +238,81 @@ let parse_exn_raw input =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
+  (* A string without an escape is one [String.sub].  The others decode
+     their plain runs and escapes into the one buffer of this parse, made
+     at the first of them as large as the rest of the input: no string
+     after that point decodes to more bytes, so it never grows.  Strings
+     do not nest, and each ends in [Buffer.contents]. *)
+  let string_buf = ref None in
+  let buffer () =
+    match !string_buf with
+    | Some buf ->
+        Buffer.clear buf;
+        buf
+    | None ->
+        let buf = Buffer.create (n - !pos) in
+        string_buf := Some buf;
+        buf
+  in
+  let escape buf =
+    if !pos >= n then error "unterminated escape";
+    let e = input.[!pos] in
+    advance ();
+    match e with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'u' ->
+        let cp = hex4 () in
+        if cp >= 0xD800 && cp <= 0xDBFF then begin
+          (* high surrogate: require the low half *)
+          if !pos + 1 < n && input.[!pos] = '\\' && input.[!pos + 1] = 'u'
+          then begin
+            advance ();
+            advance ();
+            let lo = hex4 () in
+            if lo < 0xDC00 || lo > 0xDFFF then
+              error "invalid low surrogate \\u%04x" lo;
+            add_utf8 buf (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
+          end
+          else error "unpaired high surrogate \\u%04x" cp
+        end
+        else if cp >= 0xDC00 && cp <= 0xDFFF then
+          error "unpaired low surrogate \\u%04x" cp
+        else add_utf8 buf cp
+    | c -> error "invalid escape '\\%c'" c
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then error "unterminated string";
-      let c = input.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          if !pos >= n then error "unterminated escape";
-          let e = input.[!pos] in
-          advance ();
-          (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              let cp = hex4 () in
-              if cp >= 0xD800 && cp <= 0xDBFF then begin
-                (* high surrogate: require the low half *)
-                if
-                  !pos + 1 < n && input.[!pos] = '\\' && input.[!pos + 1] = 'u'
-                then begin
-                  advance ();
-                  advance ();
-                  let lo = hex4 () in
-                  if lo < 0xDC00 || lo > 0xDFFF then
-                    error "invalid low surrogate \\u%04x" lo;
-                  add_utf8 buf
-                    (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
-                end
-                else error "unpaired high surrogate \\u%04x" cp
-              end
-              else if cp >= 0xDC00 && cp <= 0xDFFF then
-                error "unpaired low surrogate \\u%04x" cp
-              else add_utf8 buf cp
-          | c -> error "invalid escape '\\%c'" c);
-          loop ())
-      | c when Char.code c < 0x20 ->
-          error "unescaped control byte 0x%02x in string" (Char.code c)
-      | c ->
-          Buffer.add_char buf c;
-          loop ()
-    in
-    loop ()
+    let start = !pos in
+    let stop = plain_end input start n in
+    if stop < n && input.[stop] = '"' then begin
+      pos := stop + 1;
+      String.sub input start (stop - start)
+    end
+    else begin
+      let buf = buffer () in
+      (* [stop] ends the plain run from [start] *)
+      let rec run start stop =
+        Buffer.add_substring buf input start (stop - start);
+        pos := stop;
+        if !pos >= n then error "unterminated string";
+        let c = input.[!pos] in
+        advance ();
+        match c with
+        | '"' -> Buffer.contents buf
+        | '\\' ->
+            escape buf;
+            run !pos (plain_end input !pos n)
+        | c -> error "unescaped control byte 0x%02x in string" (Char.code c)
+      in
+      run start stop
+    end
   in
   let parse_number () =
     let start = !pos in
@@ -351,7 +429,12 @@ let parse_exn input =
 (* Accessors *)
 
 let member name = function
-  | Object fields -> List.assoc_opt name fields
+  | Object fields ->
+      let rec find = function
+        | [] -> None
+        | (k, v) :: rest -> if String.equal k name then Some v else find rest
+      in
+      find fields
   | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None

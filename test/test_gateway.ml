@@ -82,6 +82,50 @@ let test_ring_validation () =
   Alcotest.(check bool) "vnodes" true
     (invalid (fun () -> Ring.create ~vnodes:0 [ "a" ]))
 
+(* The ring's preference order from its definition: every backend's
+   [vnodes] points (the MD5 hex of "NAME#V"), sorted, walked once all the
+   way round from the first point at or after the key's hash, each
+   backend kept where it is first met. *)
+let full_walk ~vnodes nodes key =
+  let hash s = Digest.to_hex (Digest.string s) in
+  let points =
+    List.concat_map
+      (fun node ->
+        List.init vnodes (fun v -> (hash (Printf.sprintf "%s#%d" node v), node)))
+      nodes
+    |> List.sort compare |> Array.of_list
+  in
+  let n = Array.length points in
+  let h = hash key in
+  let start =
+    Option.value ~default:0 (Array.find_index (fun (p, _) -> p >= h) points)
+  in
+  let order = ref [] in
+  for i = 0 to n - 1 do
+    let _, node = points.((start + i) mod n) in
+    if not (List.mem node !order) then order := node :: !order
+  done;
+  List.rev !order
+
+let ring_spread_is_full_walk =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (1 -- 8) (int_bound 50)
+        >|= List.sort_uniq compare
+        >|= List.map (Printf.sprintf "/run/chop/b%d.sock"))
+        (1 -- 64)
+        (string_size (0 -- 40) ~gen:printable))
+  in
+  QCheck.Test.make ~name:"spread equals the full walk" ~count:300
+    (QCheck.make
+       ~print:(fun (nodes, vnodes, key) ->
+         Printf.sprintf "nodes [%s], vnodes %d, key %S"
+           (String.concat "; " nodes) vnodes key)
+       gen)
+    (fun (nodes, vnodes, key) ->
+      Ring.spread (Ring.create ~vnodes nodes) key = full_walk ~vnodes nodes key)
+
 (* ------------------------------------------------------------------ *)
 (* Retry: deterministic backoff, fake clock *)
 
@@ -658,6 +702,86 @@ let test_gateway_health_marks_dead_and_fails_over () =
           Alcotest.(check (list string)) "revived backend marked live" []
             (Gateway.check_health gw)))
 
+(* A fake backend at [path] that answers each of up to [conns]
+   connections with the first bytes of an explore answer and hangs up:
+   no newline ever comes.  It stops waiting for a connection after 5 s,
+   so a gateway that never calls cannot hang the test.  [f] gets the
+   number of connections accepted so far. *)
+let with_torn_backend path ~conns f =
+  let torn = {|{"id":"t","ok":true,"op":"explore","result":{"text":"abc|} in
+  if Sys.file_exists path then Sys.remove path;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 4;
+  let served = Atomic.make 0 in
+  let rec serve left =
+    if left > 0 then
+      match Unix.select [ fd ] [] [] 5.0 with
+      | [], _, _ -> ()
+      | _ ->
+          let cfd, _ = Unix.accept fd in
+          Atomic.incr served;
+          (try ignore (input_line (Unix.in_channel_of_descr cfd))
+           with End_of_file -> ());
+          let oc = Unix.out_channel_of_descr cfd in
+          output_string oc torn;
+          flush oc;
+          Unix.close cfd;
+          serve (left - 1)
+  in
+  let th = Thread.create serve conns in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join th;
+      Unix.close fd;
+      Sys.remove path)
+    (fun () -> f (fun () -> Atomic.get served))
+
+(* A backend that cuts its answer off must not have the cut line
+   forwarded: the gateway fails over to the next backend, whose answer
+   matches one serve, and with no other backend the client reads a typed
+   [internal] error. *)
+let test_gateway_torn_backend_answer () =
+  with_cluster 1 (fun ~gw:_ ~socks ~servers:_ ~threads:_ ->
+      let real = List.hd socks in
+      let torn = Filename.concat (Filename.dirname real) "torn.sock" in
+      let gateway backends =
+        Gateway.create
+          {
+            Gateway.socket_path = None;
+            backends;
+            vnodes = 64;
+            log = None;
+            handle_signals = false;
+            health_interval_s = None;
+          }
+      in
+      (* an explore the ring sends to the torn backend first *)
+      let ring = Ring.create ~vnodes:64 [ torn; real ] in
+      let line =
+        List.init 8 (fun k ->
+            Printf.sprintf
+              {|{"id":"e","op":"explore","benchmark":"ar","partitions":%d}|}
+              (k + 1))
+        |> List.find (fun line ->
+               let req = Result.get_ok (Protocol.parse_request line) in
+               let key = Ops.engine_key ~op:req.Protocol.op req.Protocol.params in
+               List.hd (Ring.spread ring key) = torn)
+      in
+      let want = Server.handle_line (make_reference ()) line in
+      with_torn_backend torn ~conns:1 (fun served ->
+          let got = Gateway.handle_line (gateway [ torn; real ]) line in
+          Alcotest.(check int) "the torn backend was asked first" 1 (served ());
+          Alcotest.(check bool) "failed over to an ok answer" true (ok_of got);
+          Alcotest.(check string) "the other backend's answer" (text_of want)
+            (text_of got));
+      with_torn_backend torn ~conns:1 (fun served ->
+          let got = Gateway.handle_line (gateway [ torn ]) line in
+          Alcotest.(check int) "the torn backend was asked" 1 (served ());
+          Alcotest.(check (option string)) "a typed internal error"
+            (Some "internal")
+            (Protocol.response_error_code (parse_response got))))
+
 (* The gateway's own socket transport: concurrent clients, each with a
    mix of stateless and session requests, must read exactly what one
    serve process answers; stopping the gateway removes its socket. *)
@@ -740,6 +864,7 @@ let () =
           tc "spread and avoid" `Quick test_ring_spread_and_avoid;
           tc "two nodes both own keys" `Quick test_ring_balance;
           tc "validation" `Quick test_ring_validation;
+          QCheck_alcotest.to_alcotest ring_spread_is_full_walk;
         ] );
       ( "retry",
         [
@@ -771,5 +896,7 @@ let () =
             test_gateway_health_marks_dead_and_fails_over;
           tc "socket: concurrent clients match one serve" `Quick
             test_gateway_socket_clients;
+          tc "a cut-off backend answer is never forwarded" `Quick
+            test_gateway_torn_backend_answer;
         ] );
     ]

@@ -1,6 +1,8 @@
 (* Tests for the Chop_util.Json codec: escapes, the int/float
-   distinction, nesting, positional errors, accessors, and the QCheck
-   round-trip law [parse (print v) = Ok v]. *)
+   distinction, nesting, positional errors, accessors, the QCheck
+   round-trip law [parse (print v) = Ok v], and differential properties
+   against a byte-at-a-time reference codec on long strings, string
+   literals, truncated and mutated inputs, and floats. *)
 
 open Chop_util
 
@@ -204,11 +206,10 @@ let test_accessors () =
 (* ------------------------------------------------------------------ *)
 (* QCheck: the round-trip law *)
 
-let json_gen =
+(* values whose strings (values and field names) come from [str], nested
+   at most log2 of a [size] draw deep *)
+let json_gen_of ~size str =
   let open QCheck.Gen in
-  (* arbitrary bytes: the printer passes non-control bytes through and
-     escapes the rest, so any OCaml string must survive the trip *)
-  let str = string_size (0 -- 8) ~gen:char in
   let scalar =
     frequency
       [
@@ -222,7 +223,7 @@ let json_gen =
         (3, map (fun s -> Json.String s) str);
       ]
   in
-  sized
+  sized_size size
   @@ fix (fun self n ->
          if n <= 0 then scalar
          else
@@ -239,6 +240,11 @@ let json_gen =
                    (list_size (0 -- 4) (pair str (self (n / 2)))) );
              ])
 
+(* arbitrary bytes: the printer passes non-control bytes through and
+   escapes the rest, so any OCaml string must survive the trip *)
+let json_gen =
+  QCheck.Gen.(json_gen_of ~size:nat (string_size (0 -- 8) ~gen:char))
+
 let arbitrary_json = QCheck.make ~print:Json.print json_gen
 
 let roundtrip_compact =
@@ -248,6 +254,480 @@ let roundtrip_compact =
 let roundtrip_hum =
   QCheck.Test.make ~name:"parse (print_hum v) = v" ~count:200 arbitrary_json
     (fun v -> Json.parse (Json.print_hum v) = Ok v)
+
+(* ------------------------------------------------------------------ *)
+(* The reference codec: the same printer and parser working one byte at
+   a time (an escape-free string still goes through the buffer, byte by
+   byte; every float goes through the trial printing).  The codec copies
+   and scans whole runs of plain bytes instead, and must print the same
+   bytes and parse to the same values and the same errors, offsets
+   included. *)
+
+module Reference = struct
+  type t = Json.t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Float of float
+    | String of string
+    | Array of t list
+    | Object of (string * t) list
+
+  let shortest_float f =
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+
+  let float_repr f =
+    if not (Float.is_finite f) then
+      invalid_arg "Json.print: non-finite floats have no JSON representation";
+    let shortest = shortest_float f in
+    (* keep the value a float on re-parse: "1" would read back as Int 1 *)
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') shortest then
+      shortest
+    else shortest ^ ".0"
+
+  let escape_string buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let rec print_to buf = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool true -> Buffer.add_string buf "true"
+    | Bool false -> Buffer.add_string buf "false"
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float f -> Buffer.add_string buf (float_repr f)
+    | String s -> escape_string buf s
+    | Array vs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char buf ',';
+            print_to buf v)
+          vs;
+        Buffer.add_char buf ']'
+    | Object fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            escape_string buf k;
+            Buffer.add_char buf ':';
+            print_to buf v)
+          fields;
+        Buffer.add_char buf '}'
+
+  let print v =
+    let buf = Buffer.create 256 in
+    print_to buf v;
+    Buffer.contents buf
+
+  exception Parse_error of int * string
+
+  let parse_exn_raw input =
+    let n = String.length input in
+    let pos = ref 0 in
+    let error fmt =
+      Printf.ksprintf (fun msg -> raise (Parse_error (!pos, msg))) fmt
+    in
+    let peek () = if !pos < n then Some input.[!pos] else None in
+    let advance () = incr pos in
+    let skip_ws () =
+      while
+        !pos < n
+        && (match input.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      do
+        advance ()
+      done
+    in
+    let expect c =
+      match peek () with
+      | Some d when d = c -> advance ()
+      | Some d -> error "expected '%c', found '%c'" c d
+      | None -> error "expected '%c', found end of input" c
+    in
+    let literal word value =
+      if !pos + String.length word <= n
+         && String.sub input !pos (String.length word) = word
+      then begin
+        pos := !pos + String.length word;
+        value
+      end
+      else error "invalid literal"
+    in
+    let hex4 () =
+      if !pos + 4 > n then error "truncated \\u escape";
+      let v = ref 0 in
+      for _ = 1 to 4 do
+        let c = input.[!pos] in
+        let d =
+          match c with
+          | '0' .. '9' -> Char.code c - Char.code '0'
+          | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+          | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+          | _ -> error "invalid hex digit '%c' in \\u escape" c
+        in
+        v := (!v * 16) + d;
+        advance ()
+      done;
+      !v
+    in
+    let add_utf8 buf cp =
+      if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
+      else if cp < 0x800 then begin
+        Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
+        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+      end
+      else if cp < 0x10000 then begin
+        Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+      end
+      else begin
+        Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+      end
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec loop () =
+        if !pos >= n then error "unterminated string";
+        let c = input.[!pos] in
+        advance ();
+        match c with
+        | '"' -> Buffer.contents buf
+        | '\\' -> (
+            if !pos >= n then error "unterminated escape";
+            let e = input.[!pos] in
+            advance ();
+            (match e with
+            | '"' -> Buffer.add_char buf '"'
+            | '\\' -> Buffer.add_char buf '\\'
+            | '/' -> Buffer.add_char buf '/'
+            | 'n' -> Buffer.add_char buf '\n'
+            | 'r' -> Buffer.add_char buf '\r'
+            | 't' -> Buffer.add_char buf '\t'
+            | 'b' -> Buffer.add_char buf '\b'
+            | 'f' -> Buffer.add_char buf '\012'
+            | 'u' ->
+                let cp = hex4 () in
+                if cp >= 0xD800 && cp <= 0xDBFF then begin
+                  (* high surrogate: require the low half *)
+                  if
+                    !pos + 1 < n && input.[!pos] = '\\' && input.[!pos + 1] = 'u'
+                  then begin
+                    advance ();
+                    advance ();
+                    let lo = hex4 () in
+                    if lo < 0xDC00 || lo > 0xDFFF then
+                      error "invalid low surrogate \\u%04x" lo;
+                    add_utf8 buf
+                      (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
+                  end
+                  else error "unpaired high surrogate \\u%04x" cp
+                end
+                else if cp >= 0xDC00 && cp <= 0xDFFF then
+                  error "unpaired low surrogate \\u%04x" cp
+                else add_utf8 buf cp
+            | c -> error "invalid escape '\\%c'" c);
+            loop ())
+        | c when Char.code c < 0x20 ->
+            error "unescaped control byte 0x%02x in string" (Char.code c)
+        | c ->
+            Buffer.add_char buf c;
+            loop ()
+      in
+      loop ()
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_float = ref false in
+      if peek () = Some '-' then advance ();
+      let digits () =
+        let saw = ref false in
+        while
+          !pos < n && match input.[!pos] with '0' .. '9' -> true | _ -> false
+        do
+          saw := true;
+          advance ()
+        done;
+        if not !saw then error "expected a digit"
+      in
+      digits ();
+      if peek () = Some '.' then begin
+        is_float := true;
+        advance ();
+        digits ()
+      end;
+      (match peek () with
+      | Some ('e' | 'E') ->
+          is_float := true;
+          advance ();
+          (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+          digits ()
+      | _ -> ());
+      let text = String.sub input start (!pos - start) in
+      if !is_float then Float (float_of_string text)
+      else
+        match int_of_string_opt text with
+        | Some i -> Int i
+        | None -> Float (float_of_string text) (* beyond int range *)
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> error "expected a value, found end of input"
+      | Some '{' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some '}' then begin
+            advance ();
+            Object []
+          end
+          else begin
+            let fields = ref [] in
+            let rec fields_loop () =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              (match peek () with
+              | Some ':' -> advance ()
+              | _ -> error "expected ':' after object key");
+              let v = parse_value () in
+              fields := (k, v) :: !fields;
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  fields_loop ()
+              | Some '}' -> advance ()
+              | _ -> error "expected ',' or '}' in object"
+            in
+            fields_loop ();
+            Object (List.rev !fields)
+          end
+      | Some '[' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some ']' then begin
+            advance ();
+            Array []
+          end
+          else begin
+            let items = ref [] in
+            let rec items_loop () =
+              let v = parse_value () in
+              items := v :: !items;
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  items_loop ()
+              | Some ']' -> advance ()
+              | _ -> error "expected ',' or ']' in array"
+            in
+            items_loop ();
+            Array (List.rev !items)
+          end
+      | Some '"' -> String (parse_string ())
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some 'n' -> literal "null" Null
+      | Some ('-' | '0' .. '9') -> parse_number ()
+      | Some c -> error "unexpected character '%c'" c
+    in
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then error "trailing input after value";
+    v
+
+  let parse input =
+    match parse_exn_raw input with
+    | v -> Ok v
+    | exception Parse_error (pos, msg) ->
+        Error (Printf.sprintf "offset %d: %s" pos msg)
+end
+
+(* Strings of 0-4 KB made of runs: plain ASCII runs of up to 300 bytes,
+   every byte the printer escapes by name, other control bytes, raw
+   UTF-8 (two, three and four bytes, the last an astral code point) and
+   stray bytes from DEL up. *)
+let long_str =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (6, string_size (1 -- 300) ~gen:(char_range ' ' '~'));
+        (2, oneofl [ "\""; "\\"; "\n"; "\r"; "\t"; "\b"; "\012"; "/" ]);
+        (1, map (fun c -> String.make 1 c) (char_range '\000' '\031'));
+        (2, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80" ]);
+        (1, map (fun c -> String.make 1 c) (char_range '\127' '\255'));
+      ]
+  in
+  int_range 0 4096 >>= fun size ->
+  let rec fill acc len =
+    if len >= size then
+      return (String.sub (String.concat "" (List.rev acc)) 0 size)
+    else piece >>= fun p -> fill (p :: acc) (len + String.length p)
+  in
+  fill [] 0
+
+let json_gen_long = json_gen_of ~size:QCheck.Gen.(0 -- 12) long_str
+
+(* JSON string literals of up to 4 KB as a peer may send them: plain
+   runs, every short escape, \u escapes of control bytes and of BMP code
+   points in either case of hex digit, surrogate pairs, raw UTF-8 and
+   stray bytes from DEL up *)
+let literal_gen =
+  let open QCheck.Gen in
+  (* a \u escape of [cp], its hex digits in either case *)
+  let u cp =
+    map
+      (fun up -> Printf.sprintf (if up then "\\u%04X" else "\\u%04x") cp)
+      bool
+  in
+  let piece =
+    frequency
+      [
+        ( 6,
+          string_size (1 -- 300) ~gen:(char_range ' ' '~')
+          >|= String.map (fun c -> if c = '"' || c = '\\' then '.' else c) );
+        ( 3,
+          oneofl
+            [ {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\n|}; {|\r|};
+              {|\t|} ] );
+        (1, map (fun c -> Printf.sprintf "\\u%04x" c) (int_range 0 0x1f));
+        ( 2,
+          int_range 0x20 0xFFFF >>= fun cp ->
+          u (if cp >= 0xD800 && cp <= 0xDFFF then cp - 0x800 else cp) );
+        ( 2,
+          map2 ( ^ )
+            (int_range 0xD800 0xDBFF >>= u)
+            (int_range 0xDC00 0xDFFF >>= u) );
+        (2, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80" ]);
+        (1, map (fun c -> String.make 1 c) (char_range '\127' '\255'));
+      ]
+  in
+  int_range 0 4096 >>= fun size ->
+  let rec fill acc len =
+    if len >= size then return ("\"" ^ String.concat "" (List.rev acc) ^ "\"")
+    else piece >>= fun p -> fill (p :: acc) (len + String.length p)
+  in
+  fill [] 0
+
+(* bytes that steer the parser into each of its paths, and any byte *)
+let mutant_byte =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [ '"'; '\\'; 'u'; 'n'; '/'; 'd'; 'D'; 'c'; '8'; '0'; '9'; 'e';
+              'E'; '-'; '+'; '.'; ' '; ','; ':'; '{'; '}'; '['; ']'; 't';
+              'f'; 'x'; '\n'; '\000'; '\031'; '\128'; '\255' ] );
+        (1, char);
+      ])
+
+(* [s] cut at 8 random lengths and with 8 single bytes replaced *)
+let variants_gen s =
+  let open QCheck.Gen in
+  let n = String.length s in
+  let cut = map (fun k -> String.sub s 0 k) (int_range 0 n) in
+  let mutate =
+    if n = 0 then return s
+    else
+      map2
+        (fun i c -> String.mapi (fun j d -> if j = i then c else d) s)
+        (int_range 0 (n - 1)) mutant_byte
+  in
+  map2 ( @ ) (list_repeat 8 cut) (list_repeat 8 mutate)
+
+let same_parse s = Json.parse s = Reference.parse s
+
+let long_prints_agree =
+  QCheck.Test.make ~name:"long strings match the reference"
+    ~count:200
+    (QCheck.make ~print:Json.print json_gen_long)
+    (fun v ->
+      let s = Json.print v in
+      String.equal s (Reference.print v)
+      && Json.parse s = Ok v && same_parse s)
+
+let mutated_prints_agree =
+  QCheck.Test.make ~name:"cut and mutated prints fail alike"
+    ~count:200
+    (QCheck.make ~print:(fun (_, vs) -> String.concat "\n" vs)
+       QCheck.Gen.(json_gen_long >>= fun v ->
+                   let s = Json.print v in
+                   pair (return s) (variants_gen s)))
+    (fun (s, vs) -> List.for_all same_parse (s :: vs))
+
+let literals_agree =
+  QCheck.Test.make ~name:"string literals and their mutants"
+    ~count:300
+    (QCheck.make ~print:(fun (s, _) -> s)
+       QCheck.Gen.(literal_gen >>= fun s -> pair (return s) (variants_gen s)))
+    (fun (s, vs) ->
+      Result.is_ok (Json.parse s) && List.for_all same_parse (s :: vs))
+
+(* integral values on both sides of 10^15, signed zeros, subnormals,
+   halves, non-finite values and arbitrary bit patterns *)
+let float_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map float_of_int (int_range (-1_000_000) 1_000_000));
+      (2, map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53)));
+      ( 2,
+        oneofl
+          [ 0.; -0.; 1e15; -1e15; 1e15 -. 1.; 1e15 +. 1.; -.(1e15 -. 1.);
+            -.(1e15 +. 1.); 1e16; 2. ** 53.; -.(2. ** 53.); 1e300;
+            Float.min_float; Float.max_float; 4029.273; 0.1;
+            Float.nan; Float.infinity; Float.neg_infinity ] );
+      ( 2,
+        map
+          (fun m -> ldexp (float_of_int m) (-1074))
+          (int_range (-(1 lsl 52)) (1 lsl 52)) );
+      ( 2,
+        map
+          (fun f -> Float.of_int (int_of_float f) +. 0.5)
+          (float_range (-1e6) 1e6) );
+      ( 3,
+        map2
+          (fun hi lo ->
+            Int64.float_of_bits
+              Int64.(logor (shift_left (of_int hi) 32) (of_int lo)))
+          (int_range 0 0xFFFFFFFF) (int_range 0 0xFFFFFFFF) );
+      (2, float);
+    ]
+
+let floats_print_alike =
+  QCheck.Test.make ~name:"floats print byte for byte" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") float_gen)
+    (fun f ->
+      String.equal (Json.shortest_float f) (Reference.shortest_float f)
+      && ((not (Float.is_finite f))
+         || String.equal (Json.print (Json.Float f))
+              (Reference.print (Reference.Float f))))
 
 (* ------------------------------------------------------------------ *)
 
@@ -280,5 +760,12 @@ let () =
           QCheck_alcotest.to_alcotest roundtrip_compact;
           QCheck_alcotest.to_alcotest roundtrip_hum;
           QCheck_alcotest.to_alcotest shortest_float_reads_back;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest long_prints_agree;
+          QCheck_alcotest.to_alcotest mutated_prints_agree;
+          QCheck_alcotest.to_alcotest literals_agree;
+          QCheck_alcotest.to_alcotest floats_print_alike;
         ] );
     ]

@@ -883,6 +883,37 @@ let test_client_closed_before_response () =
               Alcotest.(check string) "structured close error"
                 "connection closed before a response arrived" msg))
 
+(* A reply the peer cut off (no newline, then the close) is a transport
+   failure, even when the bytes so far are well-formed JSON: [recv_line]
+   reads nothing, [rpc] names the cut, and [rpc_retrying] does not try
+   again, since the request it answers ran. *)
+let test_client_torn_reply () =
+  let cut = "connection closed in the middle of a response" in
+  let ping = Json.parse_exn {|{"op":"ping"}|} in
+  let connected socket_path f =
+    let conn = Client.connect socket_path in
+    Fun.protect ~finally:(fun () -> Client.close conn) (fun () -> f conn)
+  in
+  List.iter
+    (fun reply ->
+      with_fake_server ~reply:(Some reply) (fun socket_path ->
+          connected socket_path (fun conn ->
+              Client.send_line conn {|{"op":"ping"}|};
+              Alcotest.(check (option string)) ("recv_line of " ^ reply)
+                None (Client.recv_line conn)));
+      with_fake_server ~reply:(Some reply) (fun socket_path ->
+          connected socket_path (fun conn ->
+              Alcotest.(check (result reject string)) ("rpc of " ^ reply)
+                (Error cut) (Client.rpc conn ping)));
+      with_fake_server ~reply:(Some reply) (fun socket ->
+          let sleep _ = Alcotest.failf "retried after %s" reply in
+          Alcotest.(check (result reject string))
+            ("rpc_retrying of " ^ reply)
+            (Error cut)
+            (Client.rpc_retrying ~sleep ~retries:3 ~socket ping)))
+    [ {|{"id":"1","ok":true,"op":"explore","result":{"text":"abc|};
+      {|{"id":"1","ok":true}|} ]
+
 let test_socket_concurrent_clients () =
   let socket_path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -1075,6 +1106,31 @@ let test_listener_timestamp () =
     (Listener.timestamp 1700000039.9996);
   Alcotest.(check string) "zero-padded" "2023-11-14T22:13:20.005Z"
     (Listener.timestamp 1700000000.005)
+
+(* A quiet listener (no log channel) formats nothing: a [%a] printer in
+   the message is never called.  With a log channel it is called once. *)
+let test_listener_quiet_log_formats_nothing () =
+  let calls = ref 0 in
+  let counted () v =
+    incr calls;
+    string_of_int v
+  in
+  let quiet = Listener.create ~socket_path:None ~log:None in
+  for i = 1 to 100 do
+    Listener.logf quiet "id=%d op=%s value=%a run_ms=%.1f" i "explore" counted
+      i 0.25
+  done;
+  Alcotest.(check int) "printer never called when quiet" 0 !calls;
+  let path = temp_path "log.txt" in
+  let oc = open_out path in
+  let logged = Listener.create ~socket_path:None ~log:(Some oc) in
+  Listener.logf logged "id=%d value=%a" 1 counted 42;
+  close_out oc;
+  let written = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check int) "printer called once when logging" 1 !calls;
+  Alcotest.(check bool) "the line was written" true
+    (String.ends_with ~suffix:" id=1 value=42\n" written)
 
 (* ------------------------------------------------------------------ *)
 (* State dir: durable sessions *)
@@ -1388,6 +1444,8 @@ let () =
             test_client_garbage_bytes;
           Alcotest.test_case "close before response is structured" `Quick
             test_client_closed_before_response;
+          Alcotest.test_case "a cut-off reply is a transport failure" `Quick
+            test_client_torn_reply;
         ] );
       ( "socket",
         [
@@ -1409,5 +1467,7 @@ let () =
           Alcotest.test_case "log timestamp" `Quick test_listener_timestamp;
           Alcotest.test_case "a line's pieces stay whole across threads"
             `Quick test_listener_pieces_stay_whole;
+          Alcotest.test_case "a quiet log formats nothing" `Quick
+            test_listener_quiet_log_formats_nothing;
         ] );
     ]
