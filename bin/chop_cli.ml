@@ -670,15 +670,19 @@ let serve_cmd =
     Arg.(value
          & opt float Chop_server.Server.default_config.Chop_server.Server.session_ttl_s
          & info [ "session-ttl" ] ~docv:"S"
-             ~doc:"Evict interactive sessions idle for more than $(docv) \
-                   seconds.")
+             ~doc:"Evict warm engines and interactive sessions idle for \
+                   more than $(docv) seconds.")
   in
   let max_sessions =
     Arg.(value
          & opt int Chop_server.Server.default_config.Chop_server.Server.max_sessions
          & info [ "max-sessions" ] ~docv:"N"
-             ~doc:"Cap on concurrently open interactive sessions; opening \
-                   past it evicts the least-recently-used idle one.")
+             ~doc:"Cap on warm engines and interactive sessions together; \
+                   adding one past it evicts the least-recently-used idle \
+                   one, engines before sessions.  The default, 64, leaves \
+                   room for the 33 engine keys perfbench's explore-gateway \
+                   workload sends its busiest backend, none of which may \
+                   be evicted.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -1,7 +1,7 @@
 (* The [chop serve] daemon.  See server.mli for the architecture; the
-   short version: one shared domain pool, a cache of warm engines keyed
-   by request parameters, a bounded scheduler fed by the {!Listener}
-   transport, and a drain-then-exit shutdown. *)
+   short version: one shared domain pool, one table of warm engines and
+   sessions ({!Session_table}), a bounded scheduler fed by the
+   {!Listener} transport, and a drain-then-exit shutdown. *)
 
 module Json = Chop_util.Json
 module Session = Chop.Explore.Session
@@ -17,8 +17,6 @@ type config = {
   session_ttl_s : float;
   max_sessions : int;
   state_dir : string option;
-      (** directory for durable session snapshots: written on shutdown,
-          eviction and [session/save]; read back by [session/open] *)
 }
 
 let default_config =
@@ -31,7 +29,7 @@ let default_config =
     log = Some stderr;
     handle_signals = true;
     session_ttl_s = 600.;
-    max_sessions = 32;
+    max_sessions = 64;
     state_dir = None;
   }
 
@@ -44,28 +42,11 @@ type counters = {
   mutable internal : int;
 }
 
-(* A warm engine's last completed answer: the op and params of the
-   request, the printed [result] object and the access-log verdict. *)
-type answer = {
-  a_op : Protocol.op;
-  a_params : Protocol.params;
-  a_result : string;
-  a_verdict : string;
-}
-
-(* A warm engine, the mutex serialising runs on it and its last answer:
-   one engine serves one (spec, config) identity, and concurrent
-   requests for the same identity queue on the mutex rather than
-   duplicating the engine. *)
-type engine_slot = { engine : Session.t; mu : Mutex.t; last : answer option ref }
-
 type t = {
   cfg : config;
   pool : Chop_util.Pool.t;
   sched : Scheduler.t;
-  engines : (string, engine_slot) Hashtbl.t;
-  engines_mu : Mutex.t;
-  sessions : Session_table.t;
+  table : Session_table.t;
   counters_mu : Mutex.t;
   counters : counters;
   listener : Listener.t;
@@ -76,10 +57,10 @@ let create cfg =
   if cfg.concurrency < 1 then invalid_arg "Server.create: concurrency must be >= 1";
   if cfg.queue < 0 then invalid_arg "Server.create: queue must be >= 0";
   if cfg.jobs < 1 then invalid_arg "Server.create: jobs must be >= 1";
-  if cfg.max_sessions < 1 then
-    invalid_arg "Server.create: max_sessions must be >= 1";
-  if cfg.session_ttl_s <= 0. then
-    invalid_arg "Server.create: session_ttl_s must be positive";
+  (* validates the TTL and the cap, before anything is bound *)
+  let table =
+    Session_table.create ~ttl_s:cfg.session_ttl_s ~max_sessions:cfg.max_sessions
+  in
   (* mkdir first and inspect only on EEXIST: backends started together on
      one fresh shared directory race to create it, and each must win *)
   Option.iter
@@ -94,11 +75,7 @@ let create cfg =
     cfg;
     pool = Chop_util.Pool.create ~jobs:cfg.jobs ();
     sched = Scheduler.create ~queue:cfg.queue ~concurrency:cfg.concurrency;
-    engines = Hashtbl.create 16;
-    engines_mu = Mutex.create ();
-    sessions =
-      Session_table.create ~ttl_s:cfg.session_ttl_s
-        ~max_sessions:cfg.max_sessions;
+    table;
     counters_mu = Mutex.create ();
     counters =
       {
@@ -146,42 +123,43 @@ let bump t (code : [ `Ok | `Err of Protocol.error_code ]) =
   Mutex.unlock t.counters_mu
 
 (* ------------------------------------------------------------------ *)
-(* Engines                                                             *)
+(* Stored answers                                                      *)
 
-(* Nothing edits an engine of the table (only sessions are edited), so
-   its answer is a pure function of the request: a repeat of the last
-   op and params gets the stored bytes back, and nothing runs. *)
-let reuse last (req : Protocol.request) run =
-  match !last with
-  | Some a when a.a_op = req.Protocol.op && a.a_params = req.Protocol.params
-    ->
-      Ok (a.a_result, None, a.a_verdict)
+(* Only an edit changes what a run renders, so a repeat of the last op
+   and params at the same revision gets the stored bytes back, and
+   nothing runs.  The caller holds the slot's mutex. *)
+let reuse (slot : Session_table.slot) (req : Protocol.request) ~hit run =
+  let revision = Session.revision slot.Session_table.session in
+  match slot.Session_table.answer with
+  | Some a
+    when a.Session_table.revision = revision
+         && a.Session_table.op = req.Protocol.op
+         && a.Session_table.params = req.Protocol.params ->
+      Ok (a.Session_table.result, hit, a.Session_table.verdict)
   | _ ->
-      Result.map
-        (fun (result, payload, verdict) ->
-          last :=
+      let r = run () in
+      Result.iter
+        (fun (result, _, verdict) ->
+          slot.Session_table.answer <-
             Some
               {
-                a_op = req.Protocol.op;
-                a_params = req.Protocol.params;
-                a_result = result;
-                a_verdict = verdict;
-              };
-          (result, Some payload, verdict))
-        (run ())
-
-let close_engines t =
-  Mutex.lock t.engines_mu;
-  Hashtbl.iter (fun _ s -> Session.close s.engine) t.engines;
-  Hashtbl.reset t.engines;
-  Mutex.unlock t.engines_mu
+                Session_table.revision;
+                op = req.Protocol.op;
+                params = req.Protocol.params;
+                result;
+                verdict;
+              })
+        r;
+      r
 
 (* ------------------------------------------------------------------ *)
-(* Interactive sessions: membership in {!Session_table}, durability in
-   {!Chop.Snapshot}.  A session is snapshotted whenever it leaves the
-   table with a state dir configured — eviction, session/save, shutdown —
-   and session/open resurrects the snapshot, so a restart or a gateway
-   migration loses no interactive state. *)
+(* The table: warm engines and interactive sessions in one
+   {!Session_table}, durability in {!Chop.Snapshot}.  A session is
+   snapshotted whenever it leaves the table with a state dir configured —
+   eviction, session/save, shutdown — and session/open resurrects the
+   snapshot, so a restart or a gateway migration loses no interactive
+   state.  An engine rebuilds from its key, so it is closed and never
+   snapshotted. *)
 
 let snapshot_path t sid =
   Option.map
@@ -221,21 +199,47 @@ let drop_snapshot t sid =
       try Sys.remove path with Sys_error _ -> ())
   | _ -> ()
 
-let evict_session t ~reason sid (slot : Session_table.slot) =
-  let saved =
-    match save_session t sid slot with
-    | Ok saved -> saved
-    | Error m ->
-        logf t "serve: session %s snapshot failed: %s" sid m;
-        false
+(* Closes a slot that left the table by eviction ([reason]) or at
+   shutdown, snapshotting a session first. *)
+let retire t ?reason key (slot : Session_table.slot) =
+  let what, saved =
+    match key with
+    | Session_table.Engine k -> ("engine " ^ k, false)
+    | Session_table.Session sid -> (
+        ( "session " ^ sid,
+          match save_session t sid slot with
+          | Ok saved -> saved
+          | Error m ->
+              logf t "serve: session %s snapshot failed: %s" sid m;
+              false ))
   in
   Session.close slot.Session_table.session;
-  logf t "serve: session %s evicted (%s%s)" sid reason
-    (if saved then ", snapshotted" else "")
+  match reason with
+  | Some r ->
+      logf t "serve: %s evicted (%s%s)" what r
+        (if saved then ", snapshotted" else "")
+  | None -> if saved then logf t "serve: %s snapshotted" what
 
-let prune_sessions t ~now =
-  Session_table.prune t.sessions ~now ~room_for:1
-    ~on_evict:(fun ~reason sid slot -> evict_session t ~reason sid slot)
+(* makes room for one new slot *)
+let prune t =
+  Session_table.prune t.table ~now:(Unix.gettimeofday ()) ~room_for:1
+    ~on_evict:(fun ~reason -> retire t ~reason)
+
+(* a new engine or session on [p]'s spec *)
+let new_session t (p : Protocol.params) config =
+  Result.bind (Ops.spec_of_params p) (fun spec ->
+      Result.map (fun c -> Session.create ~pool:t.pool c spec) (config ()))
+
+let new_slot session ~writer open_params =
+  {
+    Session_table.session;
+    smu = Mutex.create ();
+    last_used = Unix.gettimeofday ();
+    open_params;
+    writer;
+    observers = [];
+    answer = None;
+  }
 
 let ( let* ) r f = Result.bind r f
 
@@ -274,14 +278,6 @@ let restore_session t ~sid (p : Protocol.params) =
             Ok (Some (session, open_params))
       end
 
-let close_sessions t =
-  Session_table.drain t.sessions (fun sid slot ->
-      (match save_session t sid slot with
-      | Ok true -> logf t "serve: session %s snapshotted" sid
-      | Ok false -> ()
-      | Error m -> logf t "serve: session %s snapshot failed: %s" sid m);
-      Session.close slot.Session_table.session)
-
 (* ------------------------------------------------------------------ *)
 (* Request execution                                                   *)
 
@@ -316,10 +312,7 @@ let stats_fields t =
   in
   Mutex.unlock t.counters_mu;
   let cache = Chop.Pred_cache.counters Chop.Pred_cache.shared in
-  Mutex.lock t.engines_mu;
-  let engines = Hashtbl.length t.engines in
-  Mutex.unlock t.engines_mu;
-  let sessions = Session_table.length t.sessions in
+  let engines, sessions = Session_table.counts t.table in
   let lookups = cache.Chop.Pred_cache.hits + cache.Chop.Pred_cache.misses in
   let hit_rate =
     if lookups = 0 then 0.
@@ -411,85 +404,67 @@ let explore_result ?session spec (p : Protocol.params) report =
     verdict (feasible > 0) )
 
 (* Answers explore, advise and predict on the warm engine for the
-   request's identity.  The engine is created on first use, the only
-   time the request's spec and [config ()] are built; a later request
-   renders against [Session.spec engine], the spec it would have built,
-   since {!Ops.engine_key} is injective.  [run spec engine] answers a
-   request that does not repeat the engine's last one ({!reuse}). *)
+   request's identity, built on first use (outside the table lock) from
+   the request's spec and [config ()]; later requests render against
+   [Session.spec engine], since {!Ops.engine_key} is injective.  A request
+   that loses the race to add its key answers from the winner's slot, and
+   one that loses its slot between lookup and lock builds a new one.
+   [run spec engine] answers a new request. *)
 let with_engine t (req : Protocol.request) ~config run =
   let p = req.Protocol.params in
-  let key = Ops.engine_key ~op:req.Protocol.op p in
-  let slot =
-    Mutex.lock t.engines_mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.engines_mu)
-      (fun () ->
-        match Hashtbl.find_opt t.engines key with
-        | Some s -> Ok s
-        | None ->
-            (* created under the table lock so a burst of identical
-               requests builds the spec and integration context once *)
-            Result.bind (Ops.spec_of_params p) (fun spec ->
-                Result.map
-                  (fun config ->
-                    let engine = Session.create ~pool:t.pool config spec in
-                    let s = { engine; mu = Mutex.create (); last = ref None } in
-                    Hashtbl.add t.engines key s;
-                    s)
-                  (config ())))
+  let key = Session_table.Engine (Ops.engine_key ~op:req.Protocol.op p) in
+  let use (slot : Session_table.slot) =
+    slot.Session_table.last_used <- Unix.gettimeofday ();
+    let engine = slot.Session_table.session in
+    reuse slot req ~hit:No_timing (fun () -> run (Session.spec engine) engine)
   in
-  match slot with
-  | Error m -> Error (Protocol.Bad_request, m)
-  | Ok slot ->
-      Mutex.lock slot.mu;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock slot.mu)
-        (fun () ->
-          reuse slot.last req (fun () ->
-              run (Session.spec slot.engine) slot.engine))
-      |> Result.map (fun (result, source, verdict) ->
-             (result, Option.value source ~default:No_timing, verdict))
+  let rec go () =
+    match Session_table.with_slot t.table key use with
+    | Some r -> r
+    | None -> (
+        match new_session t p config with
+        | Error m -> Error (Protocol.Bad_request, m)
+        | Ok engine ->
+            prune t;
+            if not (Session_table.add t.table key (new_slot engine ~writer:"" p))
+            then Session.close engine;
+            go ())
+  in
+  go ()
 
 (* How a session op may touch its session.  Only the client that opened
    (or restored) a session may write it — [Write], or [Edit] for a write
    that changes the spec; attached observers and strangers [Read]. *)
 type access = Read | Write | Edit
 
-(* The frame of every op on an open session: find it, hold its mutex,
-   check the writer, run [f slot session], and on success mark the
-   session used (all but [Write]) and count the edit. *)
+(* The frame of every op on an open session: find it and hold its mutex
+   ({!Session_table.with_slot}: a session evicted or closed before the
+   lock is unknown), check the writer, run [f slot session], and on
+   success mark the session used (all but [Write]). *)
 let on_session t (p : Protocol.params) access f =
-  match Session_table.find t.sessions p.Protocol.session with
-  | None ->
-      Error
-        ( Protocol.Bad_request,
-          Printf.sprintf "unknown session %S (closed or evicted?)"
-            p.Protocol.session )
-  | Some slot ->
-      Mutex.lock slot.Session_table.smu;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock slot.Session_table.smu)
-        (fun () ->
-          let writer = slot.Session_table.writer in
-          let r =
-            if access <> Read && writer <> p.Protocol.client then
-              Error
-                ( Protocol.Bad_request,
-                  Printf.sprintf
-                    "client %S is not this session's writer (%s); read-only \
-                     clients may session/run and session/attach"
-                    p.Protocol.client
-                    (if writer = "" then "opened anonymously"
-                     else Printf.sprintf "writer %S" writer) )
-            else f slot slot.Session_table.session
-          in
-          if Result.is_ok r then begin
-            if access <> Write then
-              slot.Session_table.last_used <- Unix.gettimeofday ();
-            if access = Edit then
-              slot.Session_table.edits <- slot.Session_table.edits + 1
-          end;
-          r)
+  let sid = p.Protocol.session in
+  Session_table.with_slot t.table (Session_table.Session sid) (fun slot ->
+      let writer = slot.Session_table.writer in
+      let r =
+        if access <> Read && writer <> p.Protocol.client then
+          Error
+            ( Protocol.Bad_request,
+              Printf.sprintf
+                "client %S is not this session's writer (%s); read-only \
+                 clients may session/run and session/attach"
+                p.Protocol.client
+                (if writer = "" then "opened anonymously"
+                 else Printf.sprintf "writer %S" writer) )
+        else f slot slot.Session_table.session
+      in
+      if Result.is_ok r && access <> Write then
+        slot.Session_table.last_used <- Unix.gettimeofday ();
+      r)
+  |> Option.value
+       ~default:
+         (Error
+            ( Protocol.Bad_request,
+              Printf.sprintf "unknown session %S (closed or evicted?)" sid ))
 
 (* One operation, already admitted: returns the printed result object,
    the timing source (when an engine ran) and the verdict shown in the
@@ -557,8 +532,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
         ( Protocol.Bad_request,
           "gateway/migrate is a gateway operation; this is a backend" )
   | Protocol.Session_open -> (
-      let now = Unix.gettimeofday () in
-      prune_sessions t ~now;
+      prune t;
       let* restored =
         if sid = "" then
           if p.Protocol.restore then
@@ -570,30 +544,18 @@ let exec_op t (req : Protocol.request) ~interrupt :
         match restored with
         | Some (session, open_params) -> Ok (session, open_params, true)
         | None ->
-            Result.bind (Ops.spec_of_params p) (fun spec ->
-                Result.bind (Ops.config_of_params ~jobs:t.cfg.jobs p)
-                  (fun config ->
-                    Ok
-                      ( Session.create ~pool:t.pool config spec,
-                        p, false )))
+            Result.map
+              (fun session -> (session, p, false))
+              (new_session t p explore_config)
       in
-      let sid = if sid = "" then Session_table.fresh_id t.sessions else sid in
-      let slot =
-        {
-          Session_table.session;
-          smu = Mutex.create ();
-          last_used = now;
-          open_params;
-          writer = p.Protocol.client;
-          observers = [];
-          edits = 0;
-        }
-      in
-      match Session_table.add t.sessions sid slot with
-      | Error m ->
+      let sid = if sid = "" then Session_table.fresh_id t.table else sid in
+      let slot = new_slot session ~writer:p.Protocol.client open_params in
+      match Session_table.add t.table (Session_table.Session sid) slot with
+      | false ->
           Session.close session;
-          Error (Protocol.Bad_request, m)
-      | Ok () ->
+          Error
+            (Protocol.Bad_request, Printf.sprintf "session %S is already open" sid)
+      | true ->
           Ok
             ( obj [
                 ("session", Json.String sid);
@@ -617,7 +579,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
               ses_writer = slot.Session_table.writer;
               ses_observers = List.length slot.Session_table.observers;
             })
-          (Session_table.entries t.sessions)
+          (Session_table.sessions t.table)
       in
       Ok (obj (Ops.session_list_result lines), No_timing, "-")
   | Protocol.Session_edit ->
@@ -720,11 +682,13 @@ let exec_op t (req : Protocol.request) ~interrupt :
           end)
   | Protocol.Session_run ->
       on_session t p Read (fun slot session ->
-          Result.map
-            (explore_result ~session:sid (Session.spec session)
-               slot.Session_table.open_params)
-            (cancellable (fun () ->
-                 Session.run_interruptible ~interrupt session)))
+          (* the run renders with the open parameters, whichever client
+             asks: key its answer by them *)
+          let opened = slot.Session_table.open_params in
+          reuse slot { req with Protocol.params = opened } ~hit:No_timing (fun () ->
+              Result.map
+                (explore_result ~session:sid (Session.spec session) opened)
+                (explore session)))
   | Protocol.Session_optimize ->
       on_session t p Edit (fun _ session ->
           let* constraints =
@@ -778,7 +742,7 @@ let exec_op t (req : Protocol.request) ~interrupt :
                 if closing then begin
                   (* the migration handoff: persist, then free the slot so
                      the target backend owns the session *)
-                  ignore (Session_table.remove t.sessions sid);
+                  Session_table.remove t.table (Session_table.Session sid);
                   Session.close session
                 end;
                 Ok
@@ -797,25 +761,18 @@ let exec_op t (req : Protocol.request) ~interrupt :
                     "-" ))
   | Protocol.Session_close ->
       on_session t p Write (fun _ session ->
-          (* re-check under the session mutex: a concurrent close or
-             migration may have emptied the slot already *)
-          match Session_table.remove t.sessions sid with
-          | None ->
-              Error
-                ( Protocol.Bad_request,
-                  Printf.sprintf "unknown session %S (closed or evicted?)" sid )
-          | Some _ ->
-              Session.close session;
-              (* an explicit close discards durable state too — only
-                 eviction, shutdown and session/save keep snapshots *)
-              drop_snapshot t sid;
-              Ok
-                ( obj [
-                    ("closed", Json.Bool true);
-                    ("text", Json.String (Ops.render_session_closed sid));
-                  ],
-                  No_timing,
-                  "-" ))
+          Session_table.remove t.table (Session_table.Session sid);
+          Session.close session;
+          (* an explicit close discards durable state too — only
+             eviction, shutdown and session/save keep snapshots *)
+          drop_snapshot t sid;
+          Ok
+            ( obj [
+                ("closed", Json.Bool true);
+                ("text", Json.String (Ops.render_session_closed sid));
+              ],
+              No_timing,
+              "-" ))
 
 (* The full pipeline for one admitted request: execute, time, count,
    log, and the response line's pieces ({!Protocol.ok_pieces}). *)
@@ -957,8 +914,7 @@ let serve t =
     (Scheduler.in_flight t.sched);
   Scheduler.drain t.sched;
   Listener.close t.listener;
-  close_sessions t;
-  close_engines t;
+  Session_table.drain t.table (retire t);
   Chop_util.Pool.shutdown t.pool;
   let s = Scheduler.stats t.sched in
   logf t "serve: drained; %d completed, %d expired, %d rejected, %d failed"

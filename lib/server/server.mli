@@ -6,11 +6,7 @@
     ({!Chop.Explore.Session.create}[ ?pool]) and all engines share the
     process-wide prediction cache, so a request on an existing engine
     reuses both the engine (integration context, staged caches) and the
-    cached BAD predictions.  An explore, advise or predict that repeats
-    its engine's last request (same op, same params) runs nothing: the
-    engine keeps that answer's printed [result] and sends it again
-    ({!reuse}), with engine-less timing — the warm path perfbench's
-    explore-gateway workload measures.
+    cached BAD predictions.
 
     Requests flow through a {!Scheduler}: bounded queue, fixed
     concurrency, per-request deadlines, and a structured [overloaded]
@@ -20,15 +16,18 @@
     Interactive sessions ([session/open] … [session/close]) each own a
     {!Chop.Explore.Session}: [session/edit] applies incremental spec
     edits and reports the dirty partitions; [session/run] re-predicts
-    only those, everything else coming from the shared cache.  Sessions
-    idle past [session_ttl_s] are evicted, and opening past
-    [max_sessions] evicts the least-recently-used idle session; a
-    session busy in a run is never evicted mid-run.
+    only those, everything else coming from the shared cache.  Engines
+    and sessions share one {!Session_table}, its TTL and its LRU cap
+    (engines evicted first); a slot busy in a run is never evicted.  An
+    explore, advise or predict that repeats its engine's last request,
+    and a [session/run] with no edit since the last, run nothing
+    ({!reuse}) — the warm path perfbench's explore-gateway workload
+    measures.
 
     Shutdown is drain-then-exit: on SIGINT/SIGTERM (or {!stop}) the
     {!Listener} stops accepting, in-flight and queued requests finish and
     their responses are written, then connections and the socket close
-    and the sessions, engines and pool are torn down. *)
+    and the table and pool are torn down. *)
 
 type config = {
   socket_path : string option;
@@ -46,11 +45,12 @@ type config = {
           ignored either way, so a write to a client that has gone away
           fails with [EPIPE] instead of killing the process *)
   session_ttl_s : float;
-      (** idle time after which an interactive session is evicted (checked
-          on every [session/open]) *)
+      (** idle time after which a warm engine or an interactive session
+          is evicted (checked whenever a slot is added) *)
   max_sessions : int;
-      (** cap on concurrently open interactive sessions; opening past it
-          evicts the least-recently-used idle session *)
+      (** cap on warm engines and interactive sessions together; adding
+          past it evicts the least-recently-used idle slot, engines
+          first *)
   state_dir : string option;
       (** directory for durable session snapshots ({!Chop.Snapshot}):
           written on shutdown, eviction and [session/save], restored by
@@ -61,8 +61,8 @@ type config = {
 
 val default_config : config
 (** Stdio transport, concurrency 2, queue 8, single-job pool, no default
-    deadline, log on stderr, signals handled, 600 s session TTL, 32
-    sessions at most, no state dir. *)
+    deadline, log on stderr, signals handled, 600 s TTL, 64 slots (room
+    for explore-gateway's 33 engine keys on one backend), no state dir. *)
 
 type t
 
@@ -82,8 +82,8 @@ val stop : t -> unit
 val serve : t -> unit
 (** Runs the accept/read loop until {!stop}, a signal (when
     [handle_signals]), or — in stdio mode — end of input; then drains
-    the scheduler, closes every connection and tears down engines and
-    pool.  Blocks for the server's whole life. *)
+    the scheduler, closes every connection and tears down the table and
+    the pool.  Blocks for the server's whole life. *)
 
 val describe_exn : exn -> string
 (** The message given to a structured [internal] error when an operation
@@ -92,26 +92,22 @@ val describe_exn : exn -> string
     operation count, iteration bound — instead of a bare [Failure] text.
     Exposed so tests can pin the mapping. *)
 
-(** {1 Warm-engine answers} *)
-
-type answer
-(** A warm engine's last completed answer: the op and params of the
-    request it answered, its printed [result] object and its access-log
-    verdict. *)
+(** {1 Stored answers} *)
 
 val reuse :
-  answer option ref ->
+  Session_table.slot ->
   Protocol.request ->
+  hit:'a ->
   (unit -> (string * 'a * string, 'e) result) ->
-  (string * 'a option * string, 'e) result
-(** How each warm engine answers explore, advise and predict.
-    [reuse last req run] is [Ok (result, None, verdict)] from [!last]
-    when [!last] answered [req]'s op with equal params, and nothing
-    runs.  Otherwise it is [run ()], whose [(result, payload, verdict)]
-    comes back with the payload in [Some]; an [Ok] replaces [!last].  A
-    run that returns [Error] or raises ({!Chop.Explore.Cancelled} among
-    others) leaves [!last] as it was.  Exposed so tests can pin that
-    contract. *)
+  (string * 'a * string, 'e) result
+(** How a warm engine answers explore, advise and predict, and a session
+    [session/run].  [reuse slot req ~hit run] is [Ok (result, hit,
+    verdict)] from the slot's stored answer when that answered [req]'s op
+    with equal params at the session's current revision, and nothing
+    runs.  Otherwise it is [run ()]; an [Ok] becomes the stored answer,
+    and a run that returns [Error] or raises ({!Chop.Explore.Cancelled}
+    among others) leaves it as it was.  The caller holds the slot's
+    mutex.  Exposed so tests can pin that contract. *)
 
 val handle_line : t -> string -> string
 (** One request line through the full pipeline — parse, admission,

@@ -272,8 +272,12 @@ let make_slot session =
     open_params = Protocol.default_params;
     writer = "";
     observers = [];
-    edits = 0;
+    answer = None;
   }
+
+let s1 = Session_table.Session "s1"
+
+let key_name = function Session_table.Engine k | Session_table.Session k -> k
 
 let test_prune_never_evicts_busy_session () =
   let session = make_session () in
@@ -282,11 +286,11 @@ let test_prune_never_evicts_busy_session () =
     (fun () ->
       let tbl = Session_table.create ~ttl_s:0.05 ~max_sessions:8 in
       let slot = make_slot session in
-      (match Session_table.add tbl "s1" slot with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "added" true (Session_table.add tbl s1 slot);
       let evicted = ref [] in
-      let on_evict ~reason sid _slot = evicted := (reason, sid) :: !evicted in
+      let on_evict ~reason key _slot =
+        evicted := (reason, key_name key) :: !evicted
+      in
       let now = Unix.gettimeofday () in
       (* an edit is in flight (session mutex held) while the slot looks
          long expired — the sweep must take the mutex first and leave the
@@ -295,7 +299,7 @@ let test_prune_never_evicts_busy_session () =
       Mutex.lock slot.Session_table.smu;
       Session_table.prune tbl ~now ~room_for:0 ~on_evict;
       Alcotest.(check bool) "busy session survives the sweep" true
-        (Session_table.find tbl "s1" <> None);
+        (Session_table.find tbl s1 <> None);
       Alcotest.(check int) "nothing evicted" 0 (List.length !evicted);
       (* the edit completes: last_used refreshed under the mutex; a sweep
          arriving with the stale pre-edit view must re-judge expiry after
@@ -304,14 +308,14 @@ let test_prune_never_evicts_busy_session () =
       Mutex.unlock slot.Session_table.smu;
       Session_table.prune tbl ~now:(Unix.gettimeofday ()) ~room_for:0 ~on_evict;
       Alcotest.(check bool) "freshly-edited session survives" true
-        (Session_table.find tbl "s1" <> None);
+        (Session_table.find tbl s1 <> None);
       (* genuinely idle past the TTL: evicted, with the mutex held *)
       slot.Session_table.last_used <- Unix.gettimeofday () -. 10.;
       Session_table.prune tbl ~now:(Unix.gettimeofday ()) ~room_for:0 ~on_evict;
       Alcotest.(check (list (pair string string))) "ttl eviction"
         [ ("ttl", "s1") ] !evicted;
       Alcotest.(check bool) "slot removed" true
-        (Session_table.find tbl "s1" = None))
+        (Session_table.find tbl s1 = None))
 
 let test_prune_never_evicts_observed_session () =
   let session = make_session () in
@@ -322,21 +326,106 @@ let test_prune_never_evicts_observed_session () =
       let slot = make_slot session in
       slot.Session_table.observers <- [ "bob" ];
       slot.Session_table.last_used <- Unix.gettimeofday () -. 10.;
-      (match Session_table.add tbl "s1" slot with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "added" true (Session_table.add tbl s1 slot);
       let evicted = ref 0 in
       (* expired AND over capacity, yet observed: both passes skip it *)
       Session_table.prune tbl ~now:(Unix.gettimeofday ()) ~room_for:1
         ~on_evict:(fun ~reason:_ _ _ -> incr evicted);
       Alcotest.(check bool) "observed session survives" true
-        (Session_table.find tbl "s1" <> None);
+        (Session_table.find tbl s1 <> None);
       Alcotest.(check int) "no eviction" 0 !evicted;
       (* the last observer detaches: the next sweep may take it *)
       slot.Session_table.observers <- [];
       Session_table.prune tbl ~now:(Unix.gettimeofday ()) ~room_for:1
         ~on_evict:(fun ~reason:_ _ _ -> incr evicted);
       Alcotest.(check int) "evicted once unobserved" 1 !evicted)
+
+(* With the table over its cap, LRU victims are engines, least recently
+   used first, before any session, though the session is the oldest. *)
+let test_prune_evicts_engines_first () =
+  let session = make_session () in
+  Fun.protect
+    ~finally:(fun () -> Chop.Explore.Session.close session)
+    (fun () ->
+      let tbl = Session_table.create ~ttl_s:60. ~max_sessions:2 in
+      let now = Unix.gettimeofday () in
+      let slots =
+        List.map
+          (fun (key, age) ->
+            let slot = make_slot session in
+            slot.Session_table.last_used <- now -. age;
+            Alcotest.(check bool) "added" true (Session_table.add tbl key slot);
+            (key, slot))
+          [
+            (s1, 5.);
+            (Session_table.Engine "e1", 3.);
+            (Session_table.Engine "e2", 1.);
+            (Session_table.Engine "e3", 2.);
+          ]
+      in
+      let evicted = ref [] in
+      let on_evict ~reason key _slot =
+        evicted := (reason, key_name key) :: !evicted
+      in
+      let prune ~room_for = Session_table.prune tbl ~now ~room_for ~on_evict in
+      prune ~room_for:0;
+      Alcotest.(check (list (pair string string))) "two engines, oldest first"
+        [ ("lru", "e1"); ("lru", "e3") ]
+        (List.rev !evicted);
+      Alcotest.(check (pair int int)) "one engine and the session left" (1, 1)
+        (Session_table.counts tbl);
+      (* a busy engine and an observed session are still skipped *)
+      let e2 = List.assoc (Session_table.Engine "e2") slots in
+      let ses = List.assoc s1 slots in
+      ses.Session_table.observers <- [ "bob" ];
+      Mutex.lock e2.Session_table.smu;
+      evicted := [];
+      prune ~room_for:2;
+      Alcotest.(check int) "busy and observed slots stay" 0
+        (List.length !evicted);
+      Mutex.unlock e2.Session_table.smu;
+      prune ~room_for:2;
+      Alcotest.(check (list (pair string string))) "the idle engine goes"
+        [ ("lru", "e2") ] !evicted;
+      ses.Session_table.observers <- [];
+      prune ~room_for:2;
+      Alcotest.(check (list (pair string string)))
+        "then the unobserved session"
+        [ ("lru", "s1"); ("lru", "e2") ]
+        !evicted)
+
+(* An op finds its slot, then takes the slot's mutex; a sweep on another
+   worker may evict the slot in between.  Played in order on one thread:
+   the slot left the table, so it counts as absent, as does a slot whose
+   key now names another. *)
+let test_lock_rechecks_membership () =
+  let session = make_session () in
+  Fun.protect
+    ~finally:(fun () -> Chop.Explore.Session.close session)
+    (fun () ->
+      let tbl = Session_table.create ~ttl_s:60. ~max_sessions:8 in
+      let slot = make_slot session in
+      Alcotest.(check bool) "added" true (Session_table.add tbl s1 slot);
+      let found = Option.get (Session_table.find tbl s1) in
+      Session_table.prune tbl
+        ~now:(Unix.gettimeofday () +. 120.)
+        ~room_for:0
+        ~on_evict:(fun ~reason:_ _ _ -> ());
+      Alcotest.(check bool) "an evicted slot does not lock" false
+        (Session_table.lock tbl s1 found);
+      Alcotest.(check bool) "its mutex is free again" true
+        (Mutex.try_lock slot.Session_table.smu);
+      Mutex.unlock slot.Session_table.smu;
+      Alcotest.(check (option unit)) "with_slot finds nothing" None
+        (Session_table.with_slot tbl s1 ignore);
+      let successor = make_slot session in
+      Alcotest.(check bool) "the id is reused" true
+        (Session_table.add tbl s1 successor);
+      Alcotest.(check bool) "the old slot does not lock under the new" false
+        (Session_table.lock tbl s1 found);
+      Alcotest.(check bool) "the live slot locks" true
+        (Session_table.lock tbl s1 successor);
+      Mutex.unlock successor.Session_table.smu)
 
 (* ------------------------------------------------------------------ *)
 (* The gateway against real socket backends *)
@@ -881,6 +970,10 @@ let () =
         [
           tc "busy session never evicted (drain race)" `Quick
             test_prune_never_evicts_busy_session;
+          tc "engines are evicted first, oldest first" `Quick
+            test_prune_evicts_engines_first;
+          tc "a slot evicted between lookup and lock is absent" `Quick
+            test_lock_rechecks_membership;
           tc "observed session never evicted" `Quick
             test_prune_never_evicts_observed_session;
         ] );

@@ -10,6 +10,7 @@ module Server = Chop_server.Server
 module Client = Chop_server.Client
 module Ops = Chop_server.Ops
 module Listener = Chop_server.Listener
+module Session_table = Chop_server.Session_table
 
 let parse_response line =
   match Json.parse line with
@@ -195,7 +196,8 @@ let test_scheduler_drain_completes_in_flight () =
 (* ------------------------------------------------------------------ *)
 (* Server pipeline through handle_line (no sockets) *)
 
-let make_server () =
+let make_server ?(max_sessions = Server.default_config.Server.max_sessions) ()
+    =
   Server.create
     {
       Server.default_config with
@@ -203,6 +205,7 @@ let make_server () =
       jobs = 1;
       log = None;
       handle_signals = false;
+      max_sessions;
     }
 
 let field resp path =
@@ -353,17 +356,20 @@ let timing_jobs resp =
 
 let result_bytes resp = Json.print (Option.get (field resp [ "result" ]))
 
-(* a cache-off run: what a fresh [chop explore] process computes *)
-let fresh_report (p : Protocol.params) =
-  let spec = Result.get_ok (Ops.spec_of_params p) in
+(* a cache-off run: what a fresh [chop explore] process computes, of
+   [p]'s spec or of [spec] under [p]'s configuration *)
+let fresh_report ?spec (p : Protocol.params) =
+  let spec =
+    match spec with Some s -> s | None -> Result.get_ok (Ops.spec_of_params p)
+  in
   let config = Result.get_ok (Ops.config_of_params ~jobs:1 p) in
   let config =
     { config with Chop.Explore.Config.cache = Chop.Explore.Config.Off }
   in
   (spec, Chop.Explore.with_engine config spec Chop.Explore.Session.run)
 
-let fresh_render (p : Protocol.params) =
-  let spec, report = fresh_report p in
+let fresh_render ?spec (p : Protocol.params) =
+  let spec, report = fresh_report ?spec p in
   Ops.render_explore spec ~keep_all:p.Protocol.keep_all ~csv:p.Protocol.csv
     ~verbose:p.Protocol.verbose report
 
@@ -454,12 +460,29 @@ let test_reuse_stores_completed_runs () =
     { Protocol.id = "r"; op = Protocol.Explore; deadline_ms = None;
       params = relaxed "ewf" 3 "e" }
   in
-  let last = ref None and runs = ref 0 in
+  let spec = Result.get_ok (Ops.spec_of_params req.Protocol.params) in
+  let session =
+    Chop.Explore.Session.create (Chop.Explore.Config.make ~jobs:1 ()) spec
+  in
+  Fun.protect ~finally:(fun () -> Chop.Explore.Session.close session)
+  @@ fun () ->
+  let slot =
+    {
+      Session_table.session;
+      smu = Mutex.create ();
+      last_used = 0.;
+      open_params = req.Protocol.params;
+      writer = "";
+      observers = [];
+      answer = None;
+    }
+  in
+  let runs = ref 0 in
   let answer result () =
     incr runs;
-    Ok (result, (), "feasible")
+    Ok (result, Some (), "feasible")
   in
-  let reused ?(req = req) run = Server.reuse last req run in
+  let reused ?(req = req) run = Server.reuse slot req ~hit:None run in
   (match reused (fun () -> raise Chop.Explore.Cancelled) with
   | exception Chop.Explore.Cancelled -> ()
   | _ -> Alcotest.fail "a cancelled run answered");
@@ -1295,6 +1318,161 @@ let test_restore_keeps_fractional_criteria () =
     before (run ())
 
 (* ------------------------------------------------------------------ *)
+(* One table: warm engines and sessions under one cap *)
+
+(* [n] distinct engine keys: ar k=2 E at perf 20001, 20002, ... *)
+let sweep_keys n =
+  List.init n (fun i -> { (relaxed "ar" 2 "e") with perf = 20001. +. float i })
+
+let stat_int server name =
+  let stats = parse_response (Server.handle_line server {|{"op":"stats"}|}) in
+  Option.get (Option.bind (field stats [ "result"; name ]) Json.to_int_opt)
+
+let open_session server p =
+  Option.get
+    (json_string
+       (ok_line server (request_line Protocol.Session_open p))
+       [ "result"; "session" ])
+
+let test_cap_bounds_engines () =
+  let server = make_server ~max_sessions:3 () in
+  let explore p = ok_line server (request_line Protocol.Explore p) in
+  let keys = sweep_keys 5 in
+  let first = explore (List.hd keys) in
+  List.iter (fun p -> ignore (explore p)) (List.tl keys);
+  Alcotest.(check bool) "at most three engines" true
+    (stat_int server "engines" <= 3);
+  let again = explore (List.hd keys) in
+  Alcotest.(check string) "the first key answers its first bytes"
+    (result_bytes first) (result_bytes again);
+  Alcotest.(check (option string)) "the first key = cache-off render"
+    (Some (fresh_render (List.hd keys)))
+    (Protocol.response_text again);
+  Alcotest.(check int) "its evicted engine was rebuilt and ran" 1
+    (timing_jobs again);
+  Server.stop server
+
+(* engines are evicted before sessions: the session, though least
+   recently used, outlives more new engine keys than the cap *)
+let test_sessions_outlive_engine_sweep () =
+  let server = make_server ~max_sessions:3 () in
+  let p = relaxed "ar" 2 "e" in
+  let sid = open_session server p in
+  List.iter
+    (fun k -> ignore (ok_line server (request_line Protocol.Explore k)))
+    (sweep_keys 5);
+  let run =
+    ok_line server (request_line Protocol.Session_run { p with session = sid })
+  in
+  Alcotest.(check (option string)) "the session still runs"
+    (Some (fresh_render p)) (Protocol.response_text run);
+  Alcotest.(check int) "one session" 1 (stat_int server "sessions");
+  Server.stop server
+
+(* A session/run with no edit since the last run answers from the stored
+   bytes; an edit, undo, redo or optimize in between makes it run again.
+   A twin session takes the same steps in process, so the expected render
+   is a cache-off run of the session's own spec. *)
+let test_unedited_run_reuses_answer () =
+  let server = make_server () in
+  let p = relaxed "diffeq" 2 "e" in
+  let p = { p with session = open_session server p } in
+  let twin =
+    Chop.Explore.Session.create
+      (Chop.Explore.Config.make ~jobs:1 ())
+      (Result.get_ok (Ops.spec_of_params p))
+  in
+  Fun.protect ~finally:(fun () -> Chop.Explore.Session.close twin)
+  @@ fun () ->
+  let runs what =
+    let first = ok_line server (request_line Protocol.Session_run p) in
+    Alcotest.(check bool) (what ^ ": the run runs") true (timing_jobs first >= 1);
+    Alcotest.(check (option string))
+      (what ^ ": = cache-off render of the session's spec")
+      (Some (fresh_render ~spec:(Chop.Explore.Session.spec twin) p))
+      (Protocol.response_text first);
+    let again = ok_line server (request_line Protocol.Session_run p) in
+    Alcotest.(check int) (what ^ ": the repeat runs nothing") 0
+      (timing_jobs again);
+    Alcotest.(check string) (what ^ ": the repeat's bytes")
+      (result_bytes first) (result_bytes again)
+  in
+  let step what op on_twin =
+    let resp = ok_line server (request_line op p) in
+    (match on_twin twin with Ok _ -> () | Error m -> Alcotest.fail m);
+    runs ("after " ^ what);
+    resp
+  in
+  runs "open";
+  ignore
+    (ok_line server (request_line Protocol.Session_attach { p with client = "bob" }));
+  let observed =
+    ok_line server (request_line Protocol.Session_run { p with client = "bob" })
+  in
+  Alcotest.(check int) "an observer's repeat runs nothing" 0
+    (timing_jobs observed);
+  Alcotest.(check (option string)) "an observer reads the same render"
+    (Some (fresh_render p)) (Protocol.response_text observed);
+  let merge = [ "merge P2 P1" ] in
+  ignore
+    (ok_line server
+       (request_line Protocol.Session_edit { p with edits = merge }));
+  (match Ops.parse_edits (Chop.Explore.Session.spec twin) merge with
+  | Ok edits -> ignore (Chop.Explore.Session.edit twin edits)
+  | Error m -> Alcotest.fail m);
+  runs "after edit";
+  ignore (step "undo" Protocol.Session_undo Chop.Explore.Session.undo);
+  ignore (step "redo" Protocol.Session_redo Chop.Explore.Session.redo);
+  (* back to two partitions, where optimize has a move to make *)
+  ignore (step "undo again" Protocol.Session_undo Chop.Explore.Session.undo);
+  let optimized =
+    step "optimize" Protocol.Session_optimize (fun s ->
+        Ok (Chop_auto.refine ~seed:p.Protocol.seed s))
+  in
+  Alcotest.(check bool) "optimize moved the spec" true
+    (Option.bind (field optimized [ "result"; "moves_accepted" ]) Json.to_int_opt
+    > Some 0);
+  Server.stop server
+
+(* engine keys name no session: session ops and session/list never see
+   an engine, and an engine eviction writes no snapshot *)
+let test_engines_hidden_from_session_ops () =
+  let dir = temp_path "state-engines" in
+  rm_rf dir;
+  let server = Server.create { (state_config dir) with max_sessions = 2 } in
+  Fun.protect
+    ~finally:(fun () ->
+      shut server;
+      rm_rf dir)
+  @@ fun () ->
+  let p = relaxed "ar" 2 "e" in
+  ignore (ok_line server (request_line Protocol.Explore p));
+  let run_engine =
+    parse_response
+      (Server.handle_line server
+         (request_line Protocol.Session_run
+            { p with session = Ops.engine_key ~op:Protocol.Explore p }))
+  in
+  Alcotest.(check (option string)) "session/run on an engine key"
+    (Some "bad_request")
+    (Protocol.response_error_code run_engine);
+  let sid = open_session server p in
+  List.iter
+    (fun k -> ignore (ok_line server (request_line Protocol.Explore k)))
+    (sweep_keys 3);
+  let listed = ok_line server (request_line Protocol.Session_list p) in
+  let ids =
+    match field listed [ "result"; "sessions" ] with
+    | Some (Json.Array entries) ->
+        List.filter_map (fun e -> json_string e [ "id" ]) entries
+    | _ -> Alcotest.fail "no sessions array in session/list response"
+  in
+  Alcotest.(check (list string)) "session/list lists the session alone"
+    [ sid ] ids;
+  Alcotest.(check (array string)) "engine evictions wrote no snapshot" [||]
+    (Sys.readdir dir)
+
+(* ------------------------------------------------------------------ *)
 (* The chop binary: serve on a socket, driven by chop request *)
 
 let chop = "../bin/chop_cli.exe"
@@ -1323,12 +1501,14 @@ let test_malformed_spec_exits_2 () =
         "" out)
     [ "explore"; "auto"; "repl"; "synth" ]
 
+(* One slot at most: the advise evicts the explore's engine, and the
+   explore sent again rebuilds it and still answers as the CLI does. *)
 let test_serve_process_matches_cli () =
   let sock = temp_path "serve.sock" in
   let pid =
     Unix.create_process chop
       [| chop; "serve"; "--socket"; sock; "-c"; "2"; "-q"; "8"; "--jobs";
-         "2"; "--quiet" |]
+         "2"; "--max-sessions"; "1"; "--quiet" |]
       Unix.stdin Unix.stdout Unix.stderr
   in
   let reaped = ref false in
@@ -1360,11 +1540,15 @@ let test_serve_process_matches_cli () =
   Alcotest.(check string) "chop request prints what chop explore prints" cli
     served;
   ignore (request "advise" [ "-g"; "ar"; "--op"; "advise" ]);
+  Alcotest.(check string) "the evicted key answers as chop explore" cli
+    (request "explore again" [ "-g"; "ewf"; "-k"; "2"; "--keep-all" ]);
   let stats =
     parse_response (String.trim (request "stats" [ "--op"; "stats"; "--json" ]))
   in
   Alcotest.(check (option bool)) "stats JSON says ok" (Some true)
     (Protocol.response_ok stats);
+  Alcotest.(check (option int)) "one engine under --max-sessions 1" (Some 1)
+    (Option.bind (field stats [ "result"; "engines" ]) Json.to_int_opt);
   Unix.kill pid Sys.sigterm;
   let _, status = Unix.waitpid [] pid in
   reaped := true;
@@ -1430,6 +1614,17 @@ let () =
             test_session_list_id_order;
           Alcotest.test_case "restore keeps a fractional criteria edit"
             `Quick test_restore_keeps_fractional_criteria;
+        ] );
+      ( "table",
+        [
+          Alcotest.test_case "the cap bounds warm engines" `Quick
+            test_cap_bounds_engines;
+          Alcotest.test_case "sessions outlive an engine sweep" `Quick
+            test_sessions_outlive_engine_sweep;
+          Alcotest.test_case "an unedited session/run reuses its answer"
+            `Quick test_unedited_run_reuses_answer;
+          Alcotest.test_case "session ops never see an engine" `Quick
+            test_engines_hidden_from_session_ops;
         ] );
       ( "state-dir",
         [
